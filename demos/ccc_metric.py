@@ -46,7 +46,7 @@ def main():
     pred = ad.Tensor((truth * 2.0 + 0.5).reshape(1, -1))
     target = truth.reshape(1, -1)
     for step in range(201):
-        loss = ccc_loss(pred_valence=pred, truth_valence=target)
+        loss = ccc_loss(pred, target)
         if step % 50 == 0:
             print(
                 f"step {step:>3}: loss {loss.value[0, 0]:.4f}, "

@@ -1,12 +1,11 @@
 """Dense 2-D array arithmetic with reverse-mode differentiation.
 
-Every value in the library is a real matrix (row-major ``numpy`` array,
-float64 by default, float32 optional).  A :class:`Tensor` wraps one matrix
-together with its gradient buffer and the links needed to replay the
-computation backwards.  Operations build the graph eagerly; calling
-:meth:`Tensor.backward` on a scalar output visits each node exactly once
-in reverse topological order and accumulates gradients into every
-upstream tensor.
+Every value in the library is a real matrix (row-major float64 ``numpy``
+array).  A :class:`Tensor` wraps one matrix together with its gradient
+buffer and the links needed to replay the computation backwards.
+Operations build the graph eagerly; calling :meth:`Tensor.backward` on a
+scalar output visits each node exactly once in reverse topological order
+and accumulates gradients into every upstream tensor.
 
 The op set is deliberately small: matrix product, elementwise
 tanh/relu/add/sub/mul, scalar broadcast helpers, row/column stacking,
@@ -27,8 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, NumericError, ParameterError
-
-DEFAULT_DTYPE = np.float64
 
 # Distance from a ReLU kink below which a pre-activation is treated as
 # sitting on the kink (its subgradient is taken as 0 and gradcheck skips it).
@@ -52,14 +49,10 @@ def record_kinks(out: list):
         _kink_recorders.remove(out)
 
 
-def _as_matrix(value, dtype=None):
-    arr = np.atleast_2d(np.asarray(value))
+def _as_matrix(value):
+    arr = np.atleast_2d(np.asarray(value, dtype=np.float64))
     if arr.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of rank {arr.ndim}")
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(DEFAULT_DTYPE)
     return arr
 
 
@@ -69,7 +62,8 @@ class Tensor:
     Parameters
     ----------
     value : array-like
-        2-D real data (1-D input is promoted to a single row).
+        2-D real data (1-D input is promoted to a single row), stored as
+        float64.
     name : str, optional
         Identifier used in diagnostics; parameters get stable names.
 
@@ -82,8 +76,8 @@ class Tensor:
 
     __slots__ = ("value", "grad", "name", "_parents", "_backward")
 
-    def __init__(self, value, dtype=None, name=None):
-        self.value = _as_matrix(value, dtype)
+    def __init__(self, value, name=None):
+        self.value = _as_matrix(value)
         self.grad = None
         self.name = name
         self._parents = ()
@@ -154,7 +148,7 @@ class Tensor:
         if seed is None:
             self.grad = np.ones_like(self.value)
         else:
-            seed = _as_matrix(seed, self.value.dtype)
+            seed = _as_matrix(seed)
             if seed.shape != self.value.shape:
                 raise DimensionError(
                     f"backward: seed shape {seed.shape} does not match {self.value.shape}"
@@ -218,9 +212,9 @@ class Tensor:
         return sum_all(self)
 
 
-def constant(value, dtype=None, name=None):
+def constant(value, name=None):
     """A graph leaf that participates in ops but needs no gradient of its own."""
-    return Tensor(value, dtype=dtype, name=name)
+    return Tensor(value, name=name)
 
 
 def _binary_shape_check(op, a, b):
@@ -553,11 +547,6 @@ class GradcheckReport:
     @property
     def worst(self) -> float:
         return max(self.per_param.values(), default=0.0)
-
-    def worst_param(self):
-        if not self.per_param:
-            return None
-        return max(self.per_param, key=self.per_param.get)
 
     def format_lines(self):
         width = max((len(n) for n in self.per_param), default=0)

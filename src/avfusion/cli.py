@@ -15,12 +15,10 @@ Every command is deterministic given config + dataset bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +27,7 @@ from .config import ExperimentConfig, load_config
 from .exceptions import ConfigError, DimensionError, FormatError, NumericError, ParameterError
 from .metrics import EvalReport
 from .model import EmotionModel
-from .synthdata import clip_seed, generate, read_features, write_features
+from .synthdata import _read_csv, _write_csv, clip_seed, generate, read_features, write_features
 from .training import best_fold, cross_validate, evaluate, fold_assignments, train
 from .verify import run_gradcheck_suite
 
@@ -91,7 +89,10 @@ def load_params(path) -> dict:
             raise FormatError(f"{path}: truncated entry header", offset=pos)
         (name_len,) = _ENTRY_HEAD.unpack_from(blob, pos)
         pos += _ENTRY_HEAD.size
-        name = blob[pos : pos + name_len].decode("utf-8")
+        try:
+            name = blob[pos : pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: entry name is not valid UTF-8", offset=pos) from None
         pos += name_len
         if pos + _ENTRY_SHAPE.size > len(blob):
             raise FormatError(f"{path}: truncated shape for {name!r}", offset=pos)
@@ -107,17 +108,6 @@ def load_params(path) -> dict:
     return out
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _executor(threads: int):
-    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-
 def _dataset_dir(out: Path) -> Path:
     return out / "dataset"
 
@@ -128,23 +118,14 @@ def _load_dataset(out: Path):
     manifest = _dataset_dir(out) / "manifest.csv"
     if not manifest.exists():
         raise ConfigError(f"no dataset at {manifest.parent}; run the gen command first")
-    with open(manifest, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows or rows[0] != MANIFEST_HEADER:
-        raise FormatError(f"{manifest}: expected header {','.join(MANIFEST_HEADER)}", offset=0)
-    if len(rows) == 1:
+    clip_ids = _read_csv(manifest, MANIFEST_HEADER, (str, int, int, int, int))[0]
+    if not clip_ids:
         raise ConfigError(f"{manifest}: dataset lists no clips")
-    return [read_features(manifest.parent, row[0]) for row in rows[1:]]
+    return [read_features(manifest.parent, clip_id) for clip_id in clip_ids]
 
 
-def cmd_gen(config: ExperimentConfig, out: Path, threads: int) -> int:
-    executor = _executor(threads)
-    try:
-        clips = generate(config.generator, executor=executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+def cmd_gen(config: ExperimentConfig, out: Path) -> int:
+    clips = generate(config.generator)
     dataset = _dataset_dir(out)
     dataset.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -164,7 +145,7 @@ def cmd_gen(config: ExperimentConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_train(config: ExperimentConfig, out: Path, threads: int) -> int:
+def cmd_train(config: ExperimentConfig, out: Path) -> int:
     clips = _load_dataset(out)
     tc = config.training
     outcomes = cross_validate(clips, tc)
@@ -199,7 +180,7 @@ def cmd_train(config: ExperimentConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_eval(config: ExperimentConfig, out: Path, threads: int) -> int:
+def cmd_eval(config: ExperimentConfig, out: Path) -> int:
     clips = _load_dataset(out)
     params_path = out / "params.bin"
     if not params_path.exists():
@@ -208,16 +189,8 @@ def cmd_eval(config: ExperimentConfig, out: Path, threads: int) -> int:
     model = EmotionModel(
         tc.model_config(clips[0].audio.shape[0], clips[0].visual.shape[0]), rng=tc.model_rng()
     )
-    try:
-        model.load_snapshot(load_params(params_path))
-    except KeyError as exc:
-        raise ParameterError(f"saved parameters do not match the configured model: {exc}") from exc
-    executor = _executor(threads)
-    try:
-        report, rows = evaluate(model, clips, tc, executor=executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    model.load_snapshot(load_params(params_path))
+    report, rows = evaluate(model, clips, tc)
     eval_dir = out / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(eval_dir / "predictions.csv", PREDICTIONS_HEADER, rows)
@@ -228,13 +201,8 @@ def cmd_eval(config: ExperimentConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(config: ExperimentConfig, out: Path, threads: int) -> int:
-    executor = _executor(threads)
-    try:
-        clips = generate(config.generator, executor=executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+def cmd_ablate(config: ExperimentConfig, out: Path) -> int:
+    clips = generate(config.generator)
     val_idx = set(fold_assignments(len(clips), config.training)[0])
     train_clips = [c for i, c in enumerate(clips) if i not in val_idx]
     val_clips = [c for i, c in enumerate(clips) if i in val_idx]
@@ -293,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="experiment JSON (defaults apply)")
         p.add_argument("--out", type=Path, default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override generator and training seeds")
-        p.add_argument("--threads", type=int, default=1, help="worker cap; 1 = fully serial")
+        p.add_argument("--threads", type=int, default=1, help="ignored: every command runs serially")
     return parser
 
 
@@ -313,13 +281,13 @@ def main(argv=None) -> int:
             )
         out = args.out if args.out is not None else Path(config.out_dir)
         if args.command == "gen":
-            return cmd_gen(config, out, args.threads)
+            return cmd_gen(config, out)
         if args.command == "train":
-            return cmd_train(config, out, args.threads)
+            return cmd_train(config, out)
         if args.command == "eval":
-            return cmd_eval(config, out, args.threads)
+            return cmd_eval(config, out)
         if args.command == "ablate":
-            return cmd_ablate(config, out, args.threads)
+            return cmd_ablate(config, out)
         return cmd_gradcheck()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -89,10 +89,6 @@ class ModalityFeatures:
                 f"visual {self.visual.shape}"
             )
 
-    @classmethod
-    def from_arrays(cls, audio, visual, dtype=None):
-        return cls(Tensor(audio, dtype=dtype), Tensor(visual, dtype=dtype))
-
     @property
     def seq_len(self):
         return self.audio.cols
@@ -106,12 +102,12 @@ class ModalityFeatures:
         return self.visual.rows
 
 
-def xavier_uniform(rng, rows, cols, dtype=np.float64, fan=None):
+def xavier_uniform(rng, rows, cols, fan=None):
     """Xavier-uniform draw; ``fan`` overrides (fan_in, fan_out) when the
     matrix is one tap of a larger summed operation."""
     fan_in, fan_out = fan if fan is not None else (cols, rows)
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype)
+    return rng.uniform(-limit, limit, size=(rows, cols))
 
 
 class FusionParams:
@@ -140,7 +136,7 @@ class FusionParams:
     ``final_gate_*`` (d_mod x depth).
     """
 
-    def __init__(self, config: FusionConfig, rng=None, dtype=np.float64):
+    def __init__(self, config: FusionConfig, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
         self.config = config
@@ -149,10 +145,10 @@ class FusionParams:
         L = c.seq_len
 
         def weight(rows, cols):
-            return Tensor(xavier_uniform(rng, rows, cols, dtype))
+            return Tensor(xavier_uniform(rng, rows, cols))
 
         def zeros(rows, cols):
-            return Tensor(np.zeros((rows, cols), dtype=dtype))
+            return Tensor(np.zeros((rows, cols)))
 
         self.corr_audio = []
         self.corr_visual = []

@@ -112,36 +112,17 @@ def mul_self(x: ad.Tensor) -> ad.Tensor:
     return ad.mul(x, x)
 
 
-def ccc_loss(
-    pred_valence=None,
-    truth_valence=None,
-    pred_arousal=None,
-    truth_arousal=None,
-    valid=None,
-    return_flags=False,
-):
-    """Sum of (1 - ccc) over the provided target channels.
+def ccc_loss(pred: ad.Tensor, truth, valid=None, return_flags=False):
+    """1 - ccc of one target channel, as a differentiable 1 x 1 tensor.
 
-    Either channel may be omitted for single-target training; at least one
-    pair is required.  Returns a differentiable 1 x 1 tensor (with the
-    per-channel degenerate flags when ``return_flags`` is set).
+    Arguments are those of :func:`ccc_node`.  With ``return_flags`` the
+    result is ``(loss, degenerate)``.
     """
-    terms = []
-    flags = []
-    for pred, truth in ((pred_valence, truth_valence), (pred_arousal, truth_arousal)):
-        if pred is None:
-            continue
-        node, degenerate = ccc_node(pred, truth, valid=valid)
-        terms.append(1.0 - node)
-        flags.append(degenerate)
-    if not terms:
-        raise DimensionError("ccc_loss: at least one prediction/target pair required")
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
+    node, degenerate = ccc_node(pred, truth, valid=valid)
+    loss = 1.0 - node
     if return_flags:
-        return total, tuple(flags)
-    return total
+        return loss, degenerate
+    return loss
 
 
 @dataclass

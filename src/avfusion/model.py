@@ -9,6 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .exceptions import ParameterError
 from .fusion import FusionConfig, FusionParams, ModalityFeatures, fusion_forward
 from .metrics import ccc_loss
 from .synthdata import LabeledClip
@@ -65,7 +66,7 @@ class EmotionModel:
         self.tcn_audio = TcnParams(config.dim_audio, config.tcn, rng=rng)
         self.tcn_visual = TcnParams(config.dim_visual, config.tcn, rng=rng)
         self.fusion = FusionParams(config.fusion_config(), rng=rng)
-        fused_dim = self.tcn_audio.dim_out + self.tcn_visual.dim_out
+        fused_dim = config.dim_audio + config.dim_visual  # the encoders keep each dimension
         self.head = HeadParams(fused_dim, HeadConfig(hidden=tuple(config.head_hidden)), rng=rng)
 
     def parameters(self) -> dict:
@@ -96,7 +97,7 @@ class EmotionModel:
         fused = apply_dropout(state.fused, self.config.dropout, dropout_rng)
         return head_forward(fused, self.head)
 
-    def batch_loss(self, windows, target: str, dropout_rng=None, return_flags=False):
+    def batch_loss(self, windows, target: str, dropout_rng=None):
         """Pooled masked loss over a batch of clip windows.
 
         Predictions and labels are concatenated frame-wise; padded frames
@@ -113,17 +114,25 @@ class EmotionModel:
         pred = preds[0] if len(preds) == 1 else ad.hstack(preds)
         truth = np.concatenate(truths).reshape(1, -1)
         valid = np.concatenate(valids).reshape(1, -1)
-        kwargs = {f"pred_{target}": pred, f"truth_{target}": truth}
-        return ccc_loss(valid=valid, return_flags=return_flags, **kwargs)
+        return ccc_loss(pred, truth, valid=valid)
 
     def snapshot(self) -> dict:
         return {name: p.value.copy() for name, p in self.parameters().items()}
 
     def load_snapshot(self, stored: dict):
+        """Copy ``stored`` into the parameters; names and shapes must match exactly."""
         params = self.parameters()
         if set(stored) != set(params):
-            missing = set(params) - set(stored)
-            extra = set(stored) - set(params)
-            raise KeyError(f"snapshot mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+            missing = sorted(set(params) - set(stored))
+            extra = sorted(set(stored) - set(params))
+            raise ParameterError(
+                f"saved parameters do not match the model: missing {missing}, extra {extra}"
+            )
+        for name, p in params.items():
+            if stored[name].shape != p.shape:
+                raise ParameterError(
+                    f"saved parameters do not match the model: {name} is "
+                    f"{stored[name].shape} in the file, {p.shape} in the model"
+                )
         for name, p in params.items():
             p.value[...] = stored[name]

@@ -224,18 +224,11 @@ def _generate_clip(index: int, config: GenConfig, weights) -> LabeledClip:
     )
 
 
-def generate(config: GenConfig, executor=None) -> list:
-    """All clips for one dataset; pure function of the config (seed included).
-
-    ``executor`` optionally fans clip generation out to worker threads;
-    results keep clip order either way.
-    """
+def generate(config: GenConfig) -> list:
+    """All clips for one dataset, in clip order; pure function of the
+    config (seed included)."""
     weights = _dataset_weights(config)
-    indices = range(config.num_videos)
-    if executor is None:
-        return [_generate_clip(i, config, weights) for i in indices]
-    futures = [executor.submit(_generate_clip, i, config, weights) for i in indices]
-    return [f.result() for f in futures]
+    return [_generate_clip(i, config, weights) for i in range(config.num_videos)]
 
 
 # -- windowing ---------------------------------------------------------------
@@ -318,7 +311,13 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_csv(path, header):
+def _read_csv(path, header, parsers):
+    """Columns of the rows below ``header``, each cell converted by its
+    column's parser.
+
+    A row with the wrong cell count, or a cell its parser rejects, is a
+    FormatError naming the file and the 1-based row (the header is row 1).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -327,7 +326,22 @@ def _read_csv(path, header):
             raise FormatError(f"{path}: empty file", offset=0) from None
         if first != header:
             raise FormatError(f"{path}: expected header {','.join(header)}", offset=0)
-        return list(reader)
+        rows = list(reader)
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: row {number} has {len(row)} cells, expected {len(header)}")
+    columns = []
+    for index, (name, parse) in enumerate(zip(header, parsers)):
+        column = []
+        try:
+            for row in rows:
+                column.append(parse(row[index]))
+        except ValueError:
+            # the cell that failed is the first one not yet in the column
+            bad = rows[len(column)][index]
+            raise FormatError(f"{path}: row {len(column) + 2} has a bad {name} {bad!r}") from None
+        columns.append(column)
+    return columns
 
 
 def write_features(directory, clip: LabeledClip):
@@ -356,24 +370,27 @@ def read_features(directory, clip_id: str) -> LabeledClip:
     directory = Path(directory)
     audio = read_avfs(directory / f"{clip_id}_audio.avfs")
     visual = read_avfs(directory / f"{clip_id}_visual.avfs")
-    label_rows = _read_csv(directory / f"{clip_id}_labels.csv", ["frame", "valence", "arousal"])
-    mask_rows = _read_csv(
-        directory / f"{clip_id}_masks.csv", ["frame", "audio_corrupt", "visual_corrupt", "valid"]
+    frames, valence, arousal = _read_csv(
+        directory / f"{clip_id}_labels.csv", ["frame", "valence", "arousal"], (int, float, float)
     )
-    if len(label_rows) != audio.shape[1] or len(mask_rows) != audio.shape[1]:
+    _, corrupt_audio, corrupt_visual, valid = _read_csv(
+        directory / f"{clip_id}_masks.csv",
+        ["frame", "audio_corrupt", "visual_corrupt", "valid"],
+        (int, int, int, int),
+    )
+    if len(frames) != audio.shape[1] or len(valid) != audio.shape[1]:
         raise FormatError(
-            f"{clip_id}: {audio.shape[1]} feature frames but {len(label_rows)} label rows "
-            f"and {len(mask_rows)} mask rows"
+            f"{clip_id}: {audio.shape[1]} feature frames but {len(frames)} label rows "
+            f"and {len(valid)} mask rows"
         )
-    offset = int(label_rows[0][0]) if label_rows else 0
     return LabeledClip(
         clip_id=clip_id,
         audio=audio,
         visual=visual,
-        valence=np.array([float(r[1]) for r in label_rows]),
-        arousal=np.array([float(r[2]) for r in label_rows]),
-        corrupt_audio=np.array([bool(int(r[1])) for r in mask_rows]),
-        corrupt_visual=np.array([bool(int(r[2])) for r in mask_rows]),
-        valid=np.array([bool(int(r[3])) for r in mask_rows]),
-        frame_offset=offset,
+        valence=np.array(valence),
+        arousal=np.array(arousal),
+        corrupt_audio=np.array(corrupt_audio, dtype=bool),
+        corrupt_visual=np.array(corrupt_visual, dtype=bool),
+        valid=np.array(valid, dtype=bool),
+        frame_offset=frames[0] if frames else 0,
     )

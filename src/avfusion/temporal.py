@@ -1,11 +1,12 @@
 """Per-modality temporal encoding and the per-frame prediction head.
 
 The encoder is a small stack of dilated causal convolutions with
-residual connections, operating on feature matrices laid out as
-channels x frames.  Each level doubles the dilation (base
-configurable), so the receptive field is 1 + (kernel - 1) * sum of
-dilations.  Convolutions are realized as sums of column-shifted matrix
-products, which keeps every op inside the autodiff core.
+identity residual connections, operating on feature matrices laid out
+as channels x frames; every level keeps the input's channel count.
+Level i (0-based) has dilation 2**i, so the receptive field is
+1 + (kernel - 1) * (2**levels - 1).  Convolutions are realized as sums
+of column-shifted matrix products plus a bias, which keeps every op
+inside the autodiff core.
 
 The head is an MLP applied frame-wise: relu hidden layers, then a tanh
 output bounded to [-1, 1] to match the label range.
@@ -27,66 +28,45 @@ from .fusion import xavier_uniform
 class TcnConfig:
     levels: int = 2
     kernel_size: int = 3
-    channels: int | None = None  # None keeps the input dimension
-    dilation_base: int = 2
-    dropout: float = 0.0
-    use_bias: bool = True
 
     def __post_init__(self):
         if self.levels < 1:
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
         if self.kernel_size < 2:
             raise ConfigError(f"kernel_size must be >= 2, got {self.kernel_size}")
-        if self.dilation_base < 1:
-            raise ConfigError(f"dilation_base must be >= 1, got {self.dilation_base}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout}")
 
     def receptive_field(self):
-        span = sum(self.dilation_base**i for i in range(self.levels))
-        return 1 + (self.kernel_size - 1) * span
+        return 1 + (self.kernel_size - 1) * (2**self.levels - 1)
 
 
 class TcnParams:
-    """Per level: one tap matrix per kernel position, optional bias, and a
-    pointwise residual projection when the channel count changes."""
+    """Per level: one dim_in x dim_in tap matrix per kernel position and a
+    dim_in x 1 bias; the output keeps the input's dimension."""
 
-    def __init__(self, dim_in: int, config: TcnConfig, rng=None, dtype=np.float64):
+    def __init__(self, dim_in: int, config: TcnConfig, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
         self.config = config
-        self.dim_in = dim_in
-        self.dim_out = config.channels if config.channels is not None else dim_in
         self.taps = []
         self.biases = []
-        self.res_projs = []
-        c_in = dim_in
         k = config.kernel_size
         for _ in range(config.levels):
-            c_out = self.dim_out
             # The k taps are summed, so the effective fan of the conv is k
             # times the per-tap fan; fold that into the Xavier limit.
             self.taps.append(
                 [
-                    Tensor(xavier_uniform(rng, c_out, c_in, dtype, fan=(k * c_in, k * c_out)))
+                    Tensor(xavier_uniform(rng, dim_in, dim_in, fan=(k * dim_in, k * dim_in)))
                     for _ in range(k)
                 ]
             )
-            self.biases.append(Tensor(np.zeros((c_out, 1), dtype=dtype)) if config.use_bias else None)
-            self.res_projs.append(
-                Tensor(xavier_uniform(rng, c_out, c_in, dtype)) if c_in != c_out else None
-            )
-            c_in = c_out
+            self.biases.append(Tensor(np.zeros((dim_in, 1))))
 
     def parameters(self, prefix="") -> dict:
         out = {}
-        for level, taps in enumerate(self.taps, start=1):
+        for level, (taps, bias) in enumerate(zip(self.taps, self.biases), start=1):
             for j, tap in enumerate(taps):
                 out[f"{prefix}level{level}.tap{j}"] = tap
-            if self.biases[level - 1] is not None:
-                out[f"{prefix}level{level}.bias"] = self.biases[level - 1]
-            if self.res_projs[level - 1] is not None:
-                out[f"{prefix}level{level}.res_proj"] = self.res_projs[level - 1]
+            out[f"{prefix}level{level}.bias"] = bias
         for name, tensor in out.items():
             tensor.name = tensor.name or name
         return out
@@ -100,7 +80,7 @@ def apply_dropout(x: Tensor, rate: float, rng) -> Tensor:
     return ad.mul_const(x, keep / (1.0 - rate))
 
 
-def tcn_forward(x: Tensor, params: TcnParams, dropout_rng=None) -> Tensor:
+def tcn_forward(x: Tensor, params: TcnParams) -> Tensor:
     """Causal dilated convolution stack; output frame i sees only frames <= i.
 
     Tap j at dilation q reads the frame shifted right by (kernel-1-j)*q,
@@ -111,7 +91,7 @@ def tcn_forward(x: Tensor, params: TcnParams, dropout_rng=None) -> Tensor:
     L = x.cols
     h = x
     for level in range(config.levels):
-        dilation = config.dilation_base**level
+        dilation = 2**level
         max_offset = (config.kernel_size - 1) * dilation
         if max_offset >= L:
             raise ConfigError(
@@ -124,38 +104,30 @@ def tcn_forward(x: Tensor, params: TcnParams, dropout_rng=None) -> Tensor:
             shifted = ad.shift_cols(h, offset) if offset else h
             term = tap @ shifted
             acc = term if acc is None else acc + term
-        if params.biases[level] is not None:
-            acc = ad.add_colvec(acc, params.biases[level])
-        act = ad.relu(acc)
-        act = apply_dropout(act, config.dropout, dropout_rng)
-        residual = h if params.res_projs[level] is None else params.res_projs[level] @ h
-        h = act + residual
+        h = ad.relu(ad.add_colvec(acc, params.biases[level])) + h
     return h
 
 
 @dataclass
 class HeadConfig:
     hidden: tuple = (16,)
-    out_dim: int = 1
 
     def __post_init__(self):
-        if self.out_dim != 1:
-            raise ConfigError(f"head predicts one target channel, got out_dim={self.out_dim}")
         if any(n < 1 for n in self.hidden):
             raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden}")
 
 
 class HeadParams:
-    def __init__(self, dim_in: int, config: HeadConfig, rng=None, dtype=np.float64):
+    def __init__(self, dim_in: int, config: HeadConfig, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
         self.config = config
-        sizes = [dim_in, *config.hidden, config.out_dim]
+        sizes = [dim_in, *config.hidden, 1]  # one target channel
         self.weights = []
         self.biases = []
         for c_in, c_out in zip(sizes[:-1], sizes[1:]):
-            self.weights.append(Tensor(xavier_uniform(rng, c_out, c_in, dtype)))
-            self.biases.append(Tensor(np.zeros((c_out, 1), dtype=dtype)))
+            self.weights.append(Tensor(xavier_uniform(rng, c_out, c_in)))
+            self.biases.append(Tensor(np.zeros((c_out, 1))))
 
     def parameters(self, prefix="") -> dict:
         out = {}

@@ -269,22 +269,17 @@ def _clip_predictions(model, clip, config):
     return preds
 
 
-def evaluate(model: EmotionModel, clips, config: TrainConfig, fold=None, executor=None):
+def evaluate(model: EmotionModel, clips, config: TrainConfig, fold=None):
     """Pooled concordance over every frame of every clip, plus prediction
     rows (clip, frame, pred, truth) for the trained target channel."""
     if not clips:
         raise ConfigError("evaluate: no clips given")
-    if executor is None:
-        all_preds = [_clip_predictions(model, clip, config) for clip in clips]
-    else:
-        futures = [executor.submit(_clip_predictions, model, clip, config) for clip in clips]
-        all_preds = [f.result() for f in futures]
-
     rows = []
     per_clip = {}
     pooled_pred = []
     pooled_truth = []
-    for clip, preds in zip(clips, all_preds):
+    for clip in clips:
+        preds = _clip_predictions(model, clip, config)
         truth = getattr(clip, config.target)
         for j in range(clip.frames):
             rows.append(

@@ -266,6 +266,54 @@ class TestExitCodes:
         assert main(["eval", "--config", str(wrong)]) == 1
         assert "do not match" in capsys.readouterr().err
 
+    def test_eval_with_other_window_len_is_verification_failure(self, tmp_path, capsys):
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        main(["train", "--config", str(config)])
+        capsys.readouterr()
+        other, _ = write_experiment(tmp_path, name="other.json", training={"window_len": 32})
+        assert main(["eval", "--config", str(other)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "do not match" in err and "(48, 48) in the file, (32, 32) in the model" in err
+
+    def test_non_utf8_param_name_is_io_error(self, tmp_path, capsys):
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        save_params(out / "params.bin", {"head.layer1.bias": np.zeros((8, 1))})
+        blob = bytearray((out / "params.bin").read_bytes())
+        name_at = cli._PARAMS_HEAD.size + cli._ENTRY_HEAD.size
+        blob[name_at + 2] = 0xFF
+        (out / "params.bin").write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "not valid UTF-8" in err and f"byte offset {name_at}" in err
+
+    @pytest.mark.parametrize(
+        "name, row, text",
+        [
+            ("clip0000_labels.csv", 2, "0,abc,0.1"),
+            ("clip0001_labels.csv", 5, "3,0.25"),
+            ("clip0000_masks.csv", 4, "2,0,1,yes"),
+            ("manifest.csv", 3, ""),
+            ("manifest.csv", 2, "clip0000,7,ninety,0,0"),
+        ],
+    )
+    def test_bad_csv_row_is_io_error(self, tmp_path, capsys, name, row, text):
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        path = out / "dataset" / name
+        lines = path.read_text().splitlines()
+        lines[row - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{name}: row {row} " in err
+
     def test_bad_thread_count(self, tmp_path, capsys):
         config, _ = write_experiment(tmp_path)
         assert main(["gen", "--config", str(config), "--threads", "0"]) == 2

@@ -432,7 +432,7 @@ class TestGradients:
         def loss():
             state = run_modular(audio, visual, params)
             pred = Tensor(pool) @ state.fused
-            return ccc_loss(pred_valence=pred, truth_valence=truth)
+            return ccc_loss(pred, truth)
 
         report = gradcheck(
             loss,

@@ -135,15 +135,6 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             GenConfig(corruption_target="text")
 
-    def test_parallel_generation_matches_serial(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        config = GenConfig(num_videos=6, frames=50, seed=14, corruption_prob=0.3)
-        serial = generate(config)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = generate(config, executor=pool)
-        assert serial == parallel
-
 
 class TestWindow:
     def make_clip(self, frames, seed=0):

@@ -16,8 +16,8 @@ from avfusion.temporal import (
 )
 
 
-def run_tcn(x, params, dropout_rng=None):
-    return tcn_forward(Tensor(x), params, dropout_rng=dropout_rng)
+def run_tcn(x, params):
+    return tcn_forward(Tensor(x), params)
 
 
 class TestTcnShapes:
@@ -27,16 +27,9 @@ class TestTcnShapes:
         out = run_tcn(np.random.default_rng(2).standard_normal((4, 9)), params)
         assert out.shape == (4, 9)
 
-    def test_channel_change_with_projection(self):
-        config = TcnConfig(levels=2, kernel_size=3, channels=6)
-        params = TcnParams(4, config, rng=np.random.default_rng(3))
-        out = run_tcn(np.random.default_rng(4).standard_normal((4, 12)), params)
-        assert out.shape == (6, 12)
-        assert params.res_projs[0] is not None
-        assert params.res_projs[1] is None
-
     def test_zero_input_no_bias(self):
-        config = TcnConfig(levels=2, kernel_size=3, use_bias=False)
+        # biases start at zero, so a fresh encoder maps zeros to zeros
+        config = TcnConfig(levels=2, kernel_size=3)
         params = TcnParams(3, config, rng=np.random.default_rng(5))
         out = run_tcn(np.zeros((3, 10)), params)
         assert np.array_equal(out.value, np.zeros((3, 10)))
@@ -53,13 +46,11 @@ class TestTcnShapes:
             TcnConfig(levels=0)
         with pytest.raises(ConfigError):
             TcnConfig(kernel_size=1)
-        with pytest.raises(ConfigError):
-            TcnConfig(dropout=1.0)
 
     def test_receptive_field_formula(self):
         assert TcnConfig(levels=1, kernel_size=3).receptive_field() == 3
         assert TcnConfig(levels=2, kernel_size=3).receptive_field() == 7
-        assert TcnConfig(levels=3, kernel_size=2, dilation_base=2).receptive_field() == 8
+        assert TcnConfig(levels=3, kernel_size=2).receptive_field() == 8
 
 
 class TestCausality:
@@ -131,8 +122,6 @@ class TestHead:
 
     def test_head_config_validation(self):
         with pytest.raises(ConfigError):
-            HeadConfig(out_dim=2)
-        with pytest.raises(ConfigError):
             HeadConfig(hidden=(0,))
 
     def test_gradcheck(self):
@@ -178,13 +167,3 @@ class TestDropout:
         out.sum().backward()
         mask = np.where(out.value != 0.0, 2.0, 0.0)
         assert np.array_equal(x.grad, mask)
-
-    def test_tcn_dropout_deterministic_given_rng(self):
-        config = TcnConfig(levels=1, kernel_size=2, dropout=0.5)
-        params = TcnParams(3, config, rng=np.random.default_rng(26))
-        x = np.random.default_rng(27).standard_normal((3, 8))
-        a = run_tcn(x, params, dropout_rng=np.random.default_rng(5)).value
-        b = run_tcn(x, params, dropout_rng=np.random.default_rng(5)).value
-        c = run_tcn(x, params).value
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
