@@ -1,17 +1,23 @@
-"""Dense 2-D array arithmetic with reverse-mode differentiation.
+"""Dense matrix arithmetic with reverse-mode differentiation.
 
 Every value in the library is a real matrix (row-major float64 ``numpy``
-array).  A :class:`Tensor` wraps one matrix together with its gradient
-buffer and the links needed to replay the computation backwards.
-Operations build the graph eagerly; calling :meth:`Tensor.backward` on a
-scalar output visits each node exactly once in reverse topological order
-and accumulates gradients into every upstream tensor.
+array) or a batch of B matrices of one shape stacked on a leading axis
+(B x r x c).  A :class:`Tensor` wraps one such array together with its
+gradient buffer and the links needed to replay the computation
+backwards.  Operations build the graph eagerly; calling
+:meth:`Tensor.backward` on a scalar output visits each node exactly once
+in reverse topological order and accumulates gradients into every
+upstream tensor.  Each node reaches itself from its backward closure
+only through a weak reference, so graphs hold no reference cycles and a
+dropped graph is freed at once.
 
 The op set is deliberately small: matrix product, elementwise
-tanh/relu/add/sub/mul, scalar broadcast helpers, row/column stacking,
-column shifts and slices (for causal convolutions), and a
-temperature-scaled softmax.  There is no general broadcasting and no
-rank above 2.
+tanh/relu/add/sub/mul, scalar broadcast helpers, row stacking, reshape,
+a dilated causal convolution, a gated sum of candidates, and a
+temperature-scaled softmax.  Ops act on the last two axes.  The only
+broadcasting is of a matrix across a batch, in a matrix product (a
+weight applied to every member) or as a bias column; its gradient is
+summed over the batch.  There is no rank above 3.
 
 :func:`gradcheck` verifies any scalar-valued function of named parameters
 against central finite differences, skipping coordinates whose
@@ -21,6 +27,7 @@ perturbation crosses a ReLU kink.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,19 +58,28 @@ def record_kinks(out: list):
 
 def _as_matrix(value):
     arr = np.atleast_2d(np.asarray(value, dtype=np.float64))
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got array of rank {arr.ndim}")
+    if arr.ndim > 3:
+        raise DimensionError(
+            f"expected a matrix or a batch of matrices, got array of rank {arr.ndim}"
+        )
     return arr
 
 
+def _accumulate(t: "Tensor", g: np.ndarray):
+    """Add ``g`` into ``t.grad``, summing over a batch axis ``t`` was broadcast across."""
+    if g.ndim > t.value.ndim:
+        g = g.sum(axis=0)
+    t.grad += g
+
+
 class Tensor:
-    """A matrix node in a reverse-mode differentiation graph.
+    """A matrix, or a batch of matrices, in a reverse-mode differentiation graph.
 
     Parameters
     ----------
     value : array-like
-        2-D real data (1-D input is promoted to a single row), stored as
-        float64.
+        2-D real data (1-D input is promoted to a single row), or a 3-D
+        stack of B matrices of one shape (B x r x c), stored as float64.
     name : str, optional
         Identifier used in diagnostics; parameters get stable names.
 
@@ -71,10 +87,11 @@ class Tensor:
     -----
     Values are treated as immutable once wrapped; ops never write to an
     operand's ``value``.  ``grad`` is populated by :meth:`backward` and has
-    the same shape and dtype as ``value``.
+    the same shape and dtype as ``value``.  ``rows`` and ``cols`` are the
+    last two axes, the ones every op acts on.
     """
 
-    __slots__ = ("value", "grad", "name", "_parents", "_backward")
+    __slots__ = ("value", "grad", "name", "_parents", "_backward", "__weakref__")
 
     def __init__(self, value, name=None):
         self.value = _as_matrix(value)
@@ -91,11 +108,11 @@ class Tensor:
 
     @property
     def rows(self):
-        return self.value.shape[0]
+        return self.value.shape[-2]
 
     @property
     def cols(self):
-        return self.value.shape[1]
+        return self.value.shape[-1]
 
     @property
     def dtype(self):
@@ -114,12 +131,19 @@ class Tensor:
 
     @staticmethod
     def _make(value, parents, backward):
+        """A node whose ``backward(grad)`` pushes its gradient to ``parents``.
+
+        The stored zero-argument closure reaches the node through a weak
+        reference, so a graph holds no reference cycle and is freed as soon
+        as it is dropped.
+        """
         out = Tensor.__new__(Tensor)
         out.value = value
         out.grad = None
         out.name = None
         out._parents = parents
-        out._backward = backward
+        ref = weakref.ref(out)
+        out._backward = lambda: backward(ref().grad)
         return out
 
     def backward(self, seed=None):
@@ -227,59 +251,47 @@ def _binary_shape_check(op, a, b):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shape_check("add", a, b)
-    out = Tensor._make(a.value + b.value, (a, b), None)
 
-    def backward():
-        a.grad += out.grad
-        b.grad += out.grad
+    def backward(g):
+        a.grad += g
+        b.grad += g
 
-    out._backward = backward
-    return out
+    return Tensor._make(a.value + b.value, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shape_check("sub", a, b)
-    out = Tensor._make(a.value - b.value, (a, b), None)
 
-    def backward():
-        a.grad += out.grad
-        b.grad -= out.grad
+    def backward(g):
+        a.grad += g
+        b.grad -= g
 
-    out._backward = backward
-    return out
+    return Tensor._make(a.value - b.value, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product."""
     _binary_shape_check("mul", a, b)
-    out = Tensor._make(a.value * b.value, (a, b), None)
 
-    def backward():
-        a.grad += out.grad * b.value
-        b.grad += out.grad * a.value
+    def backward(g):
+        a.grad += g * b.value
+        b.grad += g * a.value
 
-    out._backward = backward
-    return out
+    return Tensor._make(a.value * b.value, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor._make(a.value * c, (a,), None)
+    def backward(g):
+        a.grad += g * c
 
-    def backward():
-        a.grad += out.grad * c
-
-    out._backward = backward
-    return out
+    return Tensor._make(a.value * c, (a,), backward)
 
 
 def _shift(a: Tensor, c: float) -> Tensor:
-    out = Tensor._make(a.value + c, (a,), None)
+    def backward(g):
+        a.grad += g
 
-    def backward():
-        a.grad += out.grad
-
-    out._backward = backward
-    return out
+    return Tensor._make(a.value + c, (a,), backward)
 
 
 def mul_const(a: Tensor, arr: np.ndarray) -> Tensor:
@@ -291,24 +303,20 @@ def mul_const(a: Tensor, arr: np.ndarray) -> Tensor:
     arr = np.asarray(arr, dtype=a.value.dtype)
     if arr.shape != a.value.shape:
         raise DimensionError(f"mul_const: shapes {a.value.shape} and {arr.shape} differ")
-    out = Tensor._make(a.value * arr, (a,), None)
 
-    def backward():
-        a.grad += out.grad * arr
+    def backward(g):
+        a.grad += g * arr
 
-    out._backward = backward
-    return out
+    return Tensor._make(a.value * arr, (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.value)
-    out = Tensor._make(y, (a,), None)
 
-    def backward():
-        a.grad += out.grad * (1.0 - y * y)
+    def backward(g):
+        a.grad += g * (1.0 - y * y)
 
-    out._backward = backward
-    return out
+    return Tensor._make(y, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -317,135 +325,122 @@ def relu(a: Tensor) -> Tensor:
         in_band = np.abs(a.value) < KINK_TOL
         for rec in _kink_recorders:
             rec.append((positive, in_band))
-    out = Tensor._make(np.where(positive, a.value, 0.0), (a,), None)
 
-    def backward():
+    def backward(g):
         # Subgradient at exactly 0 is taken as 0.
-        a.grad += out.grad * positive
+        a.grad += g * positive
 
-    out._backward = backward
-    return out
+    return Tensor._make(np.where(positive, a.value, 0.0), (a,), backward)
 
 
 # -- structural --------------------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise DimensionError(
-            f"matmul: inner dimensions differ, {a.value.shape} x {b.value.shape}"
-        )
-    out = Tensor._make(a.value @ b.value, (a, b), None)
+    """Matrix product over the last two axes; a matrix operand multiplies
+    every member of a batch operand."""
+    sa, sb = a.value.shape, b.value.shape
+    if sa[-1] != sb[-2] or (len(sa) == len(sb) == 3 and sa[0] != sb[0]):
+        raise DimensionError(f"matmul: shapes do not align, {sa} x {sb}")
 
-    def backward():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+    def backward(g):
+        _accumulate(a, g @ np.swapaxes(b.value, -1, -2))
+        _accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
 
-    out._backward = backward
-    return out
+    return Tensor._make(a.value @ b.value, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor._make(np.ascontiguousarray(a.value.T), (a,), None)
+    def backward(g):
+        a.grad += np.swapaxes(g, -1, -2)
 
-    def backward():
-        a.grad += out.grad.T
-
-    out._backward = backward
-    return out
+    return Tensor._make(np.ascontiguousarray(np.swapaxes(a.value, -1, -2)), (a,), backward)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     """Stack ``a`` on top of ``b``; gradients split back by row ranges."""
-    if a.cols != b.cols:
-        raise DimensionError(
-            f"concat_rows: column counts differ, {a.value.shape} vs {b.value.shape}"
-        )
+    if a.value.shape[:-2] != b.value.shape[:-2] or a.cols != b.cols:
+        raise DimensionError(f"concat_rows: shapes {a.value.shape} and {b.value.shape} do not stack")
     split = a.rows
-    out = Tensor._make(np.vstack([a.value, b.value]), (a, b), None)
 
-    def backward():
-        a.grad += out.grad[:split]
-        b.grad += out.grad[split:]
+    def backward(g):
+        a.grad += g[..., :split, :]
+        b.grad += g[..., split:, :]
 
-    out._backward = backward
-    return out
+    return Tensor._make(np.concatenate([a.value, b.value], axis=-2), (a, b), backward)
 
 
-def hstack(tensors) -> Tensor:
-    """Concatenate along columns; used to pool window predictions."""
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("hstack: need at least one tensor")
-    rows = tensors[0].rows
-    for t in tensors:
-        if t.rows != rows:
-            raise DimensionError("hstack: row counts differ")
-    out = Tensor._make(
-        np.hstack([t.value for t in tensors]), tuple(tensors), None
-    )
-    offsets = np.cumsum([0] + [t.cols for t in tensors])
+def reshape(a: Tensor, shape) -> Tensor:
+    """The same entries in row-major order in another shape; pools a
+    B x 1 x L batch of predictions into one 1 x (B*L) row."""
 
-    def backward():
-        for t, j0, j1 in zip(tensors, offsets[:-1], offsets[1:]):
-            t.grad += out.grad[:, j0:j1]
+    def backward(g):
+        a.grad += g.reshape(a.value.shape)
 
-    out._backward = backward
-    return out
+    return Tensor._make(a.value.reshape(shape), (a,), backward)
 
 
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    out = Tensor._make(np.ascontiguousarray(a.value[:, j0:j1]), (a,), None)
+def causal_conv(x: Tensor, taps, dilation: int) -> Tensor:
+    """Dilated causal convolution of ``x`` (d_in x L): the sum over taps j
+    of ``taps[j] @ x`` shifted right by (k-1-j)*dilation columns.
 
-    def backward():
-        a.grad[:, j0:j1] += out.grad
-
-    out._backward = backward
-    return out
-
-
-def shift_cols(a: Tensor, offset: int) -> Tensor:
-    """Shift columns right by ``offset``, zero-filling on the left.
-
-    The building block of causal convolution: column i of the result only
-    sees column i - offset of the input.
+    The shift zero-fills on the left, so output column i sees only input
+    columns <= i, and the last tap reads the current column.  A shift
+    spanning the whole width contributes nothing.
     """
-    if offset < 0:
-        raise ParameterError(f"shift_cols: offset must be >= 0, got {offset}")
-    if offset == 0:
-        y = a.value.copy()
-    else:
-        y = np.zeros_like(a.value)
-        y[:, offset:] = a.value[:, :-offset] if offset < a.cols else 0.0
-    out = Tensor._make(y, (a,), None)
-
-    def backward():
+    k = len(taps)
+    L = x.cols
+    offsets = [(k - 1 - j) * dilation for j in range(k)]
+    inputs = []
+    for offset in offsets:
         if offset == 0:
-            a.grad += out.grad
-        elif offset < a.cols:
-            a.grad[:, :-offset] += out.grad[:, offset:]
+            inputs.append(x.value)
+            continue
+        shifted = np.zeros_like(x.value)
+        if offset < L:
+            shifted[..., offset:] = x.value[..., :-offset]
+        inputs.append(shifted)
+    acc = None
+    for tap, inp in zip(taps, inputs):
+        term = tap.value @ inp
+        acc = term if acc is None else acc + term
 
-    out._backward = backward
-    return out
+    def backward(g):
+        for tap, inp, offset in zip(taps, inputs, offsets):
+            _accumulate(tap, g @ np.swapaxes(inp, -1, -2))
+            if offset < L:
+                x.grad[..., : L - offset] += (tap.value.T @ g)[..., offset:]
+
+    return Tensor._make(acc, (x, *taps), backward)
 
 
-# -- broadcast helpers (row vector over rows, column vector over columns) ----
-
-
-def mul_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Multiply each row of ``a`` (d x L) by the row vector ``v`` (1 x L)."""
-    if v.rows != 1 or v.cols != a.cols:
+def gated_sum(candidates, gates: Tensor) -> Tensor:
+    """Sum over k of candidate k (d x L) times gate column k (L x K),
+    that column weighting every row of its candidate."""
+    shape = candidates[0].value.shape
+    want = shape[:-2] + (shape[-1], len(candidates))
+    if gates.value.shape != want or any(c.value.shape != shape for c in candidates):
         raise DimensionError(
-            f"mul_rowvec: expected 1x{a.cols} vector, got {v.value.shape}"
+            f"gated_sum: {len(candidates)} candidates of shape {shape} need gates {want}, "
+            f"got {[c.value.shape for c in candidates]} and {gates.value.shape}"
         )
-    out = Tensor._make(a.value * v.value, (a, v), None)
+    rows = np.swapaxes(gates.value, -1, -2)  # row k weights candidate k
+    total = None
+    for k, cand in enumerate(candidates):
+        term = cand.value * rows[..., k : k + 1, :]
+        total = term if total is None else total + term
 
-    def backward():
-        a.grad += out.grad * v.value
-        v.grad += (out.grad * a.value).sum(axis=0, keepdims=True)
+    def backward(g):
+        grad_rows = np.empty_like(rows)
+        for k, cand in enumerate(candidates):
+            cand.grad += g * rows[..., k : k + 1, :]
+            grad_rows[..., k, :] = (g * cand.value).sum(axis=-2)
+        gates.grad += np.swapaxes(grad_rows, -1, -2)
 
-    out._backward = backward
-    return out
+    return Tensor._make(total, (*candidates, gates), backward)
+
+
+# -- broadcast helpers (column vector over columns, 1x1 over everything) -----
 
 
 def add_colvec(a: Tensor, b: Tensor) -> Tensor:
@@ -454,28 +449,24 @@ def add_colvec(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"add_colvec: expected {a.rows}x1 vector, got {b.value.shape}"
         )
-    out = Tensor._make(a.value + b.value, (a, b), None)
 
-    def backward():
-        a.grad += out.grad
-        b.grad += out.grad.sum(axis=1, keepdims=True)
+    def backward(g):
+        a.grad += g
+        _accumulate(b, g.sum(axis=-1, keepdims=True))
 
-    out._backward = backward
-    return out
+    return Tensor._make(a.value + b.value, (a, b), backward)
 
 
 def sub_scalar(a: Tensor, s: Tensor) -> Tensor:
     """Subtract the 1x1 tensor ``s`` from every entry of ``a``."""
     if s.value.size != 1:
         raise DimensionError(f"sub_scalar: expected 1x1 tensor, got {s.value.shape}")
-    out = Tensor._make(a.value - s.value, (a, s), None)
 
-    def backward():
-        a.grad += out.grad
-        s.grad -= out.grad.sum(keepdims=True).reshape(1, 1)
+    def backward(g):
+        a.grad += g
+        s.grad -= g.sum().reshape(1, 1)
 
-    out._backward = backward
-    return out
+    return Tensor._make(a.value - s.value, (a, s), backward)
 
 
 def div_scalar(a: Tensor, b: Tensor) -> Tensor:
@@ -484,27 +475,22 @@ def div_scalar(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"div_scalar: expected 1x1 tensors, got {a.value.shape} and {b.value.shape}"
         )
-    out = Tensor._make(a.value / b.value, (a, b), None)
 
-    def backward():
-        a.grad += out.grad / b.value
-        b.grad -= out.grad * a.value / (b.value * b.value)
+    def backward(g):
+        a.grad += g / b.value
+        b.grad -= g * a.value / (b.value * b.value)
 
-    out._backward = backward
-    return out
+    return Tensor._make(a.value / b.value, (a, b), backward)
 
 
 # -- reductions and softmax --------------------------------------------------
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor._make(a.value.sum(keepdims=True).reshape(1, 1), (a,), None)
+    def backward(g):
+        a.grad += g[0, 0]
 
-    def backward():
-        a.grad += out.grad[0, 0]
-
-    out._backward = backward
-    return out
+    return Tensor._make(a.value.sum(keepdims=True).reshape(1, 1), (a,), backward)
 
 
 def softmax_temp(logits: Tensor, temperature: float, axis: str = "rows") -> Tensor:
@@ -517,19 +503,17 @@ def softmax_temp(logits: Tensor, temperature: float, axis: str = "rows") -> Tens
         raise ParameterError(f"softmax_temp: temperature must be > 0, got {temperature}")
     if axis not in ("rows", "cols"):
         raise ParameterError(f"softmax_temp: axis must be 'rows' or 'cols', got {axis!r}")
-    ax = 1 if axis == "rows" else 0
+    ax = -1 if axis == "rows" else -2
     z = logits.value / temperature
     z = z - z.max(axis=ax, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=ax, keepdims=True)
-    out = Tensor._make(y, (logits,), None)
 
-    def backward():
-        inner = (out.grad * y).sum(axis=ax, keepdims=True)
-        logits.grad += y * (out.grad - inner) / temperature
+    def backward(g):
+        inner = (g * y).sum(axis=ax, keepdims=True)
+        logits.grad += y * (g - inner) / temperature
 
-    out._backward = backward
-    return out
+    return Tensor._make(y, (logits,), backward)
 
 
 # -- verification ------------------------------------------------------------

@@ -15,6 +15,7 @@ Every command is deterministic given config + dataset bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import struct
@@ -265,8 +266,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _retain_freed_heap():
+    """Keep heap memory freed between batches in the process (glibc only).
+
+    A batch's graph frees tens of MB at once.  Under glibc's adaptive
+    thresholds the top of the heap then goes back to the OS, and the next
+    batch faults it in again: about 66k page faults per 60-clip eval at
+    window 192.  Fixed thresholds (mmap above 32 MB, trim above 256 MB)
+    keep it.  Elsewhere this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _retain_freed_heap()
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")

@@ -23,6 +23,9 @@ One round, with ``d = d_a + d_v`` and X the current per-modality features:
 
 Gate scores always normalize across candidates per time step, so every
 row of every gate matrix sums to 1.
+
+Every feature matrix may carry a leading batch axis (B x d_mod x L, and
+B x L x L correlations); the weights are shared across it.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ class FusionConfig:
 
 @dataclass
 class ModalityFeatures:
-    """Paired per-frame feature matrices for one clip window."""
+    """Paired per-frame feature matrices for one clip window, or for a
+    batch of windows stacked on a leading axis."""
 
     audio: Tensor
     visual: Tensor
@@ -324,15 +328,6 @@ def rjca_forward(feats: ModalityFeatures, params: FusionParams) -> FusionState:
 # -- gating ------------------------------------------------------------------
 
 
-def _gated_sum(candidates, gates: Tensor) -> Tensor:
-    """relu of sum_k candidate_k * gate column k (replicated across rows)."""
-    total = None
-    for k, cand in enumerate(candidates):
-        weighted = ad.mul_rowvec(cand, ad.slice_cols(gates, k, k + 1).T)
-        total = weighted if total is None else total + weighted
-    return ad.relu(total)
-
-
 def grjca_gate(state: FusionState, params: FusionParams):
     """Soft-select, per time step, among the original and all attended features.
 
@@ -356,7 +351,7 @@ def grjca_gate(state: FusionState, params: FusionParams):
     ):
         logits = attended[depth].T @ gate_w
         gates = ad.softmax_temp(logits, params.temperature, axis="rows")
-        outputs.append((gates, _gated_sum(attended, gates)))
+        outputs.append((gates, ad.relu(ad.gated_sum(attended, gates))))
     (state.gates_audio, gated_a), (state.gates_visual, gated_v) = outputs
     return gated_a, gated_v
 
@@ -374,7 +369,7 @@ def hgrjca_iteration_gate(prev: Tensor, cur: Tensor, params: FusionParams, round
     gate_w = weights[round_index - 1]
     logits = cur.T @ gate_w
     gates = ad.softmax_temp(logits, params.temperature, axis="rows")
-    gated = _gated_sum([prev, cur], gates)
+    gated = ad.relu(ad.gated_sum([prev, cur], gates))
     return gates, gated
 
 
@@ -398,7 +393,7 @@ def hgrjca_final_gate(gated_audio, gated_visual, params: FusionParams):
             pooled = pooled + g
         logits = pooled.T @ gate_w
         gates = ad.softmax_temp(logits, params.temperature, axis="rows")
-        outputs.append((gates, _gated_sum(gated, gates)))
+        outputs.append((gates, ad.relu(ad.gated_sum(gated, gates))))
     (gates_a, final_a), (gates_v, final_v) = outputs
     return (gates_a, gates_v), (final_a, final_v)
 

@@ -12,7 +12,6 @@ from .autodiff import Tensor
 from .exceptions import ParameterError
 from .fusion import FusionConfig, FusionParams, ModalityFeatures, fusion_forward
 from .metrics import ccc_loss
-from .synthdata import LabeledClip
 from .temporal import (
     HeadConfig,
     HeadParams,
@@ -50,8 +49,8 @@ class ModelConfig:
 
 
 class EmotionModel:
-    """Owns every parameter tensor; forward maps a clip window to a 1 x L
-    prediction in [-1, 1].
+    """Owns every parameter tensor; forward maps a batch of clip windows to
+    per-frame predictions in [-1, 1].
 
     The same ``rng`` drives all weight draws, and gate weights consume no
     randomness (zero init), so two models differing only in mode share
@@ -82,20 +81,25 @@ class EmotionModel:
             tensor.name = name
         return out
 
-    def forward(self, clip: LabeledClip, dropout_rng=None) -> Tensor:
-        """Predict one target channel per frame; dropout only when an rng
-        is supplied (training mode).
+    def forward(self, windows, dropout_rng=None) -> Tensor:
+        """Predict one target channel per frame for a batch of B windows of
+        L frames, as one 1 x (B*L) row in window order; dropout only when
+        an rng is supplied (training mode).
 
-        Input features are zeroed at invalid (padded) frames before they
-        enter the network, so those frames cannot influence any gradient
-        even through the global attention maps.
+        The windows go through the network as one B x d x L batch.  Input
+        features are zeroed at invalid (padded) frames before they enter
+        the network, so those frames cannot influence any gradient even
+        through the global attention maps.
         """
-        gate = clip.valid.astype(np.float64)
-        audio = tcn_forward(Tensor(clip.audio.astype(np.float64) * gate), self.tcn_audio)
-        visual = tcn_forward(Tensor(clip.visual.astype(np.float64) * gate), self.tcn_visual)
+        gate = np.stack([win.valid for win in windows])[:, None, :]
+        audio = np.stack([win.audio for win in windows]).astype(np.float64) * gate
+        visual = np.stack([win.visual for win in windows]).astype(np.float64) * gate
+        audio = tcn_forward(Tensor(audio), self.tcn_audio)
+        visual = tcn_forward(Tensor(visual), self.tcn_visual)
         state = fusion_forward(ModalityFeatures(audio, visual), self.fusion)
         fused = apply_dropout(state.fused, self.config.dropout, dropout_rng)
-        return head_forward(fused, self.head)
+        pred = head_forward(fused, self.head)
+        return ad.reshape(pred, (1, -1))
 
     def batch_loss(self, windows, target: str, dropout_rng=None):
         """Pooled masked loss over a batch of clip windows.
@@ -104,17 +108,9 @@ class EmotionModel:
         are excluded through the validity mask, contributing zero
         gradient.
         """
-        preds = []
-        truths = []
-        valids = []
-        for win in windows:
-            preds.append(self.forward(win, dropout_rng=dropout_rng))
-            truths.append(getattr(win, target))
-            valids.append(win.valid)
-        pred = preds[0] if len(preds) == 1 else ad.hstack(preds)
-        truth = np.concatenate(truths).reshape(1, -1)
-        valid = np.concatenate(valids).reshape(1, -1)
-        return ccc_loss(pred, truth, valid=valid)
+        truth = np.concatenate([getattr(win, target) for win in windows]).reshape(1, -1)
+        valid = np.concatenate([win.valid for win in windows]).reshape(1, -1)
+        return ccc_loss(self.forward(windows, dropout_rng=dropout_rng), truth, valid=valid)
 
     def snapshot(self) -> dict:
         return {name: p.value.copy() for name, p in self.parameters().items()}

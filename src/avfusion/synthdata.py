@@ -344,6 +344,13 @@ def _read_csv(path, header, parsers):
     return columns
 
 
+def _finite_float(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
 def write_features(directory, clip: LabeledClip):
     """Four files per clip: two AVFS matrices, labels CSV, masks CSV."""
     directory = Path(directory)
@@ -371,7 +378,9 @@ def read_features(directory, clip_id: str) -> LabeledClip:
     audio = read_avfs(directory / f"{clip_id}_audio.avfs")
     visual = read_avfs(directory / f"{clip_id}_visual.avfs")
     frames, valence, arousal = _read_csv(
-        directory / f"{clip_id}_labels.csv", ["frame", "valence", "arousal"], (int, float, float)
+        directory / f"{clip_id}_labels.csv",
+        ["frame", "valence", "arousal"],
+        (int, _finite_float, _finite_float),
     )
     _, corrupt_audio, corrupt_visual, valid = _read_csv(
         directory / f"{clip_id}_masks.csv",

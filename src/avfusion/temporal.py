@@ -4,9 +4,10 @@ The encoder is a small stack of dilated causal convolutions with
 identity residual connections, operating on feature matrices laid out
 as channels x frames; every level keeps the input's channel count.
 Level i (0-based) has dilation 2**i, so the receptive field is
-1 + (kernel - 1) * (2**levels - 1).  Convolutions are realized as sums
-of column-shifted matrix products plus a bias, which keeps every op
-inside the autodiff core.
+1 + (kernel - 1) * (2**levels - 1).  Each convolution is one
+:func:`~avfusion.autodiff.causal_conv` node (a sum of column-shifted
+tap products) plus a bias.  Features may carry a leading batch axis
+(B x channels x frames); the weights are shared across it.
 
 The head is an MLP applied frame-wise: relu hidden layers, then a tanh
 output bounded to [-1, 1] to match the label range.
@@ -73,7 +74,11 @@ class TcnParams:
 
 
 def apply_dropout(x: Tensor, rate: float, rng) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no rng is supplied (eval)."""
+    """Inverted dropout; identity when rate is 0 or no rng is supplied (eval).
+
+    One draw over a B x d x L batch is the same stream as B draws of
+    d x L in turn.
+    """
     if rate == 0.0 or rng is None:
         return x
     keep = (rng.random(x.shape) >= rate).astype(x.value.dtype)
@@ -86,6 +91,7 @@ def tcn_forward(x: Tensor, params: TcnParams) -> Tensor:
     Tap j at dilation q reads the frame shifted right by (kernel-1-j)*q,
     so the last tap reads the current frame.  Left zero-padding keeps the
     length; a shift spanning the whole sequence is a configuration error.
+    ``x`` is d x L, or B x d x L for a batch of windows.
     """
     config = params.config
     L = x.cols
@@ -98,13 +104,8 @@ def tcn_forward(x: Tensor, params: TcnParams) -> Tensor:
                 f"level {level + 1} needs {max_offset} frames of left padding "
                 f"but the sequence has only {L}; reduce levels or kernel_size"
             )
-        acc = None
-        for j, tap in enumerate(params.taps[level]):
-            offset = (config.kernel_size - 1 - j) * dilation
-            shifted = ad.shift_cols(h, offset) if offset else h
-            term = tap @ shifted
-            acc = term if acc is None else acc + term
-        h = ad.relu(ad.add_colvec(acc, params.biases[level])) + h
+        conv = ad.causal_conv(h, params.taps[level], dilation)
+        h = ad.relu(ad.add_colvec(conv, params.biases[level])) + h
     return h
 
 

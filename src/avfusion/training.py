@@ -192,14 +192,23 @@ class TrainResult:
         return rows
 
 
-def _pooled_ccc(model: EmotionModel, windows, target: str):
+def _batched(windows, size: int):
+    return [windows[b : b + size] for b in range(0, len(windows), size)]
+
+
+def _predictions(model: EmotionModel, batches):
+    """(window, prediction row) for every window, one forward per batch."""
+    for batch in batches:
+        yield from zip(batch, model.forward(batch).value.reshape(len(batch), -1))
+
+
+def _pooled_ccc(model: EmotionModel, batches, target: str):
+    """Pooled concordance over the valid frames of batches of windows."""
     preds = []
     truths = []
-    for win in windows:
-        out = model.forward(win).value[0]
-        keep = win.valid
-        preds.append(out[keep])
-        truths.append(getattr(win, target)[keep])
+    for win, out in _predictions(model, batches):
+        preds.append(out[win.valid])
+        truths.append(getattr(win, target)[win.valid])
     value, degenerate = ccc_flagged(np.concatenate(preds), np.concatenate(truths))
     return value, degenerate
 
@@ -216,6 +225,7 @@ def train(train_clips, val_clips, config: TrainConfig) -> TrainResult:
     val_windows = [
         w for clip in val_clips for w in window(clip, config.window_len, config.window_len)
     ]
+    val_batches = _batched(val_windows, config.batch_size)
 
     model = EmotionModel(config.model_config(dim_audio, dim_visual), rng=config.model_rng())
     adam = AdamState()
@@ -241,7 +251,7 @@ def train(train_clips, val_clips, config: TrainConfig) -> TrainResult:
             loss.backward()
             batch_losses.append(loss.item())
             adam_step(model.parameters(), adam, lr, config.weight_decay)
-        val_ccc, _ = _pooled_ccc(model, val_windows, config.target)
+        val_ccc, _ = _pooled_ccc(model, val_batches, config.target)
         history.append((epoch, lr, float(np.mean(batch_losses)), val_ccc))
         if val_ccc > best_ccc:
             best_ccc = val_ccc
@@ -258,37 +268,36 @@ def train(train_clips, val_clips, config: TrainConfig) -> TrainResult:
     return TrainResult(model=model, history=history, best_val_ccc=best_ccc, best_epoch=best_epoch)
 
 
-def _clip_predictions(model, clip, config):
-    """Stitched per-frame predictions for one clip (non-overlapping windows)."""
-    preds = np.empty(clip.frames)
-    for win in window(clip, config.window_len, config.window_len):
-        out = model.forward(win).value[0]
-        keep = win.valid
-        start = win.frame_offset - clip.frame_offset
-        preds[start : start + int(keep.sum())] = out[keep]
-    return preds
-
-
 def evaluate(model: EmotionModel, clips, config: TrainConfig, fold=None):
     """Pooled concordance over every frame of every clip, plus prediction
-    rows (clip, frame, pred, truth) for the trained target channel."""
+    rows (clip, frame, pred, truth) for the trained target channel.
+
+    Clips are cut into non-overlapping windows, forwarded
+    ``config.batch_size`` windows at a time and stitched back per clip.
+    """
     if not clips:
         raise ConfigError("evaluate: no clips given")
+    owners = []
+    windows = []
+    for i, clip in enumerate(clips):
+        for win in window(clip, config.window_len, config.window_len):
+            owners.append(i)
+            windows.append(win)
+    clip_preds = [np.empty(clip.frames) for clip in clips]
+    for i, (win, out) in zip(owners, _predictions(model, _batched(windows, config.batch_size))):
+        start = win.frame_offset - clips[i].frame_offset
+        clip_preds[i][start : start + int(win.valid.sum())] = out[win.valid]
     rows = []
     per_clip = {}
-    pooled_pred = []
-    pooled_truth = []
-    for clip in clips:
-        preds = _clip_predictions(model, clip, config)
+    for clip, preds in zip(clips, clip_preds):
         truth = getattr(clip, config.target)
         for j in range(clip.frames):
             rows.append(
                 [clip.clip_id, str(clip.frame_offset + j), repr(float(preds[j])), repr(float(truth[j]))]
             )
         per_clip[clip.clip_id], _ = ccc_flagged(preds, truth)
-        pooled_pred.append(preds)
-        pooled_truth.append(truth)
-    value, degenerate = ccc_flagged(np.concatenate(pooled_pred), np.concatenate(pooled_truth))
+    pooled_truth = [getattr(clip, config.target) for clip in clips]
+    value, degenerate = ccc_flagged(np.concatenate(clip_preds), np.concatenate(pooled_truth))
     report = EvalReport(
         ccc_valence=value if config.target == "valence" else None,
         ccc_arousal=value if config.target == "arousal" else None,

@@ -161,68 +161,131 @@ class TestConcat:
         np.testing.assert_array_equal(b.grad, np.ones((1, 3)))
 
 
-class TestShiftAndSlice:
+class TestCausalConv:
+    @staticmethod
+    def delay(x, dilation):
+        # two 1x1 taps: the first reads the frame `dilation` back, the
+        # second (the current frame) is switched off
+        return ad.causal_conv(x, [ad.Tensor([[1.0]]), ad.Tensor([[0.0]])], dilation)
+
     def test_shift_is_causal(self):
         x = ad.Tensor([[1.0, 2.0, 3.0, 4.0]])
-        np.testing.assert_array_equal(
-            ad.shift_cols(x, 2).value, [[0.0, 0.0, 1.0, 2.0]]
-        )
+        np.testing.assert_array_equal(self.delay(x, 2).value, [[0.0, 0.0, 1.0, 2.0]])
 
     def test_shift_beyond_width_is_zero(self):
         x = ad.Tensor([[1.0, 2.0]])
-        np.testing.assert_array_equal(ad.shift_cols(x, 5).value, [[0.0, 0.0]])
-        ad.shift_cols(x, 5).sum().backward()
+        np.testing.assert_array_equal(self.delay(x, 5).value, [[0.0, 0.0]])
+        self.delay(x, 5).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
 
     def test_shift_gradient(self):
         x = ad.Tensor([[1.0, 2.0, 3.0]])
-        y = ad.shift_cols(x, 1)
+        taps = [ad.Tensor([[1.0]]), ad.Tensor([[0.0]])]
+        y = ad.causal_conv(x, taps, 1)
         y.backward(seed=np.array([[10.0, 20.0, 30.0]]))
         np.testing.assert_array_equal(x.grad, [[20.0, 30.0, 0.0]])
+        # each tap's gradient pairs the seed with the columns it read
+        np.testing.assert_array_equal(taps[0].grad, [[10.0 * 0 + 20.0 * 1 + 30.0 * 2]])
+        np.testing.assert_array_equal(taps[1].grad, [[10.0 * 1 + 20.0 * 2 + 30.0 * 3]])
 
-    def test_slice_cols_gradient(self):
-        x = ad.Tensor(np.arange(8.0).reshape(2, 4))
-        ad.slice_cols(x, 1, 3).sum().backward()
+    def test_batch_matches_each_member(self):
+        rng = np.random.default_rng(5)
+        taps = [ad.Tensor(rng.standard_normal((3, 3))) for _ in range(3)]
+        x = rng.standard_normal((4, 3, 9))
+        batched = ad.causal_conv(ad.Tensor(x), taps, 2).value
+        for b in range(4):
+            single = ad.causal_conv(ad.Tensor(x[b]), taps, 2).value
+            np.testing.assert_allclose(batched[b], single, rtol=0, atol=1e-14)
+
+
+class TestGatedSum:
+    def test_gate_column_gradient(self):
+        # the gradient of gate column k is the column sums of candidate k
+        a = ad.Tensor(np.arange(8.0).reshape(2, 4))
+        b = ad.Tensor(np.ones((2, 4)))
+        gates = ad.Tensor(np.full((4, 2), 0.5))
+        ad.gated_sum([a, b], gates).sum().backward()
+        np.testing.assert_array_equal(gates.grad[:, 0], a.value.sum(axis=0))
+        np.testing.assert_array_equal(gates.grad[:, 1], [2.0, 2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(a.grad, np.full((2, 4), 0.5))
+
+    def test_weights_each_frame(self):
+        a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        b = ad.Tensor([[10.0, 20.0], [30.0, 40.0]])
+        gates = ad.Tensor([[1.0, 0.0], [0.25, 0.75]])
         np.testing.assert_array_equal(
-            x.grad, [[0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0]]
+            ad.gated_sum([a, b], gates).value, [[1.0, 0.5 + 15.0], [3.0, 1.0 + 30.0]]
         )
 
+    def test_gate_shape_checked(self):
+        a = ad.Tensor(np.zeros((2, 4)))
+        with pytest.raises(DimensionError, match="gated_sum"):
+            ad.gated_sum([a, a], ad.Tensor(np.zeros((4, 3))))
 
-class TestHstack:
+
+class TestReshape:
     def test_pools_and_splits(self):
-        a = ad.Tensor([[1.0, 2.0]])
-        b = ad.Tensor([[3.0]])
-        out = ad.hstack([a, b])
-        np.testing.assert_array_equal(out.value, [[1.0, 2.0, 3.0]])
-        out.backward(seed=np.array([[5.0, 6.0, 7.0]]))
-        np.testing.assert_array_equal(a.grad, [[5.0, 6.0]])
-        np.testing.assert_array_equal(b.grad, [[7.0]])
+        # a batch of two 1 x 2 prediction rows pooled into one 1 x 4 row
+        a = ad.Tensor(np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))
+        out = ad.reshape(a, (1, -1))
+        np.testing.assert_array_equal(out.value, [[1.0, 2.0, 3.0, 4.0]])
+        out.backward(seed=np.array([[5.0, 6.0, 7.0, 8.0]]))
+        np.testing.assert_array_equal(a.grad, [[[5.0, 6.0]], [[7.0, 8.0]]])
+
+
+class TestBatchAxis:
+    def test_shared_weight_gradient_sums_over_batch(self):
+        rng = np.random.default_rng(3)
+        w = ad.Tensor(rng.standard_normal((2, 3)))
+        x = rng.standard_normal((4, 3, 5))
+        (w @ ad.Tensor(x)).sum().backward()
+        expected = sum(np.ones((2, 5)) @ x[b].T for b in range(4))
+        np.testing.assert_allclose(w.grad, expected, atol=1e-12)
+
+    def test_transpose_and_concat_act_on_last_axes(self):
+        a = ad.Tensor(np.arange(12.0).reshape(2, 2, 3))
+        b = ad.Tensor(np.ones((2, 1, 3)))
+        assert a.T.shape == (2, 3, 2)
+        np.testing.assert_array_equal(a.T.value[1], a.value[1].T)
+        assert ad.concat_rows(a, b).shape == (2, 3, 3)
+
+    def test_batch_sizes_must_agree(self):
+        with pytest.raises(DimensionError):
+            ad.matmul(ad.Tensor(np.zeros((2, 3, 3))), ad.Tensor(np.zeros((3, 3, 3))))
+        with pytest.raises(DimensionError):
+            ad.concat_rows(ad.Tensor(np.zeros((2, 3, 3))), ad.Tensor(np.zeros((3, 3, 3))))
+
+    def test_rank_above_three_rejected(self):
+        with pytest.raises(DimensionError, match="rank 4"):
+            ad.Tensor(np.zeros((1, 1, 1, 1)))
 
 
 def quadratic_cases(rng):
-    """Small differentiable programs exercising every op with gradients."""
+    """Small differentiable programs exercising every op with gradients,
+    on a batch of two, so the weights broadcast across the batch axis."""
     d, L = 4, 5
     w = ad.Tensor(rng.standard_normal((d, d)), name="w")
-    v = ad.Tensor(rng.standard_normal((1, L)), name="v")
+    taps = [ad.Tensor(rng.standard_normal((d, d)), name=f"tap{j}") for j in range(2)]
     b = ad.Tensor(rng.standard_normal((d, 1)), name="b")
-    x = rng.standard_normal((d, L))
+    g = ad.Tensor(rng.standard_normal((d, 2)), name="g")
+    x = rng.standard_normal((2, d, L))
 
     def full_program():
         xt = ad.Tensor(x)
         h = w @ xt
         h = ad.add_colvec(h, b)
         h = ad.tanh(h)
-        h = ad.mul_rowvec(h, v)
-        g = ad.softmax_temp(h, 0.5, axis="rows")
-        top = ad.slice_cols(g, 0, 3)
-        rest = ad.slice_cols(g, 3, L)
-        stacked = ad.hstack([top, rest])
-        shifted = ad.shift_cols(stacked, 1)
-        total = (stacked * shifted).sum()
+        conv = ad.causal_conv(h, taps, 2)
+        gates = ad.softmax_temp(h.T @ g, 0.5, axis="rows")
+        mixed = ad.gated_sum([h, conv], gates)
+        norm = ad.softmax_temp(mixed, 0.7, axis="cols")
+        row = ad.reshape(ad.concat_rows(norm, h), (1, -1))
+        total = (row * row).sum()
         mean = total / ad.Tensor([[float(L)]])
-        spread = ad.sub_scalar(stacked, mean)
+        spread = ad.sub_scalar(row, mean)
         return (spread * spread).sum()
 
-    return {"w": w, "v": v, "b": b}, full_program
+    return {"w": w, "tap0": taps[0], "tap1": taps[1], "b": b, "g": g}, full_program
 
 
 class TestGradcheck:

@@ -296,6 +296,8 @@ class TestExitCodes:
         [
             ("clip0000_labels.csv", 2, "0,abc,0.1"),
             ("clip0001_labels.csv", 5, "3,0.25"),
+            ("clip0000_labels.csv", 3, "1,nan,0.1"),
+            ("clip0001_labels.csv", 4, "2,0.2,-inf"),
             ("clip0000_masks.csv", 4, "2,0,1,yes"),
             ("manifest.csv", 3, ""),
             ("manifest.csv", 2, "clip0000,7,ninety,0,0"),

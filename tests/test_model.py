@@ -1,0 +1,115 @@
+"""The batched model path: one graph per batch of windows, freed on drop."""
+
+import gc
+import weakref
+
+import numpy as np
+
+from avfusion.autodiff import gradcheck
+from avfusion.model import EmotionModel, ModelConfig
+from avfusion.synthdata import GenConfig, generate, window
+
+
+def make_model(mode="HGRJCA", seq_len=16, dim=4, depth=2, dropout=0.5, seed=0):
+    config = ModelConfig(
+        mode=mode, dim_audio=dim, dim_visual=dim, seq_len=seq_len, depth=depth, dropout=dropout
+    )
+    model = EmotionModel(config, rng=np.random.default_rng(seed))
+    # default init zeroes the gates and fusion outputs; use a generic point
+    rng = np.random.default_rng(seed + 1)
+    for p in model.parameters().values():
+        p.value[...] = 0.3 * rng.standard_normal(p.shape)
+    return model
+
+
+def make_windows(frames, seq_len=16, dim=4, seed=0):
+    config = GenConfig(num_videos=len(frames), frames=max(frames), dim_audio=dim, dim_visual=dim, seed=seed)
+    clips = generate(config)
+    out = []
+    for clip, n in zip(clips, frames):
+        # cut each clip to its length so the last window is zero-padded
+        short = window(clip, n, n)[0]
+        out.extend(window(short, seq_len, seq_len))
+    return out
+
+
+class TestBatchedForward:
+    def test_batch_equals_each_window(self):
+        model = make_model()
+        wins = make_windows([32, 16, 27])  # 5 windows, the last one padded
+        assert len(wins) == 5
+        assert not wins[-1].valid.all() and wins[-1].valid.any()
+        batched = model.forward(wins).value
+        assert batched.shape == (1, 5 * 16)
+        for b, win in enumerate(wins):
+            single = model.forward([win]).value
+            got = batched[0, b * 16 : (b + 1) * 16]
+            np.testing.assert_allclose(got, single[0], rtol=0, atol=1e-12)
+
+    def test_dropout_stream_matches_windows_in_turn(self):
+        # one draw over the B x d x L batch is B draws of d x L in turn, so
+        # window b sees the mask it would see as the b-th of B forwards
+        model = make_model()
+        wins = make_windows([16, 16, 16])
+        batched = model.forward(wins, dropout_rng=np.random.default_rng(4)).value[0]
+        rng = np.random.default_rng(4)
+        singles = np.concatenate([model.forward([w], dropout_rng=rng).value[0] for w in wins])
+        np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
+
+
+class TestBatchLossGradients:
+    def test_gradcheck_over_three_windows_with_different_masks(self):
+        # the shared weights' gradients sum over the batch axis
+        model = make_model(mode="HGRJCA", seq_len=6, depth=2)
+        wins = make_windows([6, 4, 5], seq_len=6)
+        assert [int(w.valid.sum()) for w in wins] == [6, 4, 5]
+
+        def loss():
+            return model.batch_loss(wins, "valence", dropout_rng=np.random.default_rng(9))
+
+        report = gradcheck(
+            loss, model.parameters(), max_entries_per_param=4, rng=np.random.default_rng(2)
+        )
+        assert report.checked > 100
+        assert report.worst < 1e-5
+
+
+class TestGraphMemory:
+    """Graphs hold no reference cycles, so dropping the loss frees them
+    without the cyclic garbage collector."""
+
+    @staticmethod
+    def graph_nodes(root):
+        seen = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._backward is not None:
+                seen[id(node)] = weakref.ref(node)
+                stack.extend(node._parents)
+        return list(seen.values())
+
+    def check_freed(self, backward):
+        model = make_model()
+        wins = make_windows([16, 16])
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss = model.batch_loss(wins, "valence", dropout_rng=np.random.default_rng(0))
+            if backward:
+                loss.backward()
+            nodes = self.graph_nodes(loss)
+            assert len(nodes) > 50
+            root = weakref.ref(loss)
+            del loss
+            assert root() is None
+            assert all(ref() is None for ref in nodes)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_graph_freed_after_backward(self):
+        self.check_freed(backward=True)
+
+    def test_forward_only_graph_freed(self):
+        self.check_freed(backward=False)

@@ -254,7 +254,7 @@ class TestTrainLoop:
         )
         result = train(clips, clips, config)
         pred = result.model.forward(
-            training.window(clips[0], config.window_len, config.window_len)[0]
+            training.window(clips[0], config.window_len, config.window_len)
         ).value[0]
         score = ccc(pred, clips[0].valence)
         assert score > 0.95, f"train ccc {score}"
