@@ -15,7 +15,6 @@ Every command is deterministic given config + dataset bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import struct
@@ -29,7 +28,15 @@ from .exceptions import ConfigError, DimensionError, FormatError, NumericError, 
 from .metrics import EvalReport
 from .model import EmotionModel
 from .synthdata import _read_csv, _write_csv, clip_seed, generate, read_features, write_features
-from .training import best_fold, cross_validate, evaluate, fold_assignments, train
+from .training import (
+    best_fold,
+    cross_validate,
+    evaluate,
+    fold_assignments,
+    map_in_order,
+    retain_freed_heap,
+    train,
+)
 from .verify import run_gradcheck_suite
 
 EXIT_OK = 0
@@ -146,10 +153,10 @@ def cmd_gen(config: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_train(config: ExperimentConfig, out: Path) -> int:
+def cmd_train(config: ExperimentConfig, out: Path, threads: int) -> int:
     clips = _load_dataset(out)
     tc = config.training
-    outcomes = cross_validate(clips, tc)
+    outcomes = cross_validate(clips, tc, workers=threads)
     b = best_fold(outcomes)
     chosen = outcomes[b]
 
@@ -202,19 +209,26 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(config: ExperimentConfig, out: Path) -> int:
+def cmd_ablate(config: ExperimentConfig, out: Path, threads: int) -> int:
     clips = generate(config.generator)
     val_idx = set(fold_assignments(len(clips), config.training)[0])
     train_clips = [c for i, c in enumerate(clips) if i not in val_idx]
     val_clips = [c for i, c in enumerate(clips) if i in val_idx]
 
     depths = (1, 2, 3, 4)
-    cells = {}
-    for depth in depths:
-        for mode in ("RJCA", "GRJCA", "HGRJCA"):
-            for target in ("valence", "arousal"):
-                tc = dataclasses.replace(config.training, mode=mode, depth=depth, target=target)
-                cells[(depth, mode, target)] = train(train_clips, val_clips, tc).best_val_ccc
+    keys = [
+        (depth, mode, target)
+        for depth in depths
+        for mode in ("RJCA", "GRJCA", "HGRJCA")
+        for target in ("valence", "arousal")
+    ]
+
+    def run_cell(index):
+        depth, mode, target = keys[index]
+        tc = dataclasses.replace(config.training, mode=mode, depth=depth, target=target)
+        return train(train_clips, val_clips, tc).best_val_ccc
+
+    cells = dict(zip(keys, map_in_order(run_cell, len(keys), threads)))
     best_depth = max(cells, key=lambda key: cells[key])[0]
 
     rows = []
@@ -237,8 +251,8 @@ def cmd_ablate(config: ExperimentConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck() -> int:
-    result = run_gradcheck_suite()
+def cmd_gradcheck(threads: int) -> int:
+    result = run_gradcheck_suite(workers=threads)
     for line in result.format_lines():
         print(line)
     return EXIT_OK if result.passed else EXIT_VERIFY
@@ -262,32 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="experiment JSON (defaults apply)")
         p.add_argument("--out", type=Path, default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override generator and training seeds")
-        p.add_argument("--threads", type=int, default=1, help="ignored: every command runs serially")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="run train folds, ablate cells and gradcheck cases in up to "
+            "min(N, tasks, CPUs) processes; gen and eval run serially",
+        )
     return parser
-
-
-def _retain_freed_heap():
-    """Keep heap memory freed between batches in the process (glibc only).
-
-    A batch's graph frees tens of MB at once.  Under glibc's adaptive
-    thresholds the top of the heap then goes back to the OS, and the next
-    batch faults it in again: about 66k page faults per 60-clip eval at
-    window 192.  Fixed thresholds (mmap above 32 MB, trim above 256 MB)
-    keep it.  Elsewhere this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _retain_freed_heap()
+    retain_freed_heap()
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
@@ -304,12 +305,12 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return cmd_gen(config, out)
         if args.command == "train":
-            return cmd_train(config, out)
+            return cmd_train(config, out, args.threads)
         if args.command == "eval":
             return cmd_eval(config, out)
         if args.command == "ablate":
-            return cmd_ablate(config, out)
-        return cmd_gradcheck()
+            return cmd_ablate(config, out, args.threads)
+        return cmd_gradcheck(args.threads)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,6 +18,7 @@ from .autodiff import gradcheck
 from .model import EmotionModel, ModelConfig
 from .synthdata import LabeledClip
 from .temporal import TcnConfig
+from .training import map_in_order
 
 TOLERANCE = 1e-5
 
@@ -94,15 +95,18 @@ def run_gradcheck_suite(
     cases=DEFAULT_CASES,
     samples_per_param=6,
     seed=0,
+    workers=1,
 ) -> SuiteResult:
     """Gradient-check the full training loss for every fusion mode.
 
     ``samples_per_param`` caps the probed coordinates per weight matrix
     (sampled reproducibly) to keep the suite fast; every matrix still
-    appears in the report exactly once per case.
+    appears in the report exactly once per case.  The cases run in up to
+    ``workers`` processes and are reported in case order.
     """
-    result = SuiteResult()
-    for case_index, (mode, depth) in enumerate(cases):
+
+    def check_case(case_index):
+        mode, depth = cases[case_index]
         rng = np.random.default_rng(np.random.SeedSequence([seed, case_index]))
         config = ModelConfig(
             mode=mode,
@@ -128,16 +132,18 @@ def run_gradcheck_suite(
                 [win], target="valence", dropout_rng=np.random.default_rng(drop_seed)
             )
 
-        report = gradcheck(
+        return gradcheck(
             loss,
             model.parameters(),
             epsilon=1e-5,
             max_entries_per_param=samples_per_param,
             rng=np.random.default_rng(np.random.SeedSequence([seed, case_index, 1])),
         )
-        tag = f"{mode}/M{depth}"
+
+    result = SuiteResult()
+    for (mode, depth), report in zip(cases, map_in_order(check_case, len(cases), workers)):
         for name, err in report.per_param.items():
-            result.entries.append((f"{tag}/{name}", err))
+            result.entries.append((f"{mode}/M{depth}/{name}", err))
         result.checked += report.checked
         result.skipped_kinks += report.skipped_kinks
     return result

@@ -217,6 +217,98 @@ class TestTrainEval:
         assert tree_bytes(out / "eval") == serial
 
 
+# the criterion-6 ablation config (tests/test_acceptance.py)
+ABLATION_OVERRIDES = {
+    "generator": {
+        "num_videos": 6,
+        "frames": 64,
+        "dim_audio": 5,
+        "dim_visual": 5,
+        "latent_dim": 3,
+        "seed": 11,
+    },
+    "training": {"max_epochs": 2, "window_len": 32, "window_stride": 32, "head_hidden": [6]},
+}
+
+TRAIN_ARTIFACTS = (
+    "params.bin",
+    "predictions.csv",
+    "history.csv",
+    "eval_report.csv",
+    "train_summary.json",
+)
+
+
+class TestThreads:
+    """``--threads N`` runs train folds, ablate cells and gradcheck cases in
+    forked processes; every output must match the serial run's bytes."""
+
+    def run(self, capsys, *argv):
+        capsys.readouterr()
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_train_matches_serial(self, tmp_path, capsys):
+        config, out = write_experiment(tmp_path)
+        assert main(["gen", "--config", str(config)]) == 0
+        outputs = {}
+        for threads in ("1", "2"):
+            argv = ["train", "--config", str(config), "--threads", threads]
+            code, stdout, _ = self.run(capsys, *argv)
+            assert code == 0
+            outputs[threads] = (stdout, {name: (out / name).read_bytes() for name in TRAIN_ARTIFACTS})
+        assert outputs["1"] == outputs["2"]
+
+    def test_ablate_matches_serial(self, tmp_path, capsys):
+        config, out = write_experiment(tmp_path, **ABLATION_OVERRIDES)
+        outputs = {}
+        for threads in ("1", "2"):
+            argv = ["ablate", "--config", str(config), "--threads", threads]
+            code, stdout, _ = self.run(capsys, *argv)
+            assert code == 0
+            outputs[threads] = (stdout, (out / "ablation.csv").read_bytes())
+        assert outputs["1"] == outputs["2"]
+
+    def test_gradcheck_matches_serial(self, capsys):
+        serial = self.run(capsys, "gradcheck")
+        pooled = self.run(capsys, "gradcheck", "--threads", "2")
+        assert serial == pooled
+        assert serial[0] == 0
+        assert serial[1].splitlines()[-1].endswith("over 2092 coordinates, 0 kink skips")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_worker_failure_matches_serial(self, tmp_path, capsys):
+        # a rate this large overflows the attention in every fold's first step
+        config, _ = write_experiment(tmp_path, training={"init_lr": 1e300, "warmup_epochs": 0})
+        assert main(["gen", "--config", str(config)]) == 0
+        serial = self.run(capsys, "train", "--config", str(config))
+        pooled = self.run(capsys, "train", "--config", str(config), "--threads", "2")
+        assert serial == pooled
+        code, _, err = serial
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("verification failure: non-finite")
+
+    def test_pool_is_capped_at_tasks_and_cpus(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        def recording(max_workers, **kwargs):
+            asked.append(max_workers)
+            return real(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        config, _ = write_experiment(tmp_path)  # 3 folds
+        assert main(["gen", "--config", str(config), "--threads", "64"]) == 0
+        assert main(["train", "--config", str(config), "--threads", "1"]) == 0
+        assert asked == []
+        assert main(["train", "--config", str(config), "--threads", "64"]) == 0
+        cpus = len(os.sched_getaffinity(0))
+        assert asked == ([min(3, cpus)] if cpus > 1 else [])
+
+
 class TestExitCodes:
     def test_missing_dataset_is_config_error(self, tmp_path, capsys):
         config, _ = write_experiment(tmp_path)

@@ -1,6 +1,8 @@
 """Optimizer, scheduler, and training-loop tests."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from avfusion.training import (
     evaluate,
     fold_assignments,
     lr_for_epoch,
+    map_in_order,
     scheduler_step,
     train,
 )
@@ -323,3 +326,31 @@ class TestCrossValidate:
             small_config(plateau_factor=1.5)
         with pytest.raises(ConfigError):
             small_config(init_lr=1e-9, min_lr=1e-8)
+
+
+class TestMapInOrder:
+    def test_one_worker_runs_inline(self):
+        parent = os.getpid()
+        results = map_in_order(lambda i: (i * i, os.getpid()), 4, 1)
+        assert results == [(i * i, parent) for i in range(4)]
+
+    def test_results_in_index_order(self):
+        # a closure over local data: it reaches the workers by fork, not pickle
+        table = np.arange(7.0) ** 2
+        results = map_in_order(lambda i: (float(table[i]), os.getpid()), 7, 2)
+        assert [value for value, _ in results] == [float(v) for v in table]
+        if len(os.sched_getaffinity(0)) > 1:
+            assert os.getpid() not in {pid for _, pid in results}
+
+    def test_first_failing_index_is_raised(self):
+        def task(i):
+            if i == 1:
+                time.sleep(0.2)  # finishes after index 3 has failed
+                raise NumericError("task 1")
+            if i == 3:
+                raise ParameterError("task 3")
+            return i
+
+        for workers in (1, 2):
+            with pytest.raises(NumericError, match="^task 1$"):
+                map_in_order(task, 5, workers)
