@@ -11,10 +11,13 @@ upstream tensor.  Each node reaches itself from its backward closure
 only through a weak reference, so graphs hold no reference cycles and a
 dropped graph is freed at once.
 
-The op set is deliberately small: matrix product, elementwise
-tanh/relu/add/sub/mul, scalar broadcast helpers, row stacking, reshape,
-a dilated causal convolution, a gated sum of candidates, and a
-temperature-scaled softmax.  Ops act on the last two axes.  The only
+The op set is what the model uses and no more: matrix product,
+elementwise tanh/relu/add/mul, scaling by a float, product with a
+constant array, a bias column added to every column, the sum of all
+entries, transpose, row stacking, reshape, a dilated causal convolution,
+a gated sum of candidates, and a temperature-scaled softmax.  A fused op
+outside this module (the CCC loss) is one node built with
+:meth:`Tensor._make`.  Ops act on the last two axes.  The only
 broadcasting is of a matrix across a batch, in a matrix product (a
 weight applied to every member) or as a bias column; its gradient is
 summed over the batch.  There is no rank above 3.
@@ -182,45 +185,20 @@ class Tensor:
             if node._backward is not None:
                 node._backward()
 
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.value)
-
     # -- operators -----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return _shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return _shift(self, -float(other))
-
-    def __rsub__(self, other):
-        return _shift(scale(self, -1.0), float(other))
+        return add(self, other)
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return mul(self, other)
-        if isinstance(other, np.ndarray):
-            return mul_const(self, other)
         return scale(self, float(other))
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div_scalar(self, other)
-        return scale(self, 1.0 / float(other))
 
     @property
     def T(self):
@@ -234,11 +212,6 @@ class Tensor:
 
     def sum(self):
         return sum_all(self)
-
-
-def constant(value, name=None):
-    """A graph leaf that participates in ops but needs no gradient of its own."""
-    return Tensor(value, name=name)
 
 
 def _binary_shape_check(op, a, b):
@@ -259,16 +232,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(a.value + b.value, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check("sub", a, b)
-
-    def backward(g):
-        a.grad += g
-        b.grad -= g
-
-    return Tensor._make(a.value - b.value, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product."""
     _binary_shape_check("mul", a, b)
@@ -285,13 +248,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         a.grad += g * c
 
     return Tensor._make(a.value * c, (a,), backward)
-
-
-def _shift(a: Tensor, c: float) -> Tensor:
-    def backward(g):
-        a.grad += g
-
-    return Tensor._make(a.value + c, (a,), backward)
 
 
 def mul_const(a: Tensor, arr: np.ndarray) -> Tensor:
@@ -440,7 +396,7 @@ def gated_sum(candidates, gates: Tensor) -> Tensor:
     return Tensor._make(total, (*candidates, gates), backward)
 
 
-# -- broadcast helpers (column vector over columns, 1x1 over everything) -----
+# -- bias column -------------------------------------------------------------
 
 
 def add_colvec(a: Tensor, b: Tensor) -> Tensor:
@@ -455,32 +411,6 @@ def add_colvec(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g.sum(axis=-1, keepdims=True))
 
     return Tensor._make(a.value + b.value, (a, b), backward)
-
-
-def sub_scalar(a: Tensor, s: Tensor) -> Tensor:
-    """Subtract the 1x1 tensor ``s`` from every entry of ``a``."""
-    if s.value.size != 1:
-        raise DimensionError(f"sub_scalar: expected 1x1 tensor, got {s.value.shape}")
-
-    def backward(g):
-        a.grad += g
-        s.grad -= g.sum().reshape(1, 1)
-
-    return Tensor._make(a.value - s.value, (a, s), backward)
-
-
-def div_scalar(a: Tensor, b: Tensor) -> Tensor:
-    """Quotient of two 1x1 tensors."""
-    if a.value.size != 1 or b.value.size != 1:
-        raise DimensionError(
-            f"div_scalar: expected 1x1 tensors, got {a.value.shape} and {b.value.shape}"
-        )
-
-    def backward(g):
-        a.grad += g / b.value
-        b.grad -= g * a.value / (b.value * b.value)
-
-    return Tensor._make(a.value / b.value, (a, b), backward)
 
 
 # -- reductions and softmax --------------------------------------------------

@@ -286,6 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a numeric failure ends in one NumericError line; numpy's floating-point
+# warnings would print ahead of it, once per process under --threads
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     retain_freed_heap()

@@ -401,18 +401,9 @@ def hgrjca_final_gate(gated_audio, gated_visual, params: FusionParams):
 # -- dispatch ----------------------------------------------------------------
 
 
-def fusion_forward(feats: ModalityFeatures, params: FusionParams, mode: str | None = None) -> FusionState:
-    """Full fusion pass; ``state.fused`` holds the (d_a + d_v) x L output.
-
-    ``mode``, when given, must match the mode the parameters were built
-    for (guards against mixing a gate-less parameter set with a gated
-    mode).
-    """
-    if mode is not None and mode != params.config.mode:
-        raise ConfigError(
-            f"fusion_forward: params were built for {params.config.mode}, "
-            f"asked to run {mode}"
-        )
+def fusion_forward(feats: ModalityFeatures, params: FusionParams) -> FusionState:
+    """Full fusion pass in the mode the parameters were built for;
+    ``state.fused`` holds the (d_a + d_v) x L output."""
     mode = params.config.mode
     state = rjca_forward(feats, params)
     if mode in ("JCA", "RJCA"):

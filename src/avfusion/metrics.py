@@ -5,8 +5,11 @@ CCC measures agreement between predictions and targets:
     ccc = 2 * cov / (var_pred + var_truth + (mean_pred - mean_truth)^2)
 
 All moments are population (1/N) statistics.  The plain :func:`ccc` works
-on arrays for evaluation; :func:`ccc_loss` builds a differentiable graph
-node for training, optionally restricted to valid frames by a 0/1 mask.
+on arrays for evaluation; :func:`ccc_loss` is the training loss 1 - ccc as
+a single graph node, optionally restricted to valid frames by a 0/1 mask.
+Both take their moments from one helper, so a loss value equals 1 minus
+the evaluation score of the same frames bit for bit, and the loss's
+backward is the closed-form derivative of ccc.
 """
 
 from __future__ import annotations
@@ -42,87 +45,64 @@ def ccc(pred, truth) -> float:
 
 def ccc_flagged(pred, truth):
     """CCC value plus a flag marking a zero denominator (both inputs constant)."""
-    pred, truth = _flatten_pair(pred, truth)
+    _, cov, denom = _moments(*_flatten_pair(pred, truth))
+    if denom == 0.0:
+        return 0.0, True
+    return float(2.0 * cov / denom), False
+
+
+def _moments(pred, truth):
+    """Target mean, covariance and CCC denominator of two flat vectors."""
     mean_p = pred.mean()
     mean_t = truth.mean()
     var_p = pred.var()
     var_t = truth.var()
     cov = ((pred - mean_p) * (truth - mean_t)).mean()
     denom = var_p + var_t + (mean_p - mean_t) ** 2
-    if denom == 0.0:
-        return 0.0, True
-    return float(2.0 * cov / denom), False
+    return mean_t, cov, denom
 
 
-def ccc_node(pred: ad.Tensor, truth, valid=None):
-    """Differentiable CCC of a 1 x N prediction row against constant targets.
+def ccc_loss(pred: ad.Tensor, truth, valid=None) -> ad.Tensor:
+    """1 - ccc of a 1 x N prediction row against constant targets, as one
+    differentiable 1 x 1 node.
 
-    Parameters
-    ----------
-    pred : Tensor
-        1 x N graph node.
-    truth : array-like
-        Target vector, length N.
-    valid : array-like of 0/1, optional
-        Frames with 0 are excluded from every moment and receive exactly
-        zero gradient.
+    Frames where ``valid`` is 0 are excluded from every moment and receive
+    exactly zero gradient.  The value equals ``1 - ccc_flagged`` over the
+    valid frames bit for bit; over those N frames the gradient is
 
-    Returns
-    -------
-    (Tensor, bool)
-        1 x 1 CCC node and a degenerate flag.  When the denominator is
-        zero the node is the constant 0 and carries no gradient.
+        d(1 - ccc)/dp_i = -2 / (N * denom) * ((t_i - mean_t) - ccc * (p_i - mean_t))
+
+    A zero denominator (both inputs constant) gives ccc 0 and a zero
+    gradient.
     """
-    truth = np.asarray(truth, dtype=np.float64).reshape(1, -1)
-    if pred.rows != 1 or pred.cols != truth.size:
+    truth = np.asarray(truth, dtype=np.float64).reshape(-1)
+    if pred.shape != (1, truth.size):
         raise DimensionError(
-            f"ccc_node: prediction {pred.shape} does not match {truth.size} targets"
+            f"ccc_loss: prediction {pred.shape} does not match {truth.size} targets"
         )
     if valid is None:
-        mask = np.ones_like(truth)
+        keep = np.ones(truth.size, dtype=bool)
     else:
-        mask = np.asarray(valid, dtype=np.float64).reshape(1, -1)
-        if mask.size != truth.size:
+        keep = np.asarray(valid).reshape(-1) != 0
+        if keep.size != truth.size:
             raise DimensionError(
-                f"ccc_node: mask length {mask.size} does not match {truth.size} targets"
+                f"ccc_loss: mask length {keep.size} does not match {truth.size} targets"
             )
-    count = float(mask.sum())
+    count = int(keep.sum())
     if count < 2:
-        raise DimensionError(f"ccc_node: need at least 2 valid frames, got {int(count)}")
+        raise DimensionError(f"ccc_loss: need at least 2 valid frames, got {count}")
+    p = pred.value[0, keep]
+    t = truth[keep]
+    mean_t, cov, denom = _moments(p, t)
+    if denom == 0.0:
+        return ad.Tensor._make(np.array([[1.0]]), (pred,), lambda g: None)
+    value = float(2.0 * cov / denom)
 
-    truth_masked = truth * mask
-    mean_t = float(truth_masked.sum() / count)
-    var_t = float((truth_masked * truth).sum() / count - mean_t**2)
+    def backward(g):
+        coef = -2.0 * g[0, 0] / (count * denom)
+        pred.grad[0, keep] += coef * ((t - mean_t) - value * (p - mean_t))
 
-    masked = ad.mul_const(pred, mask)
-    mean_p = masked.sum() / ad.Tensor([[count]])
-    sq = ad.mul_const(mul_self(pred), mask).sum() / ad.Tensor([[count]])
-    var_p = sq - mul_self(mean_p)
-    cross = ad.mul_const(pred, truth_masked).sum() / ad.Tensor([[count]])
-    cov = cross - mean_p * mean_t
-
-    shift = mean_p - mean_t
-    denom = var_p + mul_self(shift) + var_t
-    if denom.item() == 0.0:
-        return ad.constant([[0.0]]), True
-    return ad.div_scalar(cov * 2.0, denom), False
-
-
-def mul_self(x: ad.Tensor) -> ad.Tensor:
-    return ad.mul(x, x)
-
-
-def ccc_loss(pred: ad.Tensor, truth, valid=None, return_flags=False):
-    """1 - ccc of one target channel, as a differentiable 1 x 1 tensor.
-
-    Arguments are those of :func:`ccc_node`.  With ``return_flags`` the
-    result is ``(loss, degenerate)``.
-    """
-    node, degenerate = ccc_node(pred, truth, valid=valid)
-    loss = 1.0 - node
-    if return_flags:
-        return loss, degenerate
-    return loss
+    return ad.Tensor._make(np.array([[1.0 - value]]), (pred,), backward)
 
 
 @dataclass

@@ -371,14 +371,6 @@ class TestGates:
 
 
 class TestDispatch:
-    def test_mode_mismatch_raises(self):
-        config = FusionConfig("RJCA", dim_audio=2, dim_visual=2, seq_len=3, depth=2)
-        params = FusionParams(config, rng=np.random.default_rng(101))
-        rng = np.random.default_rng(102)
-        feats = ModalityFeatures(Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((2, 3))))
-        with pytest.raises(ConfigError, match="RJCA"):
-            fusion_forward(feats, params, mode="GRJCA")
-
     def test_jca_depth_must_be_one(self):
         with pytest.raises(ConfigError, match="depth"):
             FusionConfig("JCA", dim_audio=2, dim_visual=2, seq_len=3, depth=2)

@@ -118,11 +118,35 @@ class TestCccLoss:
         assert a == b
 
     def test_degenerate_flag_propagates(self):
+        # both inputs constant: ccc is 0 and no frame gets a gradient
         pred = ad.Tensor(np.zeros((1, 8)))
         truth = np.zeros(8)
-        loss, degenerate = metrics.ccc_loss(pred, truth, return_flags=True)
-        assert degenerate is True
+        assert metrics.ccc_flagged(pred.value, truth) == (0.0, True)
+        loss = metrics.ccc_loss(pred, truth)
         assert loss.item() == 1.0  # 1 - 0
+        loss.backward()
+        np.testing.assert_array_equal(pred.grad, np.zeros((1, 8)))
+
+    def test_value_is_one_minus_eval_score_bitwise(self, rng):
+        # the loss and the evaluation score share one moment helper, so the
+        # training objective and the reported score cannot drift apart
+        for n in (2, 7, 64, 300):
+            truth = rng.uniform(-1, 1, n)
+            pred = rng.uniform(-1, 1, (1, n))
+            valid = rng.uniform(size=n) > 0.25
+            valid[:2] = True
+            loss = metrics.ccc_loss(ad.Tensor(pred), truth, valid=valid).item()
+            score, _ = metrics.ccc_flagged(pred[0, valid], truth[valid])
+            assert loss == 1.0 - score
+
+    def test_mask_and_shape_checked(self):
+        pred = ad.Tensor(np.zeros((1, 4)))
+        with pytest.raises(DimensionError, match="2 valid frames"):
+            metrics.ccc_loss(pred, np.arange(4.0), valid=[1, 0, 0, 0])
+        with pytest.raises(DimensionError, match="mask length"):
+            metrics.ccc_loss(pred, np.arange(4.0), valid=[1, 1, 1])
+        with pytest.raises(DimensionError, match="4 targets"):
+            metrics.ccc_loss(ad.Tensor(np.zeros((2, 2))), np.arange(4.0))
 
 
 class TestEvalReport:

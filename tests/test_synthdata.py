@@ -5,7 +5,7 @@ import pytest
 
 from avfusion.autodiff import Tensor
 from avfusion.exceptions import ConfigError, FormatError
-from avfusion.metrics import ccc, ccc_node
+from avfusion.metrics import ccc, ccc_loss
 from avfusion.synthdata import (
     GenConfig,
     LabeledClip,
@@ -189,8 +189,7 @@ class TestWindow:
         clip = self.make_clip(50)
         win = window(clip, 64, 64)[0]
         pred = Tensor(np.random.default_rng(0).standard_normal((1, 64)))
-        node, _ = ccc_node(pred, win.valence.reshape(1, -1), valid=win.valid.reshape(1, -1))
-        node.backward()
+        ccc_loss(pred, win.valence, valid=win.valid).backward()
         assert np.array_equal(pred.grad[0, 50:], np.zeros(14))
         assert np.any(pred.grad[0, :50] != 0.0)
 
