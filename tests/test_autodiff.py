@@ -313,6 +313,18 @@ class TestGradcheck:
         assert report.checked == 2
         assert report.worst < 1e-10
 
+    def test_nested_kink_scopes_keep_their_own_lists(self):
+        x = ad.Tensor([[1.0, -1.0]])
+        with ad.record_kinks([]) as outer:
+            with ad.record_kinks([]) as inner:
+                ad.relu(x)
+            # the scopes' lists are equal here, but only the inner one closed
+            ad.relu(x)
+        assert len(inner) == 1
+        assert len(outer) == 2
+        ad.relu(x)
+        assert len(outer) == 2
+
     def test_epsilon_range_enforced(self):
         w = ad.Tensor([[1.0]], name="w")
         with pytest.raises(ParameterError):
