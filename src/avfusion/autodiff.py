@@ -7,9 +7,12 @@ gradient buffer and the links needed to replay the computation
 backwards.  Operations build the graph eagerly; calling
 :meth:`Tensor.backward` on a scalar output visits each node exactly once
 in reverse topological order and accumulates gradients into every
-upstream tensor.  Each node reaches itself from its backward closure
-only through a weak reference, so graphs hold no reference cycles and a
-dropped graph is freed at once.
+upstream tensor.  Grads start empty: a node's first contribution is
+assigned (copied only when it is another node's grad or a view of one),
+later ones are added, a node that has received nothing pushes nothing,
+and every node still empty after the walk gets zeros.  Each node
+reaches itself from its backward closure only through a weak reference,
+so graphs hold no reference cycles and a dropped graph is freed at once.
 
 The op set is what the model uses and no more: matrix product,
 elementwise tanh/relu/add/mul, scaling by a float, product with a
@@ -17,7 +20,8 @@ constant array, a bias column added to every column, the sum of all
 entries, transpose, row stacking, reshape, a dilated causal convolution,
 a gated sum of candidates, and a temperature-scaled softmax.  A fused op
 outside this module (the CCC loss) is one node built with
-:meth:`Tensor._make`.  Ops act on the last two axes.  The only
+:meth:`Tensor._make` that pushes its gradient with :func:`accumulate`.
+Ops act on the last two axes.  The only
 broadcasting is of a matrix across a batch, in a matrix product (a
 weight applied to every member) or as a bias column; its gradient is
 summed over the batch.  There is no rank above 3.
@@ -70,11 +74,20 @@ def _as_matrix(value):
     return arr
 
 
-def _accumulate(t: "Tensor", g: np.ndarray):
-    """Add ``g`` into ``t.grad``, summing over a batch axis ``t`` was broadcast across."""
+def accumulate(t: "Tensor", g: np.ndarray, shared: bool = False):
+    """Add ``g`` into ``t.grad``, summing over a batch axis ``t`` was broadcast across.
+
+    The first contribution is assigned: an array the caller just computed
+    is kept as is, while a ``shared`` one (the node's own grad, or a view of
+    it) is copied, so no two nodes' grads share memory.
+    """
     if g.ndim > t.value.ndim:
         g = g.sum(axis=0)
-    t.grad += g
+        shared = False
+    if t.grad is None:
+        t.grad = g.copy() if shared else g
+    else:
+        t.grad += g
 
 
 class Tensor:
@@ -92,8 +105,10 @@ class Tensor:
     -----
     Values are treated as immutable once wrapped; ops never write to an
     operand's ``value``.  ``grad`` is populated by :meth:`backward` and has
-    the same shape and dtype as ``value``.  ``rows`` and ``cols`` are the
-    last two axes, the ones every op acts on.
+    the same shape and dtype as ``value``: the first contribution a node
+    receives is assigned and later ones are added, and a node that
+    receives no gradient gets zeros.  No two nodes' grads share memory.
+    ``rows`` and ``cols`` are the last two axes, the ones every op acts on.
     """
 
     __slots__ = ("value", "grad", "name", "_parents", "_backward", "__weakref__")
@@ -155,7 +170,8 @@ class Tensor:
         """Accumulate gradients of this (scalar) node into the whole graph.
 
         ``seed`` overrides the initial adjoint (defaults to ones).  Each
-        node's closure runs exactly once, in reverse topological order.
+        node's closure runs at most once, in reverse topological order,
+        and is skipped when no gradient reached the node.
         """
         order = []
         seen = set()
@@ -173,7 +189,7 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         for node in order:
-            node.grad = np.zeros_like(node.value)
+            node.grad = None
         if seed is None:
             self.grad = np.ones_like(self.value)
         else:
@@ -184,8 +200,12 @@ class Tensor:
                 )
             self.grad = seed
         for node in reversed(order):
-            if node._backward is not None:
+            # a node whose consumers pushed nothing (the degenerate CCC loss) has nothing to pass on
+            if node._backward is not None and node.grad is not None:
                 node._backward()
+        for node in order:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.value)
 
     # -- operators -----------------------------------------------------------
 
@@ -228,8 +248,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shape_check("add", a, b)
 
     def backward(g):
-        a.grad += g
-        b.grad += g
+        accumulate(a, g, shared=True)
+        accumulate(b, g, shared=True)
 
     return Tensor._make(a.value + b.value, (a, b), backward)
 
@@ -239,15 +259,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shape_check("mul", a, b)
 
     def backward(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
+        accumulate(a, g * b.value)
+        accumulate(b, g * a.value)
 
     return Tensor._make(a.value * b.value, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
-        a.grad += g * c
+        accumulate(a, g * c)
 
     return Tensor._make(a.value * c, (a,), backward)
 
@@ -263,7 +283,7 @@ def mul_const(a: Tensor, arr: np.ndarray) -> Tensor:
         raise DimensionError(f"mul_const: shapes {a.value.shape} and {arr.shape} differ")
 
     def backward(g):
-        a.grad += g * arr
+        accumulate(a, g * arr)
 
     return Tensor._make(a.value * arr, (a,), backward)
 
@@ -272,7 +292,7 @@ def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.value)
 
     def backward(g):
-        a.grad += g * (1.0 - y * y)
+        accumulate(a, g * (1.0 - y * y))
 
     return Tensor._make(y, (a,), backward)
 
@@ -286,7 +306,7 @@ def relu(a: Tensor) -> Tensor:
 
     def backward(g):
         # Subgradient at exactly 0 is taken as 0.
-        a.grad += g * positive
+        accumulate(a, g * positive)
 
     return Tensor._make(np.where(positive, a.value, 0.0), (a,), backward)
 
@@ -302,15 +322,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: shapes do not align, {sa} x {sb}")
 
     def backward(g):
-        _accumulate(a, g @ np.swapaxes(b.value, -1, -2))
-        _accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
+        accumulate(a, g @ np.swapaxes(b.value, -1, -2))
+        if b.value.ndim < g.ndim:
+            # a weight applied across a batch: one GEMM over the stacked
+            # rows instead of B products and a sum
+            accumulate(b, a.value.reshape(-1, sb[-2]).T @ g.reshape(-1, sb[-1]))
+        else:
+            accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
 
     return Tensor._make(a.value @ b.value, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
     def backward(g):
-        a.grad += np.swapaxes(g, -1, -2)
+        accumulate(a, np.swapaxes(g, -1, -2), shared=True)
 
     return Tensor._make(np.ascontiguousarray(np.swapaxes(a.value, -1, -2)), (a,), backward)
 
@@ -322,8 +347,8 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     split = a.rows
 
     def backward(g):
-        a.grad += g[..., :split, :]
-        b.grad += g[..., split:, :]
+        accumulate(a, g[..., :split, :], shared=True)
+        accumulate(b, g[..., split:, :], shared=True)
 
     return Tensor._make(np.concatenate([a.value, b.value], axis=-2), (a, b), backward)
 
@@ -333,7 +358,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     B x 1 x L batch of predictions into one 1 x (B*L) row."""
 
     def backward(g):
-        a.grad += g.reshape(a.value.shape)
+        accumulate(a, g.reshape(a.value.shape), shared=True)
 
     return Tensor._make(a.value.reshape(shape), (a,), backward)
 
@@ -364,10 +389,14 @@ def causal_conv(x: Tensor, taps, dilation: int) -> Tensor:
         acc = term if acc is None else acc + term
 
     def backward(g):
-        for tap, inp, offset in zip(taps, inputs, offsets):
-            _accumulate(tap, g @ np.swapaxes(inp, -1, -2))
+        for tap, inp in zip(taps, inputs):
+            accumulate(tap, g @ np.swapaxes(inp, -1, -2))
+        # the last tap reads the current column, so its term covers every column
+        grad_x = taps[-1].value.T @ g
+        for tap, offset in zip(taps[:-1], offsets[:-1]):
             if offset < L:
-                x.grad[..., : L - offset] += (tap.value.T @ g)[..., offset:]
+                grad_x[..., : L - offset] += (tap.value.T @ g)[..., offset:]
+        accumulate(x, grad_x)
 
     return Tensor._make(acc, (x, *taps), backward)
 
@@ -391,9 +420,9 @@ def gated_sum(candidates, gates: Tensor) -> Tensor:
     def backward(g):
         grad_rows = np.empty_like(rows)
         for k, cand in enumerate(candidates):
-            cand.grad += g * rows[..., k : k + 1, :]
+            accumulate(cand, g * rows[..., k : k + 1, :])
             grad_rows[..., k, :] = (g * cand.value).sum(axis=-2)
-        gates.grad += np.swapaxes(grad_rows, -1, -2)
+        accumulate(gates, np.swapaxes(grad_rows, -1, -2))
 
     return Tensor._make(total, (*candidates, gates), backward)
 
@@ -409,8 +438,8 @@ def add_colvec(a: Tensor, b: Tensor) -> Tensor:
         )
 
     def backward(g):
-        a.grad += g
-        _accumulate(b, g.sum(axis=-1, keepdims=True))
+        accumulate(a, g, shared=True)
+        accumulate(b, g.sum(axis=-1, keepdims=True))
 
     return Tensor._make(a.value + b.value, (a, b), backward)
 
@@ -420,7 +449,7 @@ def add_colvec(a: Tensor, b: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     def backward(g):
-        a.grad += g[0, 0]
+        accumulate(a, np.full_like(a.value, g[0, 0]))
 
     return Tensor._make(a.value.sum(keepdims=True).reshape(1, 1), (a,), backward)
 
@@ -443,7 +472,7 @@ def softmax_temp(logits: Tensor, temperature: float, axis: str = "rows") -> Tens
 
     def backward(g):
         inner = (g * y).sum(axis=ax, keepdims=True)
-        logits.grad += y * (g - inner) / temperature
+        accumulate(logits, y * (g - inner) / temperature)
 
     return Tensor._make(y, (logits,), backward)
 

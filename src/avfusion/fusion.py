@@ -277,11 +277,13 @@ def joint_correlation(audio, visual, joint, params, round_index=1):
     """tanh-bounded correlation of each modality against the joint features.
 
     Scaled by 1/sqrt(d) inside the tanh; outputs are L x L in [-1, 1].
+    ``X^T (W_corr joint)`` is grouped so that the L x L product's inner
+    dimension is the modality's, not the joint one.
     """
     t = round_index - 1
     inv_sqrt_d = 1.0 / math.sqrt(params.config.dim_joint)
-    corr_a = ad.tanh((audio.T @ params.corr_audio[t] @ joint) * inv_sqrt_d)
-    corr_v = ad.tanh((visual.T @ params.corr_visual[t] @ joint) * inv_sqrt_d)
+    corr_a = ad.tanh((audio.T @ (params.corr_audio[t] @ joint)) * inv_sqrt_d)
+    corr_v = ad.tanh((visual.T @ (params.corr_visual[t] @ joint)) * inv_sqrt_d)
     return corr_a, corr_v
 
 

@@ -52,14 +52,16 @@ def ccc_flagged(pred, truth):
 
 
 def _moments(pred, truth):
-    """Target mean, covariance and CCC denominator of two flat vectors."""
-    mean_p = pred.mean()
-    mean_t = truth.mean()
-    var_p = pred.var()
-    var_t = truth.var()
-    cov = ((pred - mean_p) * (truth - mean_t)).mean()
-    denom = var_p + var_t + (mean_p - mean_t) ** 2
-    return mean_t, cov, denom
+    """Target mean, covariance and CCC denominator of two flat vectors, or
+    of every row of a stack of predictions against one target vector (the
+    moments run over the last axis)."""
+    mean_p = pred.mean(axis=-1, keepdims=True)
+    mean_t = truth.mean(axis=-1, keepdims=True)
+    var_p = pred.var(axis=-1)
+    var_t = truth.var(axis=-1)
+    cov = ((pred - mean_p) * (truth - mean_t)).mean(axis=-1)
+    denom = var_p + var_t + (mean_p[..., 0] - mean_t[..., 0]) ** 2
+    return mean_t[..., 0], cov, denom
 
 
 def ccc_loss(pred: ad.Tensor, truth, valid=None) -> ad.Tensor:
@@ -100,7 +102,9 @@ def ccc_loss(pred: ad.Tensor, truth, valid=None) -> ad.Tensor:
 
     def backward(g):
         coef = -2.0 * g[0, 0] / (count * denom)
-        pred.grad[0, keep] += coef * ((t - mean_t) - value * (p - mean_t))
+        grad = np.zeros_like(pred.value)
+        grad[0, keep] = coef * ((t - mean_t) - value * (p - mean_t))
+        ad.accumulate(pred, grad)
 
     return ad.Tensor._make(np.array([[1.0 - value]]), (pred,), backward)
 

@@ -276,8 +276,14 @@ def _pooled_ccc(model: EmotionModel, batches, target: str):
     return value, degenerate
 
 
-def train(train_clips, val_clips, config: TrainConfig) -> TrainResult:
-    """Full training run; deterministic given clips and config."""
+def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult:
+    """Full training run; deterministic given clips and config.
+
+    A :class:`NumericError` raised by a step or a validation pass is
+    raised again with where it happened appended to its message:
+    ``(fold F, epoch E, batch B)`` or ``(fold F, epoch E, validation)``,
+    without the fold when ``fold`` is None.
+    """
     if not train_clips or not val_clips:
         raise ConfigError("train: both splits must be non-empty")
     retain_freed_heap()
@@ -299,6 +305,7 @@ def train(train_clips, val_clips, config: TrainConfig) -> TrainResult:
     best_epoch = 0
     stale = 0
     history = []
+    where = "" if fold is None else f"fold {fold}, "
 
     for epoch in range(config.max_epochs):
         lr = lr_for_epoch(sched, config)
@@ -311,11 +318,17 @@ def train(train_clips, val_clips, config: TrainConfig) -> TrainResult:
             dropout_rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, 2000 + epoch, b])
             )
-            loss = model.batch_loss(batch, config.target, dropout_rng=dropout_rng)
-            loss.backward()
+            try:
+                loss = model.batch_loss(batch, config.target, dropout_rng=dropout_rng)
+                loss.backward()
+                adam_step(model.parameters(), adam, lr, config.weight_decay)
+            except NumericError as exc:
+                raise NumericError(f"{exc} ({where}epoch {epoch}, batch {b // config.batch_size})") from exc
             batch_losses.append(loss.item())
-            adam_step(model.parameters(), adam, lr, config.weight_decay)
-        val_ccc, _ = _pooled_ccc(model, val_batches, config.target)
+        try:
+            val_ccc, _ = _pooled_ccc(model, val_batches, config.target)
+        except NumericError as exc:
+            raise NumericError(f"{exc} ({where}epoch {epoch}, validation)") from exc
         history.append((epoch, lr, float(np.mean(batch_losses)), val_ccc))
         if val_ccc > best_ccc:
             best_ccc = val_ccc
@@ -410,7 +423,7 @@ def cross_validate(clips, config: TrainConfig, workers: int = 1):
         val_set = set(folds[fold])
         train_clips = [c for i, c in enumerate(clips) if i not in val_set]
         val_clips = [clips[i] for i in folds[fold]]
-        result = train(train_clips, val_clips, config)
+        result = train(train_clips, val_clips, config, fold=fold)
         report, predictions = evaluate(result.model, val_clips, config, fold=fold)
         return FoldOutcome(
             fold=fold,

@@ -10,10 +10,11 @@ tolerance with kink coordinates excluded.
 Each rung of gradcheck's step ladder probes the open coordinates of one
 weight matrix in one forward: the weight holds 2n stacked copies, +step
 at the n coordinates in members 0..n-1 and -step in members n..2n-1,
-against the probe window repeated 2n times.  A member's loss is
-``1 - ccc_flagged`` of its valid frames, the one-window loss bit for
-bit, and members k and n+k compare ReLU patterns.  Dropout draws one
-mask and shares it across the stack (:class:`SharedMask`).
+against the probe window repeated 2n times.  Every member's loss,
+``1 - ccc`` of its valid frames and the one-window loss bit for bit,
+comes from one set of row-wise moments, and members k and n+k compare
+ReLU patterns.  Dropout draws one mask and shares it across the stack
+(:class:`SharedMask`).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import _patterns_disagree, gradcheck, record_kinks
-from .metrics import ccc_flagged
+from .autodiff import gradcheck, record_kinks
+from .metrics import _moments
 from .model import EmotionModel, ModelConfig
 from .synthdata import LabeledClip
 from .temporal import TcnConfig
@@ -112,7 +113,16 @@ class SharedMask:
 
 def stacked_probe(model: EmotionModel, win: LabeledClip, drop_seed: int):
     """A gradcheck probe that evaluates all ± perturbations of one
-    parameter in one forward of ``win`` repeated along the batch axis."""
+    parameter in one forward of ``win`` repeated along the batch axis.
+
+    All 2n members are scored at once.  One set of row-wise moments over
+    the valid frames (:func:`metrics._moments`, the helper ``ccc_flagged``
+    and ``ccc_loss`` use) gives every member's loss ``1 - ccc``, bit for
+    bit the one-window loss; a member with a zero denominator scores 1.0,
+    as ``ccc_flagged`` does.  One comparison per recorded ReLU pattern
+    flags the members k whose sign or kink-band state differs from member
+    n+k's.
+    """
     truth = win.valence[win.valid]
 
     def probe(p, coords, step):
@@ -128,10 +138,14 @@ def stacked_probe(model: EmotionModel, win: LabeledClip, drop_seed: int):
                 pred = model.forward([win] * (2 * n), dropout_rng=SharedMask(drop_seed))
         finally:
             p.value = base
-        losses = [1.0 - ccc_flagged(row[win.valid], truth)[0] for row in pred.value.reshape(2 * n, -1)]
-        members = [[(sign[k], band[k]) for sign, band in patterns] for k in range(2 * n)]
-        crossed = [_patterns_disagree(members[k], members[n + k]) for k in range(n)]
-        return losses[:n], losses[n:], crossed
+        _, cov, denom = _moments(pred.value.reshape(2 * n, -1)[:, win.valid], truth)
+        ccc = np.divide(2.0 * cov, denom, out=np.zeros_like(denom), where=denom != 0.0)
+        losses = (1.0 - ccc).tolist()
+        crossed = np.zeros(n, dtype=bool)
+        for sign, band in patterns:
+            differ = (sign[:n] != sign[n:]) | (band[:n] != band[n:])
+            crossed |= differ.reshape(n, -1).any(axis=1)
+        return losses[:n], losses[n:], crossed.tolist()
 
     return probe
 

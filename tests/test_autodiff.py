@@ -1,5 +1,6 @@
 """Tests for the reverse-mode core: forward oracles, then gradient rules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 
 from avfusion import autodiff as ad
 from avfusion.exceptions import DimensionError, NumericError, ParameterError
+from avfusion.model import EmotionModel, ModelConfig
+from avfusion.synthdata import GenConfig, generate, window
+from avfusion.training import AdamState, adam_step
 
 
 def matmul_oracle(a, b):
@@ -259,6 +263,36 @@ class TestBatchAxis:
         with pytest.raises(DimensionError, match="rank 4"):
             ad.Tensor(np.zeros((1, 1, 1, 1)))
 
+    @pytest.mark.parametrize("weight_side", ["right", "left"])
+    def test_gradcheck_weight_across_batch(self, weight_side):
+        # (3, r, k) @ (k, c) and (k, r) @ (3, r, c); the batch operand is a
+        # reshaped matrix so gradcheck probes both operands
+        rng = np.random.default_rng(11)
+        x = ad.Tensor(rng.standard_normal((3 * 4, 5)), name="x")
+        if weight_side == "right":
+            w = ad.Tensor(rng.standard_normal((5, 2)), name="w")
+
+            def f():
+                return ad.tanh(ad.reshape(x, (3, 4, 5)) @ w).sum()
+        else:
+            w = ad.Tensor(rng.standard_normal((2, 4)), name="w")
+
+            def f():
+                return ad.tanh(w @ ad.reshape(x, (3, 4, 5))).sum()
+
+        report = ad.gradcheck(f, {"x": x, "w": w})
+        assert report.checked == x.value.size + w.value.size
+        assert report.worst < 1e-7
+
+    def test_folded_weight_gradient_equals_member_sum(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((3, 4, 5))
+        w = ad.Tensor(rng.standard_normal((5, 2)))
+        g = rng.standard_normal((3, 4, 2))
+        (ad.Tensor(a) @ w).backward(seed=g)
+        expected = sum(a[b].T @ g[b] for b in range(3))
+        np.testing.assert_allclose(w.grad, expected, rtol=1e-12, atol=0)
+
 
 def quadratic_cases(rng):
     """Small differentiable programs exercising every op with gradients,
@@ -388,3 +422,120 @@ class TestGraphMechanics:
     def test_finite_check_helper(self):
         with pytest.raises(NumericError, match="stage-3"):
             ad.check_finite(np.array([[np.nan]]), "stage-3")
+
+
+def graph_nodes(out):
+    """Every node ``out`` reaches through its parents, parents first."""
+    order, seen, stack = [], set(), [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
+    return order
+
+
+def zero_start_grads(out):
+    """The reference backward pass: every grad starts as a zero array and
+    every contribution is added to it."""
+    order = graph_nodes(out)
+    for node in order:
+        node.grad = np.zeros_like(node.value)
+    out.grad = np.ones_like(out.value)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward()
+    return [node.grad.copy() for node in order]
+
+
+def assert_matches_zero_start(build):
+    """``build()`` makes the same graph each call; the lazy pass must leave
+    every node, inner ones too, with the reference's grad."""
+    out = build()
+    out.backward()
+    lazy = [node.grad.copy() for node in graph_nodes(out)]
+    reference = zero_start_grads(build())
+    assert len(lazy) == len(reference)
+    for got, want in zip(lazy, reference):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestLazyGrads:
+    def test_one_tensor_feeding_add_and_mul(self):
+        values = np.array([[0.5, -1.5, 2.0]])
+
+        def build():
+            x = ad.Tensor(values)
+            return ad.tanh(ad.add(x, x) + ad.mul(x, x)).sum()
+
+        assert_matches_zero_start(build)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: ad.reshape(x, (3, 2)),
+            ad.transpose,
+            lambda x: ad.concat_rows(x, ad.Tensor(np.ones((1, 3)))),
+        ],
+        ids=["reshape", "transpose", "concat_rows"],
+    )
+    def test_view_op_output_with_two_consumers(self, op):
+        values = np.array([[0.3, -0.7, 1.1], [2.0, -0.2, 0.4]])
+
+        def build():
+            x = ad.Tensor(values)
+            y = op(x)  # its input and its output both have a second consumer
+            first = ad.add(y, y)
+            second = ad.mul(ad.tanh(y), y)
+            return ad.add(ad.add(first, second).sum(), (x * 3.0).sum())
+
+        assert_matches_zero_start(build)
+
+    def test_hgrjca_batch_grads_are_distinct_arrays(self):
+        clips = generate(GenConfig(num_videos=12, frames=64, dim_audio=16, dim_visual=16, seed=4))
+        windows = [w for clip in clips for w in window(clip, 64, 64)]
+        assert len(windows) == 12
+        model = EmotionModel(
+            ModelConfig(mode="HGRJCA", dim_audio=16, dim_visual=16, seq_len=64, depth=3),
+            rng=np.random.default_rng(0),
+        )
+
+        def build():
+            return model.batch_loss(windows, "valence", dropout_rng=np.random.default_rng(1))
+
+        loss = build()
+        loss.backward()
+        nodes = graph_nodes(loss)
+        for i, a in enumerate(nodes):
+            assert a.grad.shape == a.value.shape
+            for b in nodes[i + 1 :]:
+                assert not np.shares_memory(a.grad, b.grad)
+        for name, p in model.parameters().items():
+            assert p.grad.shape == p.value.shape, name
+        assert_matches_zero_start(build)
+
+    def test_degenerate_loss_leaves_zero_grads(self):
+        # zero output layer and zero targets: both sides constant and equal,
+        # so the CCC denominator is 0 and the loss pushes no gradient
+        clips = generate(GenConfig(num_videos=2, frames=16, dim_audio=4, dim_visual=4, seed=2))
+        windows = [w for clip in clips for w in window(clip, 16, 16)]
+        windows = [dataclasses.replace(w, valence=np.zeros_like(w.valence)) for w in windows]
+        model = EmotionModel(
+            ModelConfig(mode="GRJCA", dim_audio=4, dim_visual=4, seq_len=16, depth=2),
+            rng=np.random.default_rng(0),
+        )
+        model.head.weights[-1].value[...] = 0.0
+        loss = model.batch_loss(windows, "valence")
+        assert loss.item() == 1.0
+        loss.backward()
+        params = model.parameters()
+        before = {name: p.value.copy() for name, p in params.items()}
+        for name, p in params.items():
+            assert p.grad.shape == p.value.shape, name
+            assert not p.grad.any(), name
+        adam_step(params, AdamState(), 1e-3)
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.value, before[name])

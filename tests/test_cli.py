@@ -299,6 +299,18 @@ class TestThreads:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("verification failure: non-finite")
 
+    def test_worker_failure_names_fold_and_epoch(self, tmp_path, capsys):
+        # each fold trains on one batch here, so the first forward to
+        # overflow is fold 0's first validation pass, serial or pooled
+        config, _ = write_experiment(tmp_path, training={"init_lr": 1e300, "warmup_epochs": 0})
+        assert main(["gen", "--config", str(config)]) == 0
+        capsys.readouterr()
+        for threads in ("1", "2"):
+            assert main(["train", "--config", str(config), "--threads", threads]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("verification failure: non-finite")
+            assert err.endswith(" (fold 0, epoch 0, validation)\n")
+
     def test_pool_is_capped_at_tasks_and_cpus(self, tmp_path, capsys, monkeypatch):
         import concurrent.futures
 

@@ -200,6 +200,14 @@ class TestTrainLoop:
         final = result.model.snapshot()
         assert all(np.array_equal(final[k], snapshots[0.6][k]) for k in final)
 
+    def test_numeric_failure_names_epoch_and_batch(self):
+        # after the first step at this rate the weights overflow the next
+        # batch's forward
+        clips = make_clips(6, frames=64)
+        config = small_config(init_lr=1e300, warmup_epochs=0, batch_size=2)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=r" \(epoch 0, batch 1\)$"):
+            train(clips[:4], clips[4:], config)
+
     def test_wrong_shape_snapshot_rejected(self):
         # a 1x1 bias would broadcast into the 8x1 hidden bias without the check
         model = EmotionModel(small_config().model_config(4, 4))

@@ -1,12 +1,16 @@
 """The gradcheck suite's stacked probe against the one-coordinate-at-a-time
 reference, and the suite against a deliberately broken backward rule."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from avfusion import autodiff as ad
 from avfusion import verify
 from avfusion.exceptions import NumericError
+from avfusion.metrics import ccc_flagged
 from avfusion.model import EmotionModel, ModelConfig
 from avfusion.temporal import TcnConfig
 
@@ -93,6 +97,24 @@ def test_one_kink_crossing_coordinate_is_skipped():
     assert (serial.skipped_kinks, serial.checked) == (1, 7)
     assert stacked.per_param == serial.per_param
     assert stacked.worst < verify.TOLERANCE
+
+
+def test_constant_prediction_member_scores_one_without_warning():
+    model, win, drop_seed, loss = probe_case()
+    # a zero output layer and zero targets: every member predicts exactly 0
+    # against constant truth, so its CCC denominator is 0
+    model.head.weights[-1].value[...] = 0.0
+    model.head.biases[-1].value[...] = 0.0
+    win = dataclasses.replace(win, valence=np.zeros_like(win.valence))
+    pred = model.forward([win], dropout_rng=verify.SharedMask(drop_seed)).value
+    assert ccc_flagged(pred[0, win.valid], win.valence[win.valid]) == (0.0, True)
+    probe = verify.stacked_probe(model, win, drop_seed)
+    coords = [(0, 0), (1, 2), (3, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hi, lo, crossed = probe(model.head.weights[0], coords, 1e-5)
+    assert hi == lo == [1.0, 1.0, 1.0]
+    assert crossed == [False, False, False]
 
 
 def test_nonfinite_member_loss_names_the_parameter():
