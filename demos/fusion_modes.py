@@ -8,11 +8,13 @@ recursion trajectory, and per-round hierarchical gating.
 import numpy as np
 
 from avfusion.autodiff import Tensor
-from avfusion.fusion import FusionConfig, FusionParams, ModalityFeatures, fusion_forward
+from avfusion.fusion import FusionParams, ModalityFeatures, fusion_forward
+from avfusion.model import ModelConfig
 
 
 def run(mode, audio, visual, depth=3, seed=0, temperature=0.1):
-    config = FusionConfig(
+    # the fusion stack reads its settings from the model's one config
+    config = ModelConfig(
         mode=mode,
         dim_audio=audio.shape[0],
         dim_visual=visual.shape[0],

@@ -4,7 +4,9 @@ Generates a small clean dataset, trains a gated fusion model on the
 valence channel, prints the epoch history (watch the learning rate ramp
 up over the warmup epochs), then evaluates frame-level predictions per
 clip and restores the best snapshot from a round trip through plain
-arrays.
+arrays.  The model settings (mode, depth, window, TCN, head, dropout)
+come from the training config, which copies them into the one
+``ModelConfig`` and checks them when it is built.
 """
 
 import numpy as np
@@ -75,6 +77,11 @@ def main():
     for clip_id, (preds, truths) in per_clip.items():
         print(f"  {clip_id}: ccc {ccc(np.array(preds), np.array(truths)):.4f} over {len(preds)} frames")
     print(f"pooled val ccc {report.ccc_valence:.4f} (training reported {result.best_val_ccc:.4f})")
+    # training keeps the best epoch's validation predictions, stitched per
+    # clip like evaluate's; cross-validation builds its fold report from them
+    kept = np.concatenate(result.predictions)
+    same = np.array_equal(kept, [float(row[2]) for row in rows])
+    print(f"restored weights reproduce the best epoch's {kept.size} kept predictions: {same}")
 
 
 if __name__ == "__main__":

@@ -226,12 +226,6 @@ class Tensor:
     def T(self):
         return transpose(self)
 
-    def tanh(self):
-        return tanh(self)
-
-    def relu(self):
-        return relu(self)
-
     def sum(self):
         return sum_all(self)
 
@@ -454,24 +448,21 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor._make(a.value.sum(keepdims=True).reshape(1, 1), (a,), backward)
 
 
-def softmax_temp(logits: Tensor, temperature: float, axis: str = "rows") -> Tensor:
-    """Temperature-scaled softmax over each row (``axis='rows'``) or column.
+def softmax_temp(logits: Tensor, temperature: float) -> Tensor:
+    """Temperature-scaled softmax over each row.
 
-    Computed with max-subtraction; each normalized slice sums to 1.  Small
-    temperatures sharpen the distribution toward the per-slice argmax.
+    Computed with max-subtraction; each normalized row sums to 1.  Small
+    temperatures sharpen the distribution toward the per-row argmax.
     """
     if temperature <= 0.0:
         raise ParameterError(f"softmax_temp: temperature must be > 0, got {temperature}")
-    if axis not in ("rows", "cols"):
-        raise ParameterError(f"softmax_temp: axis must be 'rows' or 'cols', got {axis!r}")
-    ax = -1 if axis == "rows" else -2
     z = logits.value / temperature
-    z = z - z.max(axis=ax, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=ax, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * y).sum(axis=ax, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         accumulate(logits, y * (g - inner) / temperature)
 
     return Tensor._make(y, (logits,), backward)

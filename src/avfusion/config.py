@@ -8,8 +8,11 @@ A run is described by one JSON object with three optional sections::
       "training":  { ... training.TrainConfig fields ... }
     }
 
-Every field has a default, unknown keys are rejected with the offending
-line number, and parse -> serialize -> parse is the identity.  The
+Every field has a default, unknown keys and values of the wrong JSON type
+are rejected with the offending line number, and parse -> serialize ->
+parse is the identity.  Float fields take integers too and keep them as
+given; the model settings among the training fields are checked by
+``model.ModelConfig`` when the training section is built.  The
 machine-readable field list lives in ``config.schema.json`` at the
 repository root.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .exceptions import ConfigError
@@ -32,39 +36,61 @@ class ExperimentConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
 
 
-def _key_line(text: str, key: str):
-    """1-based line of the first occurrence of a quoted key, if any."""
+def _key_line(text: str, key: str, start: int = 1):
+    """1-based line of the first occurrence of a quoted key at or after
+    line ``start``, if any."""
     needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines()[start - 1 :], start=start):
         if needle in line:
             return lineno
     return None
 
 
+def _where(text: str, section_name: str, key: str) -> str:
+    """`` (line N)`` for a key of a section, searched from the section's key on."""
+    line = _key_line(text, key, _key_line(text, section_name) or 1)
+    return f" (line {line})" if line is not None else ""
+
+
 def _check_keys(section_name: str, data: dict, allowed, text: str):
     for key in data:
-        if key in allowed:
-            continue
-        line = _key_line(text, key)
-        where = f" (line {line})" if line is not None else ""
-        raise ConfigError(
-            f"unknown key {key!r} in {section_name}{where}; "
-            f"expected one of: {', '.join(sorted(allowed))}"
-        )
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown key {key!r} in {section_name}{_where(text, section_name, key)}; "
+                f"expected one of: {', '.join(sorted(allowed))}"
+            )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# declared field type -> (test on the parsed JSON value, what the message asks for)
+_JSON_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (_is_int, "an integer"),
+    "float": (
+        lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+        "a finite number",
+    ),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+}
 
 
 def _build_section(section_name: str, cls, data, text: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{section_name} must be a JSON object, got {type(data).__name__}")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    _check_keys(section_name, data, allowed, text)
-    kwargs = dict(data)
-    if "head_hidden" in kwargs and isinstance(kwargs["head_hidden"], list):
-        kwargs["head_hidden"] = tuple(kwargs["head_hidden"])
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in {section_name}: {exc}") from exc
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    _check_keys(section_name, data, types, text)
+    for key, value in data.items():
+        accepts, expected = _JSON_TYPES[types[key]]
+        if not accepts(value):
+            raise ConfigError(
+                f"{key} in {section_name}{_where(text, section_name, key)} must be {expected}, "
+                f"got {json.dumps(value)}"
+            )
+    return cls(**{key: tuple(v) if types[key] == "tuple" else v for key, v in data.items()})
 
 
 def parse_config(text: str) -> ExperimentConfig:

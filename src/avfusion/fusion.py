@@ -26,12 +26,17 @@ row of every gate matrix sums to 1.
 
 Every feature matrix may carry a leading batch axis (B x d_mod x L, and
 B x L x L correlations); the weights are shared across it.
+
+:class:`FusionParams` is built from a :class:`~avfusion.model.ModelConfig`,
+which validates the mode, depth and temperature; it reads the mode, the
+sizes, ``depth``, ``temperature`` and ``joint_projection`` from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,43 +44,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .exceptions import ConfigError, DimensionError
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 MODES = ("JCA", "RJCA", "GRJCA", "HGRJCA")
-
-
-@dataclass
-class FusionConfig:
-    """Shape and behavior of one fusion stack.
-
-    ``depth`` is the number of recursion rounds (JCA requires 1).
-    ``temperature`` scales the gate softmax; smaller approaches hard
-    selection.  ``joint_projection`` toggles the learnable d x d map on
-    the concatenated joint representation.
-    """
-
-    mode: str
-    dim_audio: int
-    dim_visual: int
-    seq_len: int
-    depth: int = 1
-    temperature: float = 0.1
-    joint_projection: bool = True
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown fusion mode {self.mode!r}; expected one of {MODES}")
-        if self.depth < 1:
-            raise ConfigError(f"recursion depth must be >= 1, got {self.depth}")
-        if self.mode == "JCA" and self.depth != 1:
-            raise ConfigError(f"JCA is single-round; depth must be 1, got {self.depth}")
-        if self.temperature <= 0:
-            raise ConfigError(f"gate temperature must be > 0, got {self.temperature}")
-        for name in ("dim_audio", "dim_visual", "seq_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-
-    @property
-    def dim_joint(self):
-        return self.dim_audio + self.dim_visual
 
 
 @dataclass
@@ -140,7 +112,7 @@ class FusionParams:
     ``final_gate_*`` (d_mod x depth).
     """
 
-    def __init__(self, config: FusionConfig, rng=None):
+    def __init__(self, config: ModelConfig, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
         self.config = config
@@ -199,11 +171,11 @@ class FusionParams:
     def temperature(self):
         return self.config.temperature
 
-    def parameters(self) -> dict:
+    def parameters(self, prefix="") -> dict:
         """Stable name -> leaf tensor map (rounds are 1-based in names)."""
         out = {}
         for t in range(self.config.depth):
-            tag = f"round{t + 1}"
+            tag = f"{prefix}round{t + 1}"
             out[f"{tag}.corr_audio"] = self.corr_audio[t]
             out[f"{tag}.corr_visual"] = self.corr_visual[t]
             out[f"{tag}.attn_audio"] = self.attn_audio[t]
@@ -216,11 +188,11 @@ class FusionParams:
                 out[f"{tag}.iter_gate_audio"] = self.iter_gate_audio[t]
                 out[f"{tag}.iter_gate_visual"] = self.iter_gate_visual[t]
         if self.config.mode == "GRJCA":
-            out["gate_audio"] = self.gate_audio
-            out["gate_visual"] = self.gate_visual
+            out[f"{prefix}gate_audio"] = self.gate_audio
+            out[f"{prefix}gate_visual"] = self.gate_visual
         elif self.config.mode == "HGRJCA":
-            out["final_gate_audio"] = self.final_gate_audio
-            out["final_gate_visual"] = self.final_gate_visual
+            out[f"{prefix}final_gate_audio"] = self.final_gate_audio
+            out[f"{prefix}final_gate_visual"] = self.final_gate_visual
         for name, tensor in out.items():
             tensor.name = tensor.name or name
         return out
@@ -352,7 +324,7 @@ def grjca_gate(state: FusionState, params: FusionParams):
         (state.attended_visual, params.gate_visual),
     ):
         logits = attended[depth].T @ gate_w
-        gates = ad.softmax_temp(logits, params.temperature, axis="rows")
+        gates = ad.softmax_temp(logits, params.temperature)
         outputs.append((gates, ad.relu(ad.gated_sum(attended, gates))))
     (state.gates_audio, gated_a), (state.gates_visual, gated_v) = outputs
     return gated_a, gated_v
@@ -370,7 +342,7 @@ def hgrjca_iteration_gate(prev: Tensor, cur: Tensor, params: FusionParams, round
     }[modality]
     gate_w = weights[round_index - 1]
     logits = cur.T @ gate_w
-    gates = ad.softmax_temp(logits, params.temperature, axis="rows")
+    gates = ad.softmax_temp(logits, params.temperature)
     gated = ad.relu(ad.gated_sum([prev, cur], gates))
     return gates, gated
 
@@ -394,7 +366,7 @@ def hgrjca_final_gate(gated_audio, gated_visual, params: FusionParams):
         for g in gated[1:]:
             pooled = pooled + g
         logits = pooled.T @ gate_w
-        gates = ad.softmax_temp(logits, params.temperature, axis="rows")
+        gates = ad.softmax_temp(logits, params.temperature)
         outputs.append((gates, ad.relu(ad.gated_sum(gated, gates))))
     (gates_a, final_a), (gates_v, final_v) = outputs
     return (gates_a, gates_v), (final_a, final_v)

@@ -1,30 +1,41 @@
 """End-to-end regression model: per-modality temporal encoders, fusion,
-dropout on the fused features, and the frame-wise prediction head."""
+dropout on the fused features, and the frame-wise prediction head.
+
+:class:`ModelConfig` is the one record of model settings.  Every part of
+the network reads its sizes from it, and its checks run when it is
+built, so a training config that copies its settings into one is
+validated when the config file is parsed.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .exceptions import ParameterError
-from .fusion import FusionConfig, FusionParams, ModalityFeatures, fusion_forward
+from .exceptions import ConfigError, ParameterError
+from .fusion import MODES, FusionParams, ModalityFeatures, fusion_forward
 from .metrics import ccc_loss
-from .temporal import (
-    HeadConfig,
-    HeadParams,
-    TcnConfig,
-    TcnParams,
-    apply_dropout,
-    head_forward,
-    tcn_forward,
-)
+from .temporal import HeadParams, TcnParams, apply_dropout, head_forward, tcn_forward
 
 
 @dataclass
 class ModelConfig:
+    """Shape and behavior of one model.
+
+    ``seq_len`` is the window length the L x L attention weights are
+    sized for.  ``depth`` is the number of fusion recursion rounds (JCA
+    requires 1).  ``temperature`` scales the gate softmax; smaller
+    approaches hard selection.  ``joint_projection`` toggles the
+    learnable d x d map on the concatenated joint representation.  Each
+    temporal encoder has ``tcn_levels`` dilated convolutions of
+    ``tcn_kernel`` taps; the head has one relu layer per ``head_hidden``
+    entry.  ``dropout`` is the rate applied to the fused features while
+    training.
+    """
+
     mode: str
     dim_audio: int
     dim_visual: int
@@ -32,20 +43,36 @@ class ModelConfig:
     depth: int = 1
     temperature: float = 0.1
     joint_projection: bool = True
-    tcn: TcnConfig = field(default_factory=TcnConfig)
+    tcn_levels: int = 2
+    tcn_kernel: int = 3
     head_hidden: tuple = (16,)
     dropout: float = 0.5
 
-    def fusion_config(self):
-        return FusionConfig(
-            mode=self.mode,
-            dim_audio=self.dim_audio,
-            dim_visual=self.dim_visual,
-            seq_len=self.seq_len,
-            depth=self.depth,
-            temperature=self.temperature,
-            joint_projection=self.joint_projection,
-        )
+    def __post_init__(self):
+        self.head_hidden = tuple(self.head_hidden)
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.depth < 1:
+            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        if self.mode == "JCA" and self.depth != 1:
+            raise ConfigError(f"JCA is single-round; depth must be 1, got {self.depth}")
+        if self.temperature <= 0:
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        for name in ("dim_audio", "dim_visual", "tcn_levels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seq_len < 1:
+            raise ConfigError(f"seq_len (the window_len) must be >= 1, got {self.seq_len}")
+        if self.tcn_kernel < 2:
+            raise ConfigError(f"tcn_kernel must be >= 2, got {self.tcn_kernel}")
+        if any(n < 1 for n in self.head_hidden):
+            raise ConfigError(f"head_hidden sizes must be >= 1, got {list(self.head_hidden)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+
+    @property
+    def dim_joint(self):
+        return self.dim_audio + self.dim_visual
 
 
 class EmotionModel:
@@ -62,20 +89,17 @@ class EmotionModel:
         if rng is None:
             rng = np.random.default_rng(0)
         self.config = config
-        self.tcn_audio = TcnParams(config.dim_audio, config.tcn, rng=rng)
-        self.tcn_visual = TcnParams(config.dim_visual, config.tcn, rng=rng)
-        self.fusion = FusionParams(config.fusion_config(), rng=rng)
-        fused_dim = config.dim_audio + config.dim_visual  # the encoders keep each dimension
-        self.head = HeadParams(fused_dim, HeadConfig(hidden=tuple(config.head_hidden)), rng=rng)
+        self.tcn_audio = TcnParams(config.dim_audio, config.tcn_levels, config.tcn_kernel, rng=rng)
+        self.tcn_visual = TcnParams(config.dim_visual, config.tcn_levels, config.tcn_kernel, rng=rng)
+        self.fusion = FusionParams(config, rng=rng)
+        # the encoders keep each dimension, so the fused features have dim_joint rows
+        self.head = HeadParams(config.dim_joint, config.head_hidden, rng=rng)
 
     def parameters(self) -> dict:
         out = {}
         out.update(self.tcn_audio.parameters(prefix="tcn_audio."))
         out.update(self.tcn_visual.parameters(prefix="tcn_visual."))
-        for name, tensor in self.fusion.parameters().items():
-            key = f"fusion.{name}"
-            tensor.name = key
-            out[key] = tensor
+        out.update(self.fusion.parameters(prefix="fusion."))
         out.update(self.head.parameters(prefix="head."))
         for name, tensor in out.items():
             tensor.name = name

@@ -11,11 +11,14 @@ tap products) plus a bias.  Features may carry a leading batch axis
 
 The head is an MLP applied frame-wise: relu hidden layers, then a tanh
 output bounded to [-1, 1] to match the label range.
+
+The sizes come from :class:`~avfusion.model.ModelConfig` (``tcn_levels``,
+``tcn_kernel``, ``head_hidden``), which validates them; the parameter
+classes take them as plain values, and the forward passes read the level,
+tap and layer counts back from the weights they hold.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,40 +28,26 @@ from .exceptions import ConfigError
 from .fusion import xavier_uniform
 
 
-@dataclass
-class TcnConfig:
-    levels: int = 2
-    kernel_size: int = 3
-
-    def __post_init__(self):
-        if self.levels < 1:
-            raise ConfigError(f"levels must be >= 1, got {self.levels}")
-        if self.kernel_size < 2:
-            raise ConfigError(f"kernel_size must be >= 2, got {self.kernel_size}")
-
-    def receptive_field(self):
-        return 1 + (self.kernel_size - 1) * (2**self.levels - 1)
+def receptive_field(levels: int, kernel_size: int) -> int:
+    """Frames an encoder output sees: itself and every frame it reaches back to."""
+    return 1 + (kernel_size - 1) * (2**levels - 1)
 
 
 class TcnParams:
     """Per level: one dim_in x dim_in tap matrix per kernel position and a
     dim_in x 1 bias; the output keeps the input's dimension."""
 
-    def __init__(self, dim_in: int, config: TcnConfig, rng=None):
+    def __init__(self, dim_in: int, levels: int, kernel_size: int, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.config = config
         self.taps = []
         self.biases = []
-        k = config.kernel_size
-        for _ in range(config.levels):
-            # The k taps are summed, so the effective fan of the conv is k
-            # times the per-tap fan; fold that into the Xavier limit.
+        fan = kernel_size * dim_in
+        for _ in range(levels):
+            # The taps are summed, so the effective fan of the conv is
+            # kernel_size times the per-tap fan; fold that into the Xavier limit.
             self.taps.append(
-                [
-                    Tensor(xavier_uniform(rng, dim_in, dim_in, fan=(k * dim_in, k * dim_in)))
-                    for _ in range(k)
-                ]
+                [Tensor(xavier_uniform(rng, dim_in, dim_in, fan=(fan, fan))) for _ in range(kernel_size)]
             )
             self.biases.append(Tensor(np.zeros((dim_in, 1))))
 
@@ -93,37 +82,26 @@ def tcn_forward(x: Tensor, params: TcnParams) -> Tensor:
     length; a shift spanning the whole sequence is a configuration error.
     ``x`` is d x L, or B x d x L for a batch of windows.
     """
-    config = params.config
     L = x.cols
     h = x
-    for level in range(config.levels):
+    for level, taps in enumerate(params.taps):
         dilation = 2**level
-        max_offset = (config.kernel_size - 1) * dilation
+        max_offset = (len(taps) - 1) * dilation
         if max_offset >= L:
             raise ConfigError(
                 f"level {level + 1} needs {max_offset} frames of left padding "
-                f"but the sequence has only {L}; reduce levels or kernel_size"
+                f"but the sequence has only {L}; reduce tcn_levels or tcn_kernel"
             )
-        conv = ad.causal_conv(h, params.taps[level], dilation)
+        conv = ad.causal_conv(h, taps, dilation)
         h = ad.relu(ad.add_colvec(conv, params.biases[level])) + h
     return h
 
 
-@dataclass
-class HeadConfig:
-    hidden: tuple = (16,)
-
-    def __post_init__(self):
-        if any(n < 1 for n in self.hidden):
-            raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden}")
-
-
 class HeadParams:
-    def __init__(self, dim_in: int, config: HeadConfig, rng=None):
+    def __init__(self, dim_in: int, hidden, rng=None):
         if rng is None:
             rng = np.random.default_rng(0)
-        self.config = config
-        sizes = [dim_in, *config.hidden, 1]  # one target channel
+        sizes = [dim_in, *hidden, 1]  # one target channel
         self.weights = []
         self.biases = []
         for c_in, c_out in zip(sizes[:-1], sizes[1:]):

@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, NumericError, ParameterError
-from .fusion import MODES
 from .metrics import EvalReport, ccc_flagged
 from .model import EmotionModel, ModelConfig
 from .synthdata import window
-from .temporal import TcnConfig
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -56,8 +54,6 @@ class TrainConfig:
     head_hidden: tuple = (16,)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.target not in ("valence", "arousal"):
             raise ConfigError(f"target must be 'valence' or 'arousal', got {self.target!r}")
         if not 0.0 < self.plateau_factor < 1.0:
@@ -68,11 +64,13 @@ class TrainConfig:
             raise ConfigError("patience values must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("depth", "batch_size", "max_epochs", "window_len", "window_stride", "folds"):
+        for name in ("batch_size", "max_epochs", "window_stride", "folds"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.warmup_epochs < 0:
             raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        # the model settings are checked where the model reads them
+        self.model_config(1, 1)
 
     def model_config(self, dim_audio, dim_visual):
         return ModelConfig(
@@ -83,8 +81,9 @@ class TrainConfig:
             depth=self.depth,
             temperature=self.temperature,
             joint_projection=self.joint_projection,
-            tcn=TcnConfig(levels=self.tcn_levels, kernel_size=self.tcn_kernel),
-            head_hidden=tuple(self.head_hidden),
+            tcn_levels=self.tcn_levels,
+            tcn_kernel=self.tcn_kernel,
+            head_hidden=self.head_hidden,
             dropout=self.dropout,
         )
 
@@ -247,6 +246,7 @@ class TrainResult:
     history: list  # (epoch, lr, train_loss, val_ccc)
     best_val_ccc: float
     best_epoch: int
+    predictions: list  # per validation clip, the best epoch's frame predictions
 
     def history_rows(self):
         rows = [["epoch", "lr", "train_loss", "val_ccc"]]
@@ -255,25 +255,37 @@ class TrainResult:
         return rows
 
 
-def _batched(windows, size: int):
-    return [windows[b : b + size] for b in range(0, len(windows), size)]
+def _clip_predictions(model: EmotionModel, clips, config: TrainConfig):
+    """One prediction per frame of every clip.
+
+    Clips are cut into non-overlapping windows, forwarded
+    ``config.batch_size`` windows at a time and stitched back per clip.
+    """
+    owners = []
+    windows = []
+    for i, clip in enumerate(clips):
+        for win in window(clip, config.window_len, config.window_len):
+            owners.append(i)
+            windows.append(win)
+    clip_preds = [np.empty(clip.frames) for clip in clips]
+    for b in range(0, len(windows), config.batch_size):
+        batch = windows[b : b + config.batch_size]
+        outs = model.forward(batch).value.reshape(len(batch), -1)
+        for i, win, out in zip(owners[b : b + config.batch_size], batch, outs):
+            start = win.frame_offset - clips[i].frame_offset
+            real = min(config.window_len, clips[i].frames - start)
+            clip_preds[i][start : start + real] = out[:real]
+    return clip_preds
 
 
-def _predictions(model: EmotionModel, batches):
-    """(window, prediction row) for every window, one forward per batch."""
-    for batch in batches:
-        yield from zip(batch, model.forward(batch).value.reshape(len(batch), -1))
-
-
-def _pooled_ccc(model: EmotionModel, batches, target: str):
-    """Pooled concordance over the valid frames of batches of windows."""
-    preds = []
-    truths = []
-    for win, out in _predictions(model, batches):
-        preds.append(out[win.valid])
-        truths.append(getattr(win, target)[win.valid])
-    value, degenerate = ccc_flagged(np.concatenate(preds), np.concatenate(truths))
-    return value, degenerate
+def _pooled_ccc(model: EmotionModel, clips, config: TrainConfig):
+    """Validation pass: the per-clip predictions, and their pooled
+    concordance with the target over the clips' valid frames."""
+    clip_preds = _clip_predictions(model, clips, config)
+    valid = np.concatenate([clip.valid for clip in clips])
+    truth = np.concatenate([getattr(clip, config.target) for clip in clips])
+    value, _ = ccc_flagged(np.concatenate(clip_preds)[valid], truth[valid])
+    return clip_preds, value
 
 
 def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult:
@@ -292,10 +304,6 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
     train_windows = [
         w for clip in train_clips for w in window(clip, config.window_len, config.window_stride)
     ]
-    val_windows = [
-        w for clip in val_clips for w in window(clip, config.window_len, config.window_len)
-    ]
-    val_batches = _batched(val_windows, config.batch_size)
 
     model = EmotionModel(config.model_config(dim_audio, dim_visual), rng=config.model_rng())
     adam = AdamState()
@@ -303,6 +311,7 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
     best_snapshot = model.snapshot()
     best_ccc = -math.inf
     best_epoch = 0
+    best_preds = None
     stale = 0
     history = []
     where = "" if fold is None else f"fold {fold}, "
@@ -326,7 +335,7 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
                 raise NumericError(f"{exc} ({where}epoch {epoch}, batch {b // config.batch_size})") from exc
             batch_losses.append(loss.item())
         try:
-            val_ccc, _ = _pooled_ccc(model, val_batches, config.target)
+            val_preds, val_ccc = _pooled_ccc(model, val_clips, config)
         except NumericError as exc:
             raise NumericError(f"{exc} ({where}epoch {epoch}, validation)") from exc
         history.append((epoch, lr, float(np.mean(batch_losses)), val_ccc))
@@ -334,6 +343,7 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
             best_ccc = val_ccc
             best_epoch = epoch
             best_snapshot = model.snapshot()
+            best_preds = val_preds
             stale = 0
         else:
             stale += 1
@@ -342,29 +352,13 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
             break
 
     model.load_snapshot(best_snapshot)
-    return TrainResult(model=model, history=history, best_val_ccc=best_ccc, best_epoch=best_epoch)
+    return TrainResult(
+        model=model, history=history, best_val_ccc=best_ccc, best_epoch=best_epoch, predictions=best_preds
+    )
 
 
-def evaluate(model: EmotionModel, clips, config: TrainConfig, fold=None):
-    """Pooled concordance over every frame of every clip, plus prediction
-    rows (clip, frame, pred, truth) for the trained target channel.
-
-    Clips are cut into non-overlapping windows, forwarded
-    ``config.batch_size`` windows at a time and stitched back per clip.
-    """
-    if not clips:
-        raise ConfigError("evaluate: no clips given")
-    retain_freed_heap()
-    owners = []
-    windows = []
-    for i, clip in enumerate(clips):
-        for win in window(clip, config.window_len, config.window_len):
-            owners.append(i)
-            windows.append(win)
-    clip_preds = [np.empty(clip.frames) for clip in clips]
-    for i, (win, out) in zip(owners, _predictions(model, _batched(windows, config.batch_size))):
-        start = win.frame_offset - clips[i].frame_offset
-        clip_preds[i][start : start + int(win.valid.sum())] = out[win.valid]
+def _report(clips, clip_preds, config: TrainConfig, fold=None):
+    """What :func:`evaluate` returns, from per-clip predictions."""
     rows = []
     per_clip = {}
     for clip, preds in zip(clips, clip_preds):
@@ -385,6 +379,15 @@ def evaluate(model: EmotionModel, clips, config: TrainConfig, fold=None):
         degenerate=degenerate,
     )
     return report, rows
+
+
+def evaluate(model: EmotionModel, clips, config: TrainConfig, fold=None):
+    """Pooled concordance over every frame of every clip, plus prediction
+    rows (clip, frame, pred, truth) for the trained target channel."""
+    if not clips:
+        raise ConfigError("evaluate: no clips given")
+    retain_freed_heap()
+    return _report(clips, _clip_predictions(model, clips, config), config, fold)
 
 
 # -- cross-validation --------------------------------------------------------
@@ -424,7 +427,8 @@ def cross_validate(clips, config: TrainConfig, workers: int = 1):
         train_clips = [c for i, c in enumerate(clips) if i not in val_set]
         val_clips = [clips[i] for i in folds[fold]]
         result = train(train_clips, val_clips, config, fold=fold)
-        report, predictions = evaluate(result.model, val_clips, config, fold=fold)
+        # the best epoch's validation pass already predicted every val frame
+        report, predictions = _report(val_clips, result.predictions, config, fold=fold)
         return FoldOutcome(
             fold=fold,
             report=report,

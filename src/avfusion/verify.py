@@ -27,7 +27,6 @@ from .autodiff import gradcheck, record_kinks
 from .metrics import _moments
 from .model import EmotionModel, ModelConfig
 from .synthdata import LabeledClip
-from .temporal import TcnConfig
 from .training import map_in_order
 
 TOLERANCE = 1e-5
@@ -176,7 +175,8 @@ def run_gradcheck_suite(
             dim_visual=dim_visual,
             seq_len=seq_len,
             depth=depth,
-            tcn=TcnConfig(levels=2, kernel_size=3),
+            tcn_levels=2,
+            tcn_kernel=3,
             dropout=0.5,
         )
         model = EmotionModel(config, rng=rng)

@@ -20,8 +20,9 @@ import pytest
 
 from avfusion.autodiff import Tensor
 from avfusion.cli import main
-from avfusion.fusion import FusionConfig, FusionParams, ModalityFeatures, rjca_forward
+from avfusion.fusion import FusionParams, ModalityFeatures, rjca_forward
 from avfusion.metrics import ccc
+from avfusion.model import ModelConfig
 from avfusion.synthdata import GenConfig, generate
 from avfusion.training import (
     SchedulerState,
@@ -101,8 +102,8 @@ class TestCriterion3Identities:
 
         # recursion depth 1 must reduce to the non-recursive mechanism bit-exact
         kwargs = dict(dim_audio=4, dim_visual=5, seq_len=6, depth=1)
-        p_jca = FusionParams(FusionConfig("JCA", **kwargs), rng=np.random.default_rng(1))
-        p_rjca = FusionParams(FusionConfig("RJCA", **kwargs), rng=np.random.default_rng(1))
+        p_jca = FusionParams(ModelConfig("JCA", **kwargs), rng=np.random.default_rng(1))
+        p_rjca = FusionParams(ModelConfig("RJCA", **kwargs), rng=np.random.default_rng(1))
         randomize(p_jca, np.random.default_rng(2))
         randomize(p_rjca, np.random.default_rng(2))
         rng = np.random.default_rng(3)
@@ -115,7 +116,7 @@ class TestCriterion3Identities:
 
         # zero weights: the residual path must pass inputs through exactly
         p_zero = FusionParams(
-            FusionConfig("RJCA", dim_audio=3, dim_visual=4, seq_len=5, depth=3),
+            ModelConfig("RJCA", dim_audio=3, dim_visual=4, seq_len=5, depth=3),
             rng=np.random.default_rng(4),
         )
         for p in p_zero.parameters().values():
@@ -129,7 +130,7 @@ class TestCriterion3Identities:
             failures.append("zero-weight residual identity")
 
         # gate rows are convex weights
-        config = FusionConfig("GRJCA", dim_audio=6, dim_visual=6, seq_len=4, depth=3)
+        config = ModelConfig("GRJCA", dim_audio=6, dim_visual=6, seq_len=4, depth=3)
         params = FusionParams(config, rng=np.random.default_rng(5))
         randomize(params, np.random.default_rng(6))
         audio, visual = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
@@ -142,7 +143,7 @@ class TestCriterion3Identities:
             failures.append(f"gate normalization ({gate_err:.2e})")
 
         # near-zero temperature approaches hard argmax selection
-        config = FusionConfig(
+        config = ModelConfig(
             "GRJCA", dim_audio=6, dim_visual=6, seq_len=4, depth=2, temperature=1e-3
         )
         params = FusionParams(config, rng=np.random.default_rng(7))

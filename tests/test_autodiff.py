@@ -118,8 +118,8 @@ class TestSoftmax:
         rng = np.random.default_rng(13)
         for temp in (0.01, 0.1, 1.0):
             logits = ad.Tensor(rng.uniform(-5, 5, (6, 4)))
-            rows = ad.softmax_temp(logits, temp, axis="rows").value
-            cols = ad.softmax_temp(logits, temp, axis="cols").value
+            rows = ad.softmax_temp(logits, temp).value
+            cols = ad.softmax_temp(logits.T, temp).value.T
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(cols.sum(axis=0), 1.0, atol=1e-12)
             # Extreme sharpness may underflow losing entries to exact zero.
@@ -311,9 +311,9 @@ def quadratic_cases(rng):
         h = ad.add_colvec(h, b)
         h = ad.tanh(h)
         conv = ad.causal_conv(h, taps, 2)
-        gates = ad.softmax_temp(h.T @ g, 0.5, axis="rows")
+        gates = ad.softmax_temp(h.T @ g, 0.5)
         mixed = ad.gated_sum([h, conv], gates)
-        norm = ad.softmax_temp(mixed, 0.7, axis="cols")
+        norm = ad.softmax_temp(mixed.T, 0.7).T
         row = ad.reshape(ad.concat_rows(norm, h), (1, -1))
         spread = ad.mul_const(row, weights) + row * 0.5
         total = (spread * spread).sum()

@@ -430,6 +430,29 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert f"{name}: row {row} " in err
 
+    @pytest.mark.parametrize(
+        "training, key",
+        [
+            ({"mode": "JCA", "depth": 2}, "depth"),
+            ({"temperature": 0}, "temperature"),
+            ({"tcn_levels": 0}, "tcn_levels"),
+            ({"tcn_kernel": 1}, "tcn_kernel"),
+            ({"head_hidden": [0]}, "head_hidden"),
+            ({"dropout": 1.0}, "dropout"),
+            ({"dropout": -0.5}, "dropout"),
+            ({"depth": 1.5}, "depth"),
+        ],
+    )
+    def test_bad_model_setting_fails_at_gen(self, tmp_path, capsys, training, key):
+        # model settings are checked when the config is parsed, before any
+        # data is written
+        config, out = write_experiment(tmp_path, training=training)
+        assert main(["gen", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: ") and key in err
+        assert not out.exists()
+
     def test_bad_thread_count(self, tmp_path, capsys):
         config, _ = write_experiment(tmp_path)
         assert main(["gen", "--config", str(config), "--threads", "0"]) == 2

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avfusion.config import ExperimentConfig, load_config, parse_config, serialize_config
 from avfusion.exceptions import ConfigError
@@ -108,6 +110,88 @@ class TestErrors:
             parse_config('{"training": {"mode": "XYZ"}}')
         with pytest.raises(ConfigError, match="complementarity"):
             parse_config('{"generator": {"complementarity": 2.0}}')
+
+
+# every reproduction of a bad value that once ended in a traceback, in a
+# silent accept, or only once train had loaded the dataset
+BAD_TYPES = [
+    ("training", "depth", 1.5),
+    ("training", "batch_size", 2.5),
+    ("training", "temperature", "0.1"),
+    ("training", "head_hidden", "16"),
+    ("training", "head_hidden", [1.5]),
+    ("generator", "frames", 16.5),
+    ("generator", "seed", 1.5),
+    ("training", "joint_projection", "no"),
+    ("training", "depth", True),
+    ("training", "init_lr", float("nan")),
+]
+BAD_RANGES = [
+    ("training", "dropout", -0.5),
+    ("training", "dropout", 1.0),
+    ("training", "temperature", 0),
+    ("training", "tcn_levels", 0),
+    ("training", "tcn_kernel", 1),
+    ("training", "head_hidden", [0]),
+]
+
+
+def one_key(section, key, value):
+    """A config whose only setting sits on line 3."""
+    return f'{{\n  "{section}": {{\n    "{key}": {json.dumps(value)}\n  }}\n}}'
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("section, key, value", BAD_TYPES)
+    def test_wrong_type_names_key_and_line(self, section, key, value):
+        expected = "(true or false|an integer|a finite number|a string|a list of integers)"
+        with pytest.raises(ConfigError, match=rf"^{key} in {section} \(line 3\) must be {expected}, got "):
+            parse_config(one_key(section, key, value))
+
+    @pytest.mark.parametrize("section, key, value", BAD_RANGES)
+    def test_out_of_range_model_setting_names_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(one_key(section, key, value))
+
+    def test_line_is_searched_within_the_section(self):
+        text = '{\n  "training": {"seed": 0},\n  "generator": {\n    "seed": 1.5\n  }\n}'
+        with pytest.raises(ConfigError, match=r"^seed in generator \(line 4\) "):
+            parse_config(text)
+
+    def test_float_fields_keep_integers(self):
+        cfg = parse_config('{"training": {"temperature": 1, "init_lr": 1}}')
+        assert cfg.training.temperature == 1 and type(cfg.training.temperature) is int
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+DECLARED = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,), "tuple": (tuple,)}
+
+FIELDS = [
+    (section, f)
+    for section, cls in (("generator", GenConfig), ("training", TrainConfig))
+    for f in dataclasses.fields(cls)
+]
+
+
+@pytest.mark.parametrize("section, field", FIELDS, ids=[f"{s}.{f.name}" for s, f in FIELDS])
+@settings(max_examples=40, deadline=None)
+@given(value=JSON_VALUES)
+def test_any_json_value_parses_typed_or_is_config_error(section, field, value):
+    text = json.dumps({section: {field.name: value}})
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    parsed = getattr(getattr(cfg, section), field.name)
+    assert type(parsed) in DECLARED[field.type]
+    if field.type == "tuple":
+        assert all(type(n) is int for n in parsed)
 
 
 class TestSchemaFile:

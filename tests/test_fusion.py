@@ -16,7 +16,6 @@ from avfusion import autodiff as ad
 from avfusion.autodiff import Tensor, gradcheck
 from avfusion.exceptions import ConfigError, DimensionError, NumericError
 from avfusion.fusion import (
-    FusionConfig,
     FusionParams,
     ModalityFeatures,
     fusion_forward,
@@ -24,6 +23,7 @@ from avfusion.fusion import (
     rjca_forward,
 )
 from avfusion.metrics import ccc_loss
+from avfusion.model import ModelConfig
 
 
 # -- straight-line oracle ----------------------------------------------------
@@ -104,7 +104,7 @@ def random_case(rng, mode):
     d_v = int(rng.integers(1, 9))
     L = int(rng.integers(1, 9))
     depth = 1 if mode == "JCA" else int(rng.integers(1, 4))
-    config = FusionConfig(
+    config = ModelConfig(
         mode=mode,
         dim_audio=d_a,
         dim_visual=d_v,
@@ -147,7 +147,7 @@ class TestOracleEquivalence:
 
     def test_hgrjca_fixed_seed_case(self):
         rng = np.random.default_rng(7)
-        config = FusionConfig("HGRJCA", dim_audio=4, dim_visual=4, seq_len=5, depth=2)
+        config = ModelConfig("HGRJCA", dim_audio=4, dim_visual=4, seq_len=5, depth=2)
         params = FusionParams(config, rng=np.random.default_rng(7))
         randomize(params, np.random.default_rng(8))
         audio = rng.standard_normal((4, 5))
@@ -160,7 +160,7 @@ class TestOracleEquivalence:
 class TestShapes:
     def test_fused_shape(self):
         for mode, depth in (("JCA", 1), ("RJCA", 3), ("GRJCA", 2), ("HGRJCA", 2)):
-            config = FusionConfig(mode, dim_audio=3, dim_visual=5, seq_len=4, depth=depth)
+            config = ModelConfig(mode, dim_audio=3, dim_visual=5, seq_len=4, depth=depth)
             params = FusionParams(config, rng=np.random.default_rng(1))
             rng = np.random.default_rng(2)
             state = run_modular(rng.standard_normal((3, 4)), rng.standard_normal((5, 4)), params)
@@ -168,7 +168,7 @@ class TestShapes:
 
     def test_attended_shapes_preserved(self):
         for depth in (1, 2, 3, 4):
-            config = FusionConfig("RJCA", dim_audio=3, dim_visual=2, seq_len=6, depth=depth)
+            config = ModelConfig("RJCA", dim_audio=3, dim_visual=2, seq_len=6, depth=depth)
             params = FusionParams(config, rng=np.random.default_rng(3))
             rng = np.random.default_rng(4)
             state = run_modular(rng.standard_normal((3, 6)), rng.standard_normal((2, 6)), params)
@@ -178,7 +178,7 @@ class TestShapes:
                 assert state.attended_visual[t].shape == (2, 6)
 
     def test_joint_shape(self):
-        config = FusionConfig("JCA", dim_audio=2, dim_visual=3, seq_len=4)
+        config = ModelConfig("JCA", dim_audio=2, dim_visual=3, seq_len=4)
         params = FusionParams(config, rng=np.random.default_rng(5))
         rng = np.random.default_rng(6)
         state = run_modular(rng.standard_normal((2, 4)), rng.standard_normal((3, 4)), params)
@@ -195,7 +195,7 @@ class TestRoundPieces:
     def test_correlation_bounded_and_scaled(self):
         # single scalar case evaluates the whole formula by hand:
         # tanh(x^T w j / sqrt(d)) with every value 1 and d = 2
-        config = FusionConfig("JCA", dim_audio=1, dim_visual=1, seq_len=1, joint_projection=False)
+        config = ModelConfig("JCA", dim_audio=1, dim_visual=1, seq_len=1, joint_projection=False)
         params = FusionParams(config, rng=np.random.default_rng(0))
         for p in params.parameters().values():
             p.value[...] = 1.0
@@ -205,7 +205,7 @@ class TestRoundPieces:
 
     def test_correlation_range(self):
         rng = np.random.default_rng(11)
-        config = FusionConfig("RJCA", dim_audio=4, dim_visual=4, seq_len=6, depth=2)
+        config = ModelConfig("RJCA", dim_audio=4, dim_visual=4, seq_len=6, depth=2)
         params = FusionParams(config, rng=np.random.default_rng(12))
         state = run_modular(10 * rng.standard_normal((4, 6)), 10 * rng.standard_normal((4, 6)), params)
         for corr in state.corr_audio + state.corr_visual:
@@ -213,14 +213,14 @@ class TestRoundPieces:
 
     def test_attention_maps_nonnegative(self):
         rng = np.random.default_rng(13)
-        config = FusionConfig("RJCA", dim_audio=3, dim_visual=3, seq_len=5, depth=2)
+        config = ModelConfig("RJCA", dim_audio=3, dim_visual=3, seq_len=5, depth=2)
         params = FusionParams(config, rng=np.random.default_rng(14))
         state = run_modular(rng.standard_normal((3, 5)), rng.standard_normal((3, 5)), params)
         for m in state.attn_map_audio + state.attn_map_visual:
             assert np.all(m.value >= 0.0)
 
     def test_zero_audio_rows_in_joint(self):
-        config = FusionConfig("JCA", dim_audio=2, dim_visual=3, seq_len=4, joint_projection=False)
+        config = ModelConfig("JCA", dim_audio=2, dim_visual=3, seq_len=4, joint_projection=False)
         params = FusionParams(config, rng=np.random.default_rng(15))
         visual = np.random.default_rng(16).standard_normal((3, 4))
         state = run_modular(np.zeros((2, 4)), visual, params)
@@ -231,7 +231,7 @@ class TestRoundPieces:
 class TestIdentities:
     def test_residual_identity_zero_weights(self):
         # zeroed attention and joint weights telescope to the inputs exactly
-        config = FusionConfig("RJCA", dim_audio=3, dim_visual=4, seq_len=5, depth=3)
+        config = ModelConfig("RJCA", dim_audio=3, dim_visual=4, seq_len=5, depth=3)
         params = FusionParams(config, rng=np.random.default_rng(21))
         for p in params.parameters().values():
             p.value[...] = 0.0
@@ -245,8 +245,8 @@ class TestIdentities:
 
     def test_jca_equals_rjca_depth_one(self):
         kwargs = dict(dim_audio=3, dim_visual=5, seq_len=6, depth=1)
-        p_jca = FusionParams(FusionConfig("JCA", **kwargs), rng=np.random.default_rng(31))
-        p_rjca = FusionParams(FusionConfig("RJCA", **kwargs), rng=np.random.default_rng(31))
+        p_jca = FusionParams(ModelConfig("JCA", **kwargs), rng=np.random.default_rng(31))
+        p_rjca = FusionParams(ModelConfig("RJCA", **kwargs), rng=np.random.default_rng(31))
         randomize(p_jca, np.random.default_rng(33))
         randomize(p_rjca, np.random.default_rng(33))
         rng = np.random.default_rng(32)
@@ -259,7 +259,7 @@ class TestIdentities:
 
 class TestGates:
     def grjca_state(self, depth=2, seed=41, gate_seed=None):
-        config = FusionConfig("GRJCA", dim_audio=6, dim_visual=6, seq_len=4, depth=depth)
+        config = ModelConfig("GRJCA", dim_audio=6, dim_visual=6, seq_len=4, depth=depth)
         params = FusionParams(config, rng=np.random.default_rng(seed))
         randomize(params, np.random.default_rng(seed + 100), include_gates=False)
         if gate_seed is not None:
@@ -280,7 +280,7 @@ class TestGates:
 
     def test_hgrjca_gate_rows_sum_to_one(self):
         for depth in (1, 2, 3, 4):
-            config = FusionConfig("HGRJCA", dim_audio=4, dim_visual=3, seq_len=5, depth=depth)
+            config = ModelConfig("HGRJCA", dim_audio=4, dim_visual=3, seq_len=5, depth=depth)
             params = FusionParams(config, rng=np.random.default_rng(61))
             randomize(params, np.random.default_rng(64), include_gates=False)
             for p in (params.final_gate_audio, params.final_gate_visual, *params.iter_gate_audio):
@@ -306,7 +306,7 @@ class TestGates:
     def test_low_temperature_selects_argmax(self):
         # solve for gate weights that realize a target logit matrix with
         # per-row gaps >= 0.1, then check near-hard selection at T = 1e-3
-        config = FusionConfig("GRJCA", dim_audio=6, dim_visual=6, seq_len=4, depth=2, temperature=1e-3)
+        config = ModelConfig("GRJCA", dim_audio=6, dim_visual=6, seq_len=4, depth=2, temperature=1e-3)
         params = FusionParams(config, rng=np.random.default_rng(71))
         randomize(params, np.random.default_rng(73), include_gates=False)
         rng = np.random.default_rng(72)
@@ -342,7 +342,7 @@ class TestGates:
 
     def test_hgrjca_identical_candidates_ignore_gate(self):
         # a convex combination of equal points is that point
-        config = FusionConfig("HGRJCA", dim_audio=3, dim_visual=3, seq_len=4, depth=1)
+        config = ModelConfig("HGRJCA", dim_audio=3, dim_visual=3, seq_len=4, depth=1)
         params = FusionParams(config, rng=np.random.default_rng(81))
         for name in ("out_audio", "out_visual", "attn_audio", "attn_visual"):
             getattr(params, name)[0].value[...] = 0.0
@@ -362,7 +362,7 @@ class TestGates:
             run_modular(audio, visual, params)
 
     def test_grjca_gate_requires_grjca_params(self):
-        config = FusionConfig("RJCA", dim_audio=2, dim_visual=2, seq_len=3, depth=1)
+        config = ModelConfig("RJCA", dim_audio=2, dim_visual=2, seq_len=3, depth=1)
         params = FusionParams(config, rng=np.random.default_rng(91))
         rng = np.random.default_rng(92)
         state = run_modular(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), params)
@@ -373,14 +373,14 @@ class TestGates:
 class TestDispatch:
     def test_jca_depth_must_be_one(self):
         with pytest.raises(ConfigError, match="depth"):
-            FusionConfig("JCA", dim_audio=2, dim_visual=2, seq_len=3, depth=2)
+            ModelConfig("JCA", dim_audio=2, dim_visual=2, seq_len=3, depth=2)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode"):
-            FusionConfig("DCA", dim_audio=2, dim_visual=2, seq_len=3)
+            ModelConfig("DCA", dim_audio=2, dim_visual=2, seq_len=3)
 
     def test_nonfinite_input_names_round(self):
-        config = FusionConfig("RJCA", dim_audio=2, dim_visual=2, seq_len=3, depth=2)
+        config = ModelConfig("RJCA", dim_audio=2, dim_visual=2, seq_len=3, depth=2)
         params = FusionParams(config, rng=np.random.default_rng(111))
         audio = np.full((2, 3), np.inf)
         visual = np.zeros((2, 3))
@@ -391,7 +391,7 @@ class TestDispatch:
 class TestGradients:
     @pytest.mark.parametrize("mode,depth", [("JCA", 1), ("RJCA", 2), ("GRJCA", 2), ("HGRJCA", 2)])
     def test_gradcheck_sum_of_squares(self, mode, depth):
-        config = FusionConfig(mode, dim_audio=3, dim_visual=3, seq_len=4, depth=depth)
+        config = ModelConfig(mode, dim_audio=3, dim_visual=3, seq_len=4, depth=depth)
         params = FusionParams(config, rng=np.random.default_rng(121))
         randomize(params, np.random.default_rng(124))
         rng = np.random.default_rng(122)
@@ -412,7 +412,7 @@ class TestGradients:
         assert report.worst < 1e-5, report.format_lines()
 
     def test_gradcheck_ccc_loss_through_grjca(self):
-        config = FusionConfig("GRJCA", dim_audio=3, dim_visual=3, seq_len=6, depth=2)
+        config = ModelConfig("GRJCA", dim_audio=3, dim_visual=3, seq_len=6, depth=2)
         params = FusionParams(config, rng=np.random.default_rng(131))
         randomize(params, np.random.default_rng(134))
         rng = np.random.default_rng(132)

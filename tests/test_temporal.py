@@ -5,13 +5,13 @@ import pytest
 
 from avfusion.autodiff import Tensor, gradcheck
 from avfusion.exceptions import ConfigError
+from avfusion.model import ModelConfig
 from avfusion.temporal import (
-    HeadConfig,
     HeadParams,
-    TcnConfig,
     TcnParams,
     apply_dropout,
     head_forward,
+    receptive_field,
     tcn_forward,
 )
 
@@ -22,35 +22,34 @@ def run_tcn(x, params):
 
 class TestTcnShapes:
     def test_length_preserved(self):
-        config = TcnConfig(levels=1, kernel_size=2)
-        params = TcnParams(4, config, rng=np.random.default_rng(1))
+        params = TcnParams(4, 1, 2, rng=np.random.default_rng(1))
         out = run_tcn(np.random.default_rng(2).standard_normal((4, 9)), params)
         assert out.shape == (4, 9)
 
     def test_zero_input_no_bias(self):
         # biases start at zero, so a fresh encoder maps zeros to zeros
-        config = TcnConfig(levels=2, kernel_size=3)
-        params = TcnParams(3, config, rng=np.random.default_rng(5))
+        params = TcnParams(3, 2, 3, rng=np.random.default_rng(5))
         out = run_tcn(np.zeros((3, 10)), params)
         assert np.array_equal(out.value, np.zeros((3, 10)))
 
     def test_sequence_too_short_raises(self):
         # level 2 at dilation 2 needs 4 frames of padding
-        config = TcnConfig(levels=2, kernel_size=3)
-        params = TcnParams(3, config, rng=np.random.default_rng(6))
+        params = TcnParams(3, 2, 3, rng=np.random.default_rng(6))
         with pytest.raises(ConfigError, match="padding"):
             run_tcn(np.zeros((3, 4)), params)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            TcnConfig(levels=0)
-        with pytest.raises(ConfigError):
-            TcnConfig(kernel_size=1)
+        # the encoder settings are checked by the one model config
+        sizes = dict(mode="RJCA", dim_audio=3, dim_visual=3, seq_len=16)
+        with pytest.raises(ConfigError, match="tcn_levels"):
+            ModelConfig(**sizes, tcn_levels=0)
+        with pytest.raises(ConfigError, match="tcn_kernel"):
+            ModelConfig(**sizes, tcn_kernel=1)
 
     def test_receptive_field_formula(self):
-        assert TcnConfig(levels=1, kernel_size=3).receptive_field() == 3
-        assert TcnConfig(levels=2, kernel_size=3).receptive_field() == 7
-        assert TcnConfig(levels=3, kernel_size=2).receptive_field() == 8
+        assert receptive_field(levels=1, kernel_size=3) == 3
+        assert receptive_field(levels=2, kernel_size=3) == 7
+        assert receptive_field(levels=3, kernel_size=2) == 8
 
 
 class TestCausality:
@@ -58,8 +57,7 @@ class TestCausality:
     def test_perturbation_probe(self, levels):
         # frames before the perturbed one must be bitwise unchanged
         L = 16
-        config = TcnConfig(levels=levels, kernel_size=3)
-        params = TcnParams(3, config, rng=np.random.default_rng(7))
+        params = TcnParams(3, levels, 3, rng=np.random.default_rng(7))
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, L))
         base = run_tcn(x, params).value
@@ -71,15 +69,14 @@ class TestCausality:
 
     def test_receptive_field_bounds_influence(self):
         # levels=2, kernel=3, base=2 sees at most 7 frames back
-        config = TcnConfig(levels=2, kernel_size=3)
-        params = TcnParams(3, config, rng=np.random.default_rng(9))
+        params = TcnParams(3, 2, 3, rng=np.random.default_rng(9))
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 12))
         base = run_tcn(x, params).value
         bumped = x.copy()
         bumped[:, 0] += 1.0
         out = run_tcn(bumped, params).value
-        rf = config.receptive_field()
+        rf = receptive_field(2, 3)
         assert rf == 7
         assert np.array_equal(out[:, rf:], base[:, rf:])
         assert not np.array_equal(out[:, :rf], base[:, :rf])
@@ -87,8 +84,7 @@ class TestCausality:
 
 class TestTcnGradients:
     def test_gradcheck(self):
-        config = TcnConfig(levels=2, kernel_size=3)
-        params = TcnParams(3, config, rng=np.random.default_rng(11))
+        params = TcnParams(3, 2, 3, rng=np.random.default_rng(11))
         x = np.random.default_rng(12).standard_normal((3, 8))
 
         def loss():
@@ -107,25 +103,28 @@ class TestTcnGradients:
 
 class TestHead:
     def test_zero_weights_zero_output(self):
-        params = HeadParams(5, HeadConfig(hidden=(4,)), rng=np.random.default_rng(14))
+        params = HeadParams(5, (4,), rng=np.random.default_rng(14))
         for p in params.parameters().values():
             p.value[...] = 0.0
         out = head_forward(Tensor(np.random.default_rng(15).standard_normal((5, 7))), params)
         assert np.array_equal(out.value, np.zeros((1, 7)))
 
     def test_output_bounded(self):
-        params = HeadParams(4, HeadConfig(hidden=(8, 8)), rng=np.random.default_rng(16))
+        params = HeadParams(4, (8, 8), rng=np.random.default_rng(16))
         huge = 1e6 * np.random.default_rng(17).standard_normal((4, 9))
         out = head_forward(Tensor(huge), params)
         assert out.shape == (1, 9)
         assert np.all(np.abs(out.value) <= 1.0)
 
     def test_head_config_validation(self):
-        with pytest.raises(ConfigError):
-            HeadConfig(hidden=(0,))
+        # the head sizes are checked by the one model config
+        with pytest.raises(ConfigError, match="head_hidden"):
+            ModelConfig("RJCA", dim_audio=3, dim_visual=3, seq_len=16, head_hidden=(0,))
+        with pytest.raises(ConfigError, match="head_hidden"):
+            ModelConfig("RJCA", dim_audio=3, dim_visual=3, seq_len=16, head_hidden=(8, -1))
 
     def test_gradcheck(self):
-        params = HeadParams(4, HeadConfig(hidden=(6,)), rng=np.random.default_rng(18))
+        params = HeadParams(4, (6,), rng=np.random.default_rng(18))
         x = np.random.default_rng(19).standard_normal((4, 10))
 
         def loss():

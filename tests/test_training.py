@@ -185,10 +185,10 @@ class TestTrainLoop:
         snapshots = {}
         real_pooled = training._pooled_ccc
 
-        def fake_pooled(model, windows, target):
+        def fake_pooled(model, clips, config):
             value = next(script)
             snapshots[value] = model.snapshot()
-            return value, False
+            return [np.full(clip.frames, value) for clip in clips], value
 
         monkeypatch.setattr(training, "_pooled_ccc", fake_pooled)
         config = small_config(max_epochs=4)
@@ -197,6 +197,7 @@ class TestTrainLoop:
         assert result.best_val_ccc == 0.6
         assert result.best_epoch == 1
         assert result.best_val_ccc == max(h[3] for h in result.history)
+        assert [p[0] for p in result.predictions] == [0.6]
         final = result.model.snapshot()
         assert all(np.array_equal(final[k], snapshots[0.6][k]) for k in final)
 
@@ -221,7 +222,7 @@ class TestTrainLoop:
     def test_early_stopping(self, monkeypatch):
         clips = make_clips(3, seed=5)
         script = iter([0.5, 0.4, 0.4, 0.4, 0.9, 0.9])
-        monkeypatch.setattr(training, "_pooled_ccc", lambda *a: (next(script), False))
+        monkeypatch.setattr(training, "_pooled_ccc", lambda *a: ([], next(script)))
         config = small_config(max_epochs=20, early_stop_patience=3)
         result = train(clips[:2], clips[2:], config)
         # epochs 1-3 are stale, so the run stops after epoch 3
@@ -286,6 +287,31 @@ class TestEvaluate:
         assert [r[1] for r in rows] == [str(i) for i in range(64)]
         assert set(report.per_clip) == {clips[2].clip_id}
 
+    def test_best_validation_pass_is_the_fold_report(self):
+        # the fold report reuses the best epoch's validation predictions;
+        # they equal a fresh evaluate of the restored best weights
+        clips = make_clips(5, frames=80, seed=12)
+        config = small_config(max_epochs=3, batch_size=3)
+        result = train(clips[:3], clips[3:], config)
+        report, rows = evaluate(result.model, clips[3:], config)
+        assert report.ccc_valence == result.best_val_ccc
+        assert [float(r[2]) for r in rows] == [float(p) for preds in result.predictions for p in preds]
+
+    def test_masked_clip_frames_are_stitched_in_place(self):
+        # a clip frame marked invalid in the mask file is predicted in place
+        # and left out of the validation score
+        clips = make_clips(3, seed=13)
+        clips[2].valid[10:20] = False
+        config = small_config(max_epochs=1)
+        result = train(clips[:2], clips[2:], config)
+        wins = training.window(clips[2], config.window_len, config.window_len)
+        forward = result.model.forward(wins).value[0][: clips[2].frames]
+        assert np.array_equal(result.predictions[0], forward)
+        _, rows = evaluate(result.model, clips[2:], config)
+        assert np.array_equal([float(r[2]) for r in rows], forward)
+        valid = clips[2].valid
+        assert result.best_val_ccc == training.ccc_flagged(forward[valid], clips[2].valence[valid])[0]
+
     def test_no_clips_rejected(self):
         clips = make_clips(2, seed=10)
         config = small_config(max_epochs=1)
@@ -324,6 +350,38 @@ class TestCrossValidate:
         assert validated == sorted(c.clip_id for c in clips)
         best = best_fold(outcomes)
         assert outcomes[best].val_ccc == max(o.val_ccc for o in outcomes)
+
+    def test_one_forward_per_batch_and_no_reevaluation(self, monkeypatch):
+        # 5 train clips of 2 windows at batch 4 make 3 train batches; 2 val
+        # clips of 2 windows make 1 validation batch.  The fold report reuses
+        # the best validation pass, so no fold forwards anything more.
+        clips = make_clips(7, frames=128, seed=14)
+        config = small_config(folds=2, max_epochs=2, early_stop_patience=5)
+        calls = []
+        real_forward = EmotionModel.forward
+
+        def counted(model, windows, dropout_rng=None):
+            calls.append(len(windows))
+            return real_forward(model, windows, dropout_rng=dropout_rng)
+
+        starts = []
+        real_train = training.train
+
+        def marked(*args, **kwargs):
+            starts.append(len(calls))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(EmotionModel, "forward", counted)
+        monkeypatch.setattr(training, "train", marked)
+        outcomes = cross_validate(clips, config)
+        assert [len(o.result.history) for o in outcomes] == [config.max_epochs] * 2
+        counted_per_fold = np.diff(starts + [len(calls)]).tolist()
+        expected = []
+        for fold in fold_assignments(len(clips), config):
+            train_batches = math.ceil(2 * (len(clips) - len(fold)) / config.batch_size)
+            val_batches = math.ceil(2 * len(fold) / config.batch_size)
+            expected.append(config.max_epochs * (train_batches + val_batches))
+        assert counted_per_fold == expected
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -12,7 +12,6 @@ from avfusion import verify
 from avfusion.exceptions import NumericError
 from avfusion.metrics import ccc_flagged
 from avfusion.model import EmotionModel, ModelConfig
-from avfusion.temporal import TcnConfig
 
 
 def serial_gradcheck(f, params, probe, **kwargs):
@@ -66,7 +65,7 @@ def probe_case():
     and its one-window loss."""
     rng = np.random.default_rng(3)
     config = ModelConfig(
-        mode="RJCA", dim_audio=8, dim_visual=8, seq_len=6, tcn=TcnConfig(levels=2, kernel_size=3)
+        mode="RJCA", dim_audio=8, dim_visual=8, seq_len=6, tcn_levels=2, tcn_kernel=3
     )
     model = EmotionModel(config, rng=rng)
     for p in model.parameters().values():
