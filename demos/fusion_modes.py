@@ -8,7 +8,7 @@ recursion trajectory, and per-round hierarchical gating.
 import numpy as np
 
 from avfusion.autodiff import Tensor
-from avfusion.fusion import FusionParams, ModalityFeatures, fusion_forward
+from avfusion.fusion import FusionParams, fusion_forward
 from avfusion.model import ModelConfig
 
 
@@ -28,7 +28,7 @@ def run(mode, audio, visual, depth=3, seed=0, temperature=0.1):
     jitter = np.random.default_rng(seed + 1)
     for p in params.parameters().values():
         p.value[...] = 0.3 * jitter.standard_normal(p.shape)
-    state = fusion_forward(ModalityFeatures(Tensor(audio), Tensor(visual)), params)
+    state = fusion_forward(Tensor(audio), Tensor(visual), params)
     return state
 
 
@@ -42,16 +42,16 @@ def main():
 
     for mode in ("JCA", "RJCA", "GRJCA", "HGRJCA"):
         state = run(mode, audio, visual)
-        rounds = len(state.attended_audio) - 1  # slot 0 holds the raw input
+        rounds = len(state.attended["audio"]) - 1  # slot 0 holds the raw input
         print(f"{mode}: fused {state.fused.value.shape}, attention rounds {rounds}")
-        if state.gates_audio is not None:
+        if mode == "GRJCA":
             # one softmax row per frame over the recursion trajectory
             # (raw input + one candidate per round)
             print(f"  trajectory gate rows (audio), frames x candidates:")
-            for row in state.gates_audio.value[:3]:
+            for row in state.gates["audio"].value[:3]:
                 print("   ", np.array2string(row, precision=3))
-        if state.final_gates_audio is not None:
-            print(f"  hierarchical final gate spans {state.final_gates_audio.value.shape[1]} rounds")
+        if mode == "HGRJCA":
+            print(f"  hierarchical final gate spans {state.gates['audio'].value.shape[1]} rounds")
         print()
 
     # each round adds a learned update on top of the previous features;
@@ -59,14 +59,15 @@ def main():
     state = run("RJCA", audio, visual, depth=4)
     print("RJCA round-to-round change of attended audio features:")
     for t in range(1, 5):
-        delta = np.linalg.norm(state.attended_audio[t].value - state.attended_audio[t - 1].value)
+        attended = state.attended["audio"]
+        delta = np.linalg.norm(attended[t].value - attended[t - 1].value)
         print(f"  round {t}: {delta:.4f}")
     print()
 
     # the gate softmax sharpens as temperature drops
     for temperature in (1.0, 0.1, 0.01):
         state = run("GRJCA", audio, visual, temperature=temperature)
-        peak = state.gates_audio.value.max(axis=1).mean()
+        peak = state.gates["audio"].value.max(axis=1).mean()
         print(f"GRJCA temperature {temperature:>4}: mean winning gate weight {peak:.3f}")
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .exceptions import ConfigError
@@ -99,6 +100,12 @@ def parse_config(text: str) -> ExperimentConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:  # the only other one: an integer past Python's digit limit
+        raise ConfigError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise ConfigError("invalid JSON: arrays or objects nest too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(f"top level must be a JSON object, got {type(data).__name__}")
     allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -114,8 +121,16 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Read and parse a config file; every error it holds is a
+    :class:`ConfigError` that names the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return parse_config(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def serialize_config(config: ExperimentConfig) -> str:

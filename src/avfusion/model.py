@@ -1,6 +1,10 @@
 """End-to-end regression model: per-modality temporal encoders, fusion,
 dropout on the fused features, and the frame-wise prediction head.
 
+The model loops over :data:`~avfusion.fusion.MODALITIES` wherever the
+two streams are handled alike: ``EmotionModel.tcn`` holds one encoder
+per modality, and the fusion stack keeps its own per-modality weights.
+
 :class:`ModelConfig` is the one record of model settings.  Every part of
 the network reads its sizes from it, and its checks run when it is
 built, so a training config that copies its settings into one is
@@ -16,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .exceptions import ConfigError, ParameterError
-from .fusion import MODES, FusionParams, ModalityFeatures, fusion_forward
+from .fusion import MODALITIES, MODES, FusionParams, fusion_forward
 from .metrics import ccc_loss
 from .temporal import HeadParams, TcnParams, apply_dropout, head_forward, tcn_forward
 
@@ -71,12 +75,18 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
+    def dims(self):
+        """Feature rows per modality."""
+        return {"audio": self.dim_audio, "visual": self.dim_visual}
+
+    @property
     def dim_joint(self):
         return self.dim_audio + self.dim_visual
 
 
 class EmotionModel:
-    """Owns every parameter tensor; forward maps a batch of clip windows to
+    """Owns every parameter tensor (an encoder per modality in ``tcn``,
+    the fusion stack, the head); forward maps a batch of clip windows to
     per-frame predictions in [-1, 1].
 
     The same ``rng`` drives all weight draws, and gate weights consume no
@@ -89,16 +99,15 @@ class EmotionModel:
         if rng is None:
             rng = np.random.default_rng(0)
         self.config = config
-        self.tcn_audio = TcnParams(config.dim_audio, config.tcn_levels, config.tcn_kernel, rng=rng)
-        self.tcn_visual = TcnParams(config.dim_visual, config.tcn_levels, config.tcn_kernel, rng=rng)
+        self.tcn = {m: TcnParams(config.dims[m], config.tcn_levels, config.tcn_kernel, rng=rng) for m in MODALITIES}
         self.fusion = FusionParams(config, rng=rng)
         # the encoders keep each dimension, so the fused features have dim_joint rows
         self.head = HeadParams(config.dim_joint, config.head_hidden, rng=rng)
 
     def parameters(self) -> dict:
         out = {}
-        out.update(self.tcn_audio.parameters(prefix="tcn_audio."))
-        out.update(self.tcn_visual.parameters(prefix="tcn_visual."))
+        for m in MODALITIES:
+            out.update(self.tcn[m].parameters(prefix=f"tcn_{m}."))
         out.update(self.fusion.parameters(prefix="fusion."))
         out.update(self.head.parameters(prefix="head."))
         for name, tensor in out.items():
@@ -116,11 +125,11 @@ class EmotionModel:
         through the global attention maps.
         """
         gate = np.stack([win.valid for win in windows])[:, None, :]
-        audio = np.stack([win.audio for win in windows]).astype(np.float64) * gate
-        visual = np.stack([win.visual for win in windows]).astype(np.float64) * gate
-        audio = tcn_forward(Tensor(audio), self.tcn_audio)
-        visual = tcn_forward(Tensor(visual), self.tcn_visual)
-        state = fusion_forward(ModalityFeatures(audio, visual), self.fusion)
+        encoded = []
+        for m in MODALITIES:
+            feats = np.stack([getattr(win, m) for win in windows]).astype(np.float64) * gate
+            encoded.append(tcn_forward(Tensor(feats), self.tcn[m]))
+        state = fusion_forward(*encoded, self.fusion)
         fused = apply_dropout(state.fused, self.config.dropout, dropout_rng)
         pred = head_forward(fused, self.head)
         return ad.reshape(pred, (1, -1))

@@ -33,6 +33,21 @@ def receptive_field(levels: int, kernel_size: int) -> int:
     return 1 + (kernel_size - 1) * (2**levels - 1)
 
 
+def check_tcn_fits(levels: int, kernel_size: int, seq_len: int):
+    """Raise unless every level's largest shift is shorter than the sequence.
+
+    The last level shifts furthest, (kernel_size - 1) * 2**(levels - 1)
+    frames.  Past ``seq_len``'s bit length the power alone exceeds
+    ``seq_len``, so the exponent is capped there to keep the check cheap.
+    """
+    if (kernel_size - 1) * 2 ** min(levels - 1, seq_len.bit_length()) >= seq_len:
+        raise ConfigError(
+            f"a window of {seq_len} frames is too short for tcn_levels {levels} with tcn_kernel "
+            f"{kernel_size}: the last level needs (tcn_kernel - 1) * 2**(tcn_levels - 1) frames "
+            f"of left padding, fewer than the window; reduce tcn_levels or tcn_kernel"
+        )
+
+
 class TcnParams:
     """Per level: one dim_in x dim_in tap matrix per kernel position and a
     dim_in x 1 bias; the output keeps the input's dimension."""
@@ -82,16 +97,10 @@ def tcn_forward(x: Tensor, params: TcnParams) -> Tensor:
     length; a shift spanning the whole sequence is a configuration error.
     ``x`` is d x L, or B x d x L for a batch of windows.
     """
-    L = x.cols
+    check_tcn_fits(len(params.taps), len(params.taps[0]), x.cols)
     h = x
     for level, taps in enumerate(params.taps):
         dilation = 2**level
-        max_offset = (len(taps) - 1) * dilation
-        if max_offset >= L:
-            raise ConfigError(
-                f"level {level + 1} needs {max_offset} frames of left padding "
-                f"but the sequence has only {L}; reduce tcn_levels or tcn_kernel"
-            )
         conv = ad.causal_conv(h, taps, dilation)
         h = ad.relu(ad.add_colvec(conv, params.biases[level])) + h
     return h

@@ -22,6 +22,7 @@ from .exceptions import ConfigError, NumericError, ParameterError
 from .metrics import EvalReport, ccc_flagged
 from .model import EmotionModel, ModelConfig
 from .synthdata import window
+from .temporal import check_tcn_fits
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -71,6 +72,9 @@ class TrainConfig:
             raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         # the model settings are checked where the model reads them
         self.model_config(1, 1)
+        # fusion-only model configs may be shorter than the encoders' reach,
+        # so the window is checked against the encoders here
+        check_tcn_fits(self.tcn_levels, self.tcn_kernel, self.window_len)
 
     def model_config(self, dim_audio, dim_visual):
         return ModelConfig(

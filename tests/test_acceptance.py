@@ -20,7 +20,7 @@ import pytest
 
 from avfusion.autodiff import Tensor
 from avfusion.cli import main
-from avfusion.fusion import FusionParams, ModalityFeatures, rjca_forward
+from avfusion.fusion import FusionParams, rjca_forward
 from avfusion.metrics import ccc
 from avfusion.model import ModelConfig
 from avfusion.synthdata import GenConfig, generate
@@ -124,8 +124,8 @@ class TestCriterion3Identities:
         audio, visual = rng.standard_normal((3, 5)), rng.standard_normal((4, 5))
         state = run_modular(audio, visual, p_zero)
         if not (
-            np.array_equal(state.attended_audio[-1].value, audio)
-            and np.array_equal(state.attended_visual[-1].value, visual)
+            np.array_equal(state.attended["audio"][-1].value, audio)
+            and np.array_equal(state.attended["visual"][-1].value, visual)
         ):
             failures.append("zero-weight residual identity")
 
@@ -136,8 +136,8 @@ class TestCriterion3Identities:
         audio, visual = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
         state = run_modular(audio, visual, params)
         gate_err = max(
-            float(np.max(np.abs(state.gates_audio.value.sum(axis=1) - 1.0))),
-            float(np.max(np.abs(state.gates_visual.value.sum(axis=1) - 1.0))),
+            float(np.max(np.abs(state.gates["audio"].value.sum(axis=1) - 1.0))),
+            float(np.max(np.abs(state.gates["visual"].value.sum(axis=1) - 1.0))),
         )
         if gate_err >= 1e-12:
             failures.append(f"gate normalization ({gate_err:.2e})")
@@ -149,12 +149,10 @@ class TestCriterion3Identities:
         params = FusionParams(config, rng=np.random.default_rng(7))
         randomize(params, np.random.default_rng(8), include_gates=False)
         audio, visual = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
-        probe = rjca_forward(ModalityFeatures(Tensor(audio), Tensor(visual)), params)
+        probe = rjca_forward(Tensor(audio), Tensor(visual), params)
         target = np.array([[0.9, 0.1, 0.3], [0.0, 0.8, 0.2], [0.1, 0.4, 1.0], [0.7, 0.2, 0.0]])
-        for attended, gate in (
-            (probe.attended_audio, params.gate_audio),
-            (probe.attended_visual, params.gate_visual),
-        ):
+        for m in ("audio", "visual"):
+            attended, gate = probe.attended[m], params.weights[f"gate_{m}"]
             basis = attended[2].value.T
             gate.value[...] = np.linalg.pinv(basis) @ target
             realized = basis @ gate.value
@@ -164,8 +162,8 @@ class TestCriterion3Identities:
         winners = np.argmax(target, axis=1)
         argmax_err = 0.0
         for final, attended in (
-            (state.final_audio, state.attended_audio),
-            (state.final_visual, state.attended_visual),
+            (state.final["audio"], state.attended["audio"]),
+            (state.final["visual"], state.attended["visual"]),
         ):
             hard = np.stack([attended[winners[j]].value[:, j] for j in range(4)], axis=1)
             argmax_err = max(argmax_err, float(np.max(np.abs(final.value - np.maximum(hard, 0.0)))))

@@ -441,6 +441,7 @@ class TestExitCodes:
             ({"dropout": 1.0}, "dropout"),
             ({"dropout": -0.5}, "dropout"),
             ({"depth": 1.5}, "depth"),
+            ({"tcn_levels": 2, "window_len": 4, "window_stride": 4}, "tcn_levels"),
         ],
     )
     def test_bad_model_setting_fails_at_gen(self, tmp_path, capsys, training, key):
@@ -452,6 +453,31 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("configuration error: ") and key in err
         assert not out.exists()
+
+    def test_window_one_frame_past_tcn_shift_trains(self, tmp_path):
+        # kernel 3 at two levels shifts the last level by 4 frames
+        training = {"tcn_levels": 2, "window_len": 5, "window_stride": 5, "max_epochs": 1}
+        config, out = write_experiment(tmp_path, generator={"frames": 20}, training=training)
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        assert (out / "params.bin").exists()
+
+    @pytest.mark.parametrize(
+        "blob, detail",
+        [
+            (b'{"out_dir": "r\xff"}', "not UTF-8 text (byte offset 14)"),
+            (b'{"training": {"seed": ' + b"9" * 5000 + b"}}", "more than 4300 digits"),
+            (b"[" * 100000, "nest too deeply"),
+        ],
+        ids=["non-utf8", "long-integer", "deep-nesting"],
+    )
+    def test_unreadable_config_is_one_line_naming_file(self, tmp_path, capsys, blob, detail):
+        path = tmp_path / "bad.json"
+        path.write_bytes(blob)
+        assert main(["gen", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"configuration error: {path}: ") and detail in err
 
     def test_bad_thread_count(self, tmp_path, capsys):
         config, _ = write_experiment(tmp_path)

@@ -194,6 +194,30 @@ def test_any_json_value_parses_typed_or_is_config_error(section, field, value):
         assert all(type(n) is int for n in parsed)
 
 
+CONFIG_BYTES = st.one_of(
+    st.binary(max_size=64),
+    # text with lone surrogates encodes to bytes that are not UTF-8
+    st.text(max_size=32).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.builds(
+        lambda cut, junk: SAMPLE.encode()[:cut] + junk,
+        st.integers(0, len(SAMPLE)),
+        st.binary(max_size=8),
+    ),
+    JSON_VALUES.map(lambda v: json.dumps({"training": v}).encode()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=CONFIG_BYTES)
+def test_any_config_file_loads_or_is_config_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "any.json"
+    path.write_bytes(blob)
+    try:
+        load_config(path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}: ")
+
+
 class TestSchemaFile:
     def schema(self):
         root = Path(__file__).resolve().parent.parent

@@ -15,13 +15,7 @@ import pytest
 from avfusion import autodiff as ad
 from avfusion.autodiff import Tensor, gradcheck
 from avfusion.exceptions import ConfigError, DimensionError, NumericError
-from avfusion.fusion import (
-    FusionParams,
-    ModalityFeatures,
-    fusion_forward,
-    grjca_gate,
-    rjca_forward,
-)
+from avfusion.fusion import FusionParams, fusion_forward, grjca_gate, rjca_forward
 from avfusion.metrics import ccc_loss
 from avfusion.model import ModelConfig
 
@@ -85,8 +79,7 @@ def oracle_fusion(audio, visual, weights, mode, depth, temperature, joint_projec
 
 
 def run_modular(audio, visual, params):
-    feats = ModalityFeatures(Tensor(audio), Tensor(visual))
-    return fusion_forward(feats, params)
+    return fusion_forward(Tensor(audio), Tensor(visual), params)
 
 
 def randomize(params, rng, scale=0.3, include_gates=True):
@@ -172,10 +165,10 @@ class TestShapes:
             params = FusionParams(config, rng=np.random.default_rng(3))
             rng = np.random.default_rng(4)
             state = run_modular(rng.standard_normal((3, 6)), rng.standard_normal((2, 6)), params)
-            assert len(state.attended_audio) == depth + 1
+            assert len(state.attended["audio"]) == depth + 1
             for t in range(depth + 1):
-                assert state.attended_audio[t].shape == (3, 6)
-                assert state.attended_visual[t].shape == (2, 6)
+                assert state.attended["audio"][t].shape == (3, 6)
+                assert state.attended["visual"][t].shape == (2, 6)
 
     def test_joint_shape(self):
         config = ModelConfig("JCA", dim_audio=2, dim_visual=3, seq_len=4)
@@ -183,12 +176,14 @@ class TestShapes:
         rng = np.random.default_rng(6)
         state = run_modular(rng.standard_normal((2, 4)), rng.standard_normal((3, 4)), params)
         assert state.joint[0].shape == (5, 4)
-        assert state.corr_audio[0].shape == (4, 4)
-        assert state.attn_map_audio[0].shape == (2, 4)
+        assert state.corr["audio"][0].shape == (4, 4)
+        assert state.attn_map["audio"][0].shape == (2, 4)
 
     def test_modality_length_mismatch(self):
-        with pytest.raises(DimensionError, match="length"):
-            ModalityFeatures(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))))
+        config = ModelConfig("JCA", dim_audio=2, dim_visual=3, seq_len=4)
+        params = FusionParams(config, rng=np.random.default_rng(5))
+        with pytest.raises(DimensionError, match="do not stack"):
+            run_modular(np.zeros((2, 4)), np.zeros((3, 5)), params)
 
 
 class TestRoundPieces:
@@ -201,14 +196,14 @@ class TestRoundPieces:
             p.value[...] = 1.0
         state = run_modular(np.ones((1, 1)), np.ones((1, 1)), params)
         expected = math.tanh(2.0 / math.sqrt(2.0))
-        assert abs(state.corr_audio[0].value[0, 0] - expected) < 1e-12
+        assert abs(state.corr["audio"][0].value[0, 0] - expected) < 1e-12
 
     def test_correlation_range(self):
         rng = np.random.default_rng(11)
         config = ModelConfig("RJCA", dim_audio=4, dim_visual=4, seq_len=6, depth=2)
         params = FusionParams(config, rng=np.random.default_rng(12))
         state = run_modular(10 * rng.standard_normal((4, 6)), 10 * rng.standard_normal((4, 6)), params)
-        for corr in state.corr_audio + state.corr_visual:
+        for corr in state.corr["audio"] + state.corr["visual"]:
             assert np.all(np.abs(corr.value) <= 1.0)
 
     def test_attention_maps_nonnegative(self):
@@ -216,7 +211,7 @@ class TestRoundPieces:
         config = ModelConfig("RJCA", dim_audio=3, dim_visual=3, seq_len=5, depth=2)
         params = FusionParams(config, rng=np.random.default_rng(14))
         state = run_modular(rng.standard_normal((3, 5)), rng.standard_normal((3, 5)), params)
-        for m in state.attn_map_audio + state.attn_map_visual:
+        for m in state.attn_map["audio"] + state.attn_map["visual"]:
             assert np.all(m.value >= 0.0)
 
     def test_zero_audio_rows_in_joint(self):
@@ -240,8 +235,8 @@ class TestIdentities:
         visual = rng.standard_normal((4, 5))
         state = run_modular(audio, visual, params)
         for t in range(4):
-            assert np.array_equal(state.attended_audio[t].value, audio)
-            assert np.array_equal(state.attended_visual[t].value, visual)
+            assert np.array_equal(state.attended["audio"][t].value, audio)
+            assert np.array_equal(state.attended["visual"][t].value, visual)
 
     def test_jca_equals_rjca_depth_one(self):
         kwargs = dict(dim_audio=3, dim_visual=5, seq_len=6, depth=1)
@@ -264,8 +259,9 @@ class TestGates:
         randomize(params, np.random.default_rng(seed + 100), include_gates=False)
         if gate_seed is not None:
             rng = np.random.default_rng(gate_seed)
-            params.gate_audio.value[...] = rng.standard_normal(params.gate_audio.shape)
-            params.gate_visual.value[...] = rng.standard_normal(params.gate_visual.shape)
+            for name in ("gate_audio", "gate_visual"):
+                gate = params.weights[name]
+                gate.value[...] = rng.standard_normal(gate.shape)
         rng = np.random.default_rng(seed + 1)
         audio = rng.standard_normal((6, 4))
         visual = rng.standard_normal((6, 4))
@@ -275,7 +271,7 @@ class TestGates:
         for depth in (1, 2, 3, 4):
             audio, visual, params = self.grjca_state(depth=depth, gate_seed=55)
             state = run_modular(audio, visual, params)
-            for gates in (state.gates_audio, state.gates_visual):
+            for gates in state.gates.values():
                 assert np.max(np.abs(gates.value.sum(axis=1) - 1.0)) < 1e-12
 
     def test_hgrjca_gate_rows_sum_to_one(self):
@@ -283,14 +279,17 @@ class TestGates:
             config = ModelConfig("HGRJCA", dim_audio=4, dim_visual=3, seq_len=5, depth=depth)
             params = FusionParams(config, rng=np.random.default_rng(61))
             randomize(params, np.random.default_rng(64), include_gates=False)
-            for p in (params.final_gate_audio, params.final_gate_visual, *params.iter_gate_audio):
+            names = ["final_gate_audio", "final_gate_visual"]
+            names += [f"round{t}.iter_gate_audio" for t in range(1, depth + 1)]
+            for name in names:
+                p = params.weights[name]
                 p.value[...] = np.random.default_rng(62).standard_normal(p.shape)
             rng = np.random.default_rng(63)
             state = run_modular(rng.standard_normal((4, 5)), rng.standard_normal((3, 5)), params)
             all_gates = (
-                state.iter_gates_audio
-                + state.iter_gates_visual
-                + [state.final_gates_audio, state.final_gates_visual]
+                state.iter_gates["audio"]
+                + state.iter_gates["visual"]
+                + [state.gates["audio"], state.gates["visual"]]
             )
             for gates in all_gates:
                 assert np.max(np.abs(gates.value.sum(axis=1) - 1.0)) < 1e-12
@@ -299,9 +298,9 @@ class TestGates:
         # equal logits weight every candidate 1/(depth+1)
         audio, visual, params = self.grjca_state(depth=2)
         state = run_modular(audio, visual, params)
-        mean_a = sum(t.value for t in state.attended_audio) / 3.0
+        mean_a = sum(t.value for t in state.attended["audio"]) / 3.0
         expected = np.maximum(mean_a, 0.0)
-        assert np.max(np.abs(state.final_audio.value - expected)) < 1e-12
+        assert np.max(np.abs(state.final["audio"].value - expected)) < 1e-12
 
     def test_low_temperature_selects_argmax(self):
         # solve for gate weights that realize a target logit matrix with
@@ -312,7 +311,7 @@ class TestGates:
         rng = np.random.default_rng(72)
         audio = rng.standard_normal((6, 4))
         visual = rng.standard_normal((6, 4))
-        probe = rjca_forward(ModalityFeatures(Tensor(audio), Tensor(visual)), params)
+        probe = rjca_forward(Tensor(audio), Tensor(visual), params)
         target = np.array(
             [
                 [0.9, 0.1, 0.3],
@@ -321,10 +320,8 @@ class TestGates:
                 [0.7, 0.2, 0.0],
             ]
         )
-        for attended, gate in (
-            (probe.attended_audio, params.gate_audio),
-            (probe.attended_visual, params.gate_visual),
-        ):
+        for m in ("audio", "visual"):
+            attended, gate = probe.attended[m], params.weights[f"gate_{m}"]
             basis = attended[2].value.T
             gate.value[...] = np.linalg.pinv(basis) @ target
             realized = basis @ gate.value
@@ -333,8 +330,8 @@ class TestGates:
         state = run_modular(audio, visual, params)
         winners = np.argmax(target, axis=1)
         for final, attended in (
-            (state.final_audio, state.attended_audio),
-            (state.final_visual, state.attended_visual),
+            (state.final["audio"], state.attended["audio"]),
+            (state.final["visual"], state.attended["visual"]),
         ):
             hard = np.stack([attended[winners[j]].value[:, j] for j in range(4)], axis=1)
             hard = np.maximum(hard, 0.0)
@@ -345,20 +342,20 @@ class TestGates:
         config = ModelConfig("HGRJCA", dim_audio=3, dim_visual=3, seq_len=4, depth=1)
         params = FusionParams(config, rng=np.random.default_rng(81))
         for name in ("out_audio", "out_visual", "attn_audio", "attn_visual"):
-            getattr(params, name)[0].value[...] = 0.0
-        params.iter_gate_audio[0].value[...] = np.random.default_rng(82).standard_normal((3, 2))
+            params.weights[f"round1.{name}"].value[...] = 0.0
+        params.weights["round1.iter_gate_audio"].value[...] = np.random.default_rng(82).standard_normal((3, 2))
         rng = np.random.default_rng(83)
         audio = rng.standard_normal((3, 4))
         visual = rng.standard_normal((3, 4))
         # zero output weights make round 1 a pure residual, so both gate
         # candidates equal the inputs
         state = run_modular(audio, visual, params)
-        assert np.max(np.abs(state.final_audio.value - np.maximum(audio, 0.0))) < 1e-12
+        assert np.max(np.abs(state.final["audio"].value - np.maximum(audio, 0.0))) < 1e-12
 
     def test_gate_column_mismatch_raises(self):
         audio, visual, params = self.grjca_state(depth=2)
-        params.gate_audio = Tensor(np.zeros((6, 2)))
-        with pytest.raises(DimensionError, match="columns"):
+        params.weights["gate_audio"] = Tensor(np.zeros((6, 2)))
+        with pytest.raises(DimensionError, match="gated_sum"):
             run_modular(audio, visual, params)
 
     def test_grjca_gate_requires_grjca_params(self):
@@ -366,7 +363,7 @@ class TestGates:
         params = FusionParams(config, rng=np.random.default_rng(91))
         rng = np.random.default_rng(92)
         state = run_modular(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), params)
-        with pytest.raises(ConfigError, match="GRJCA"):
+        with pytest.raises(ConfigError, match="'gate_audio'.*built for RJCA"):
             grjca_gate(state, params)
 
 

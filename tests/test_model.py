@@ -4,6 +4,7 @@ import gc
 import weakref
 
 import numpy as np
+import pytest
 
 from avfusion.autodiff import gradcheck
 from avfusion.model import EmotionModel, ModelConfig
@@ -113,3 +114,84 @@ class TestGraphMemory:
 
     def test_forward_only_graph_freed(self):
         self.check_freed(backward=False)
+
+
+TCN_NAMES = [
+    "tcn_audio.level1.tap0",
+    "tcn_audio.level1.tap1",
+    "tcn_audio.level1.tap2",
+    "tcn_audio.level1.bias",
+    "tcn_audio.level2.tap0",
+    "tcn_audio.level2.tap1",
+    "tcn_audio.level2.tap2",
+    "tcn_audio.level2.bias",
+    "tcn_visual.level1.tap0",
+    "tcn_visual.level1.tap1",
+    "tcn_visual.level1.tap2",
+    "tcn_visual.level1.bias",
+    "tcn_visual.level2.tap0",
+    "tcn_visual.level2.tap1",
+    "tcn_visual.level2.tap2",
+    "tcn_visual.level2.bias",
+]
+HEAD_NAMES = ["head.layer1.weight", "head.layer1.bias", "head.layer2.weight", "head.layer2.bias"]
+
+
+class TestParameterNames:
+    """Saved parameter files and the gradient audit's coordinate sampling
+    both follow the name order, so it is pinned literally."""
+
+    @pytest.mark.parametrize(
+        "mode, depth, joint_projection, fusion_names",
+        [
+            (
+                "HGRJCA",
+                2,
+                True,
+                [
+                    "fusion.round1.corr_audio",
+                    "fusion.round1.corr_visual",
+                    "fusion.round1.attn_audio",
+                    "fusion.round1.attn_visual",
+                    "fusion.round1.out_audio",
+                    "fusion.round1.out_visual",
+                    "fusion.round1.joint_proj",
+                    "fusion.round1.iter_gate_audio",
+                    "fusion.round1.iter_gate_visual",
+                    "fusion.round2.corr_audio",
+                    "fusion.round2.corr_visual",
+                    "fusion.round2.attn_audio",
+                    "fusion.round2.attn_visual",
+                    "fusion.round2.out_audio",
+                    "fusion.round2.out_visual",
+                    "fusion.round2.joint_proj",
+                    "fusion.round2.iter_gate_audio",
+                    "fusion.round2.iter_gate_visual",
+                    "fusion.final_gate_audio",
+                    "fusion.final_gate_visual",
+                ],
+            ),
+            (
+                "GRJCA",
+                1,
+                False,
+                [
+                    "fusion.round1.corr_audio",
+                    "fusion.round1.corr_visual",
+                    "fusion.round1.attn_audio",
+                    "fusion.round1.attn_visual",
+                    "fusion.round1.out_audio",
+                    "fusion.round1.out_visual",
+                    "fusion.gate_audio",
+                    "fusion.gate_visual",
+                ],
+            ),
+        ],
+    )
+    def test_names_in_order(self, mode, depth, joint_projection, fusion_names):
+        config = ModelConfig(
+            mode=mode, dim_audio=3, dim_visual=2, seq_len=8, depth=depth, joint_projection=joint_projection
+        )
+        params = EmotionModel(config).parameters()
+        assert list(params) == TCN_NAMES + fusion_names + HEAD_NAMES
+        assert all(p.name == name for name, p in params.items())

@@ -81,12 +81,12 @@ def probe_case():
 
 def test_one_kink_crossing_coordinate_is_skipped():
     model, win, drop_seed, loss = probe_case()
-    bias = model.tcn_audio.biases[0]
+    bias = model.tcn["audio"].biases[0]
     # put one first-level pre-activation 5e-7 above its kink: every step of
     # the ladder moves it across, and no other coordinate of this bias
     # reaches it
     x = ad.Tensor(np.stack([win.audio]).astype(np.float64) * win.valid)
-    conv = ad.causal_conv(x, model.tcn_audio.taps[0], 1).value
+    conv = ad.causal_conv(x, model.tcn["audio"].taps[0], 1).value
     bias.value[3, 0] = 5e-7 - conv[0, 3, 2]
     params = {"bias": bias}
 
