@@ -25,8 +25,8 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .exceptions import ConfigError, DimensionError, FormatError, NumericError, ParameterError
+from .fusion import MODALITIES
 from .metrics import EvalReport
-from .model import EmotionModel
 from .synthdata import _read_csv, _write_csv, clip_seed, generate, read_features, write_features
 from .training import (
     best_fold,
@@ -44,7 +44,7 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-MANIFEST_HEADER = ["clip", "seed", "frames", "audio_corrupt_frames", "visual_corrupt_frames"]
+MANIFEST_HEADER = ["clip", "seed", "frames", *(f"{m}_corrupt_frames" for m in MODALITIES)]
 PREDICTIONS_HEADER = ["clip", "frame", "pred", "truth"]
 ABLATION_HEADER = [
     "recursion_depth",
@@ -126,7 +126,7 @@ def _load_dataset(out: Path):
     manifest = _dataset_dir(out) / "manifest.csv"
     if not manifest.exists():
         raise ConfigError(f"no dataset at {manifest.parent}; run the gen command first")
-    clip_ids = _read_csv(manifest, MANIFEST_HEADER, (str, int, int, int, int))[0]
+    clip_ids = _read_csv(manifest, MANIFEST_HEADER, (str,) + (int,) * (len(MANIFEST_HEADER) - 1))[0]
     if not clip_ids:
         raise ConfigError(f"{manifest}: dataset lists no clips")
     return [read_features(manifest.parent, clip_id) for clip_id in clip_ids]
@@ -139,15 +139,8 @@ def cmd_gen(config: ExperimentConfig, out: Path) -> int:
     rows = []
     for index, clip in enumerate(clips):
         write_features(dataset, clip)
-        rows.append(
-            [
-                clip.clip_id,
-                str(clip_seed(config.generator, index)),
-                str(clip.frames),
-                str(int(clip.corrupt_audio.sum())),
-                str(int(clip.corrupt_visual.sum())),
-            ]
-        )
+        corrupt = [str(int(getattr(clip, f"corrupt_{m}").sum())) for m in MODALITIES]
+        rows.append([clip.clip_id, str(clip_seed(config.generator, index)), str(clip.frames), *corrupt])
     _write_csv(dataset / "manifest.csv", MANIFEST_HEADER, rows)
     print(f"wrote {len(clips)} clips ({config.generator.frames} frames each) to {dataset}")
     return EXIT_OK
@@ -194,9 +187,7 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> int:
     if not params_path.exists():
         raise FileNotFoundError(f"no saved parameters at {params_path}; run the train command first")
     tc = config.training
-    model = EmotionModel(
-        tc.model_config(clips[0].audio.shape[0], clips[0].visual.shape[0]), rng=tc.model_rng()
-    )
+    model = tc.new_model(clips[0])
     model.load_snapshot(load_params(params_path))
     report, rows = evaluate(model, clips, tc)
     eval_dir = out / "eval"

@@ -123,7 +123,6 @@ class EvalReport:
     frame_count: int = 0
     fold: int | None = None
     per_clip: dict = field(default_factory=dict)
-    degenerate: bool = False
 
     CSV_HEADER = ["fold", "mode", "M", "T", "ccc_v", "ccc_a"]
 

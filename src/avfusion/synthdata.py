@@ -8,10 +8,16 @@ both see, the rest is split exclusively between them.  Corruption
 replaces one modality's features with matched-variance white noise over
 Markov bursts, making that modality misleading rather than silent.
 
+Every per-modality step (readout, noise, corruption, feature file) is
+written once and run for each modality of
+:data:`~avfusion.fusion.MODALITIES` in turn, and :data:`FRAME_FIELDS`
+lists the clip's per-frame fields once for its length check, equality
+and windowing.
+
 Feature files use a small binary container (magic ``AVFS``): header of
 magic, version u32, frame count u32, feature dim u32, all little-endian,
-then the row-major float32 payload.  Labels and masks live in sidecar
-CSVs keyed by absolute frame index.
+then the row-major float32 payload; one file per modality.  Labels and
+masks (0/1 cells) live in sidecar CSVs keyed by absolute frame index.
 """
 
 from __future__ import annotations
@@ -19,16 +25,23 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import ConfigError, FormatError
+from .fusion import MODALITIES
 
 MAGIC = b"AVFS"
 VERSION = 1
 HEADER = struct.Struct("<4sIII")
+
+# every per-frame clip field: the features, the labels, then the masks
+MASK_FIELDS = (*(f"corrupt_{m}" for m in MODALITIES), "valid")
+FRAME_FIELDS = (*MODALITIES, "valence", "arousal", *MASK_FIELDS)
+LABELS_HEADER = ["frame", "valence", "arousal"]
+MASKS_HEADER = ["frame", *(f"{m}_corrupt" for m in MODALITIES), "valid"]
 
 
 @dataclass
@@ -60,16 +73,15 @@ class GenConfig:
             raise ConfigError(f"corruption_prob must be in [0, 1], got {self.corruption_prob}")
         if self.corruption_mean_len < 1:
             raise ConfigError(f"corruption_mean_len must be >= 1, got {self.corruption_mean_len}")
-        if self.corruption_target not in ("audio", "visual"):
-            raise ConfigError(
-                f"corruption_target must be 'audio' or 'visual', got {self.corruption_target!r}"
-            )
+        if self.corruption_target not in MODALITIES:
+            raise ConfigError(f"corruption_target must be one of {MODALITIES}, got {self.corruption_target!r}")
 
 
 @dataclass(eq=False)
 class LabeledClip:
     """One clip or clip window.
 
+    Every field in :data:`FRAME_FIELDS` holds one column per frame.
     Features are float32 (the storage dtype, so file round-trips are
     bitwise).  ``valid`` marks real frames; windowing pads with zeros and
     clears it.  ``frame_offset`` is the window start inside the source
@@ -89,21 +101,13 @@ class LabeledClip:
     def __post_init__(self):
         if self.valid is None:
             self.valid = np.ones(self.frames, dtype=bool)
-        lengths = {
-            self.audio.shape[1],
-            self.visual.shape[1],
-            len(self.valence),
-            len(self.arousal),
-            len(self.corrupt_audio),
-            len(self.corrupt_visual),
-            len(self.valid),
-        }
+        lengths = {getattr(self, name).shape[-1] for name in FRAME_FIELDS}
         if len(lengths) != 1:
             raise ConfigError(f"clip {self.clip_id}: inconsistent frame counts {sorted(lengths)}")
 
     @property
     def frames(self):
-        return self.audio.shape[1]
+        return len(self.valence)
 
     def __eq__(self, other):
         if not isinstance(other, LabeledClip):
@@ -111,44 +115,32 @@ class LabeledClip:
         return (
             self.clip_id == other.clip_id
             and self.frame_offset == other.frame_offset
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in (
-                    "audio",
-                    "visual",
-                    "valence",
-                    "arousal",
-                    "corrupt_audio",
-                    "corrupt_visual",
-                    "valid",
-                )
-            )
+            and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in FRAME_FIELDS)
         )
 
 
-def _latent_split(config: GenConfig):
-    """Index sets of the latent dims each modality observes."""
-    k = config.latent_dim
-    shared = round(config.complementarity * k)
-    exclusive = k - shared
-    ex_audio = (exclusive + 1) // 2
-    audio_idx = np.concatenate([np.arange(shared), np.arange(shared, shared + ex_audio)])
-    visual_idx = np.concatenate([np.arange(shared), np.arange(shared + ex_audio, k)])
-    return audio_idx.astype(int), visual_idx.astype(int)
-
-
 def _dataset_weights(config: GenConfig):
-    """Label readouts and mixing matrices, fixed across all clips."""
+    """Label readouts, and per modality the latent dims it observes with
+    its mixing matrix; fixed across all clips.
+
+    Every modality sees the first ``round(complementarity * latent_dim)``
+    dims; the rest are split into consecutive exclusive blocks, the first
+    modality taking the larger half.
+    """
     readout_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     w_val = readout_rng.standard_normal(config.latent_dim)
     w_aro = readout_rng.standard_normal(config.latent_dim)
     w_val /= np.sum(np.abs(w_val))  # L1 norm 1 keeps labels inside (-1, 1)
     w_aro /= np.sum(np.abs(w_aro))
-    audio_idx, visual_idx = _latent_split(config)
+    shared = round(config.complementarity * config.latent_dim)
+    exclusive = np.array_split(np.arange(shared, config.latent_dim), len(MODALITIES))
     mix_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-    mix_audio = mix_rng.standard_normal((config.dim_audio, len(audio_idx))) / math.sqrt(len(audio_idx))
-    mix_visual = mix_rng.standard_normal((config.dim_visual, len(visual_idx))) / math.sqrt(len(visual_idx))
-    return w_val, w_aro, audio_idx, visual_idx, mix_audio, mix_visual
+    views = {}
+    for m, own in zip(MODALITIES, exclusive):
+        seen = np.concatenate([np.arange(shared), own])
+        dim = getattr(config, f"dim_{m}")
+        views[m] = (seen, mix_rng.standard_normal((dim, len(seen))) / math.sqrt(len(seen)))
+    return w_val, w_aro, views
 
 
 def clip_seed(config: GenConfig, index: int) -> int:
@@ -189,39 +181,27 @@ def _corruption_mask(rng, config: GenConfig):
 
 
 def _generate_clip(index: int, config: GenConfig, weights) -> LabeledClip:
-    w_val, w_aro, audio_idx, visual_idx, mix_audio, mix_visual = weights
+    w_val, w_aro, views = weights
     base = clip_seed(config, index)
     feature_rng = np.random.default_rng(np.random.SeedSequence([base, 0]))
     corrupt_rng = np.random.default_rng(np.random.SeedSequence([base, 1]))
 
     latent = _smooth_latent(feature_rng, config)
-    valence = w_val @ latent
-    arousal = w_aro @ latent
-    audio = mix_audio @ latent[audio_idx]
-    visual = mix_visual @ latent[visual_idx]
-    if config.noise_std > 0:
-        audio = audio + config.noise_std * feature_rng.standard_normal(audio.shape)
-        visual = visual + config.noise_std * feature_rng.standard_normal(visual.shape)
-
     mask = _corruption_mask(corrupt_rng, config)
-    corrupt_audio = mask if config.corruption_target == "audio" else np.zeros(config.frames, dtype=bool)
-    corrupt_visual = mask if config.corruption_target == "visual" else np.zeros(config.frames, dtype=bool)
-    for feats, m in ((audio, corrupt_audio), (visual, corrupt_visual)):
-        count = int(m.sum())
+    fields = {"valence": w_val @ latent, "arousal": w_aro @ latent}
+    for m, (seen, mixing) in views.items():
+        feats = mixing @ latent[seen]
+        if config.noise_std > 0:
+            feats = feats + config.noise_std * feature_rng.standard_normal(feats.shape)
+        corrupt = mask if m == config.corruption_target else np.zeros(config.frames, dtype=bool)
+        count = int(corrupt.sum())
         if count:
             mean = feats.mean(axis=1, keepdims=True)
             std = feats.std(axis=1, keepdims=True)
-            feats[:, m] = mean + std * corrupt_rng.standard_normal((feats.shape[0], count))
-
-    return LabeledClip(
-        clip_id=f"clip{index:04d}",
-        audio=audio.astype(np.float32),
-        visual=visual.astype(np.float32),
-        valence=valence,
-        arousal=arousal,
-        corrupt_audio=corrupt_audio,
-        corrupt_visual=corrupt_visual,
-    )
+            feats[:, corrupt] = mean + std * corrupt_rng.standard_normal((feats.shape[0], count))
+        fields[m] = feats.astype(np.float32)
+        fields[f"corrupt_{m}"] = corrupt
+    return LabeledClip(clip_id=f"clip{index:04d}", **fields)
 
 
 def generate(config: GenConfig) -> list:
@@ -234,38 +214,29 @@ def generate(config: GenConfig) -> list:
 # -- windowing ---------------------------------------------------------------
 
 
+def _cut(column, start: int, length: int):
+    """Frames ``start .. start + length`` of a per-frame field: a view
+    where the field reaches that far, else padded with zeros (False for
+    a mask)."""
+    piece = column[..., start : start + length]
+    pad = length - piece.shape[-1]
+    if pad:
+        piece = np.pad(piece, [(0, 0)] * (piece.ndim - 1) + [(0, pad)])
+    return piece
+
+
 def window(clip: LabeledClip, length: int, stride: int) -> list:
     """Overlapping windows; the tail is zero-padded with validity cleared."""
     if length < 1 or stride < 1:
         raise ConfigError(f"window length and stride must be >= 1, got {length}, {stride}")
-    windows = []
-    for start in range(0, clip.frames, stride):
-        end = start + length
-        real = min(end, clip.frames) - start
-        pad = length - real
-
-        def cut(arr, fill=0):
-            piece = arr[..., start : start + real]
-            if pad:
-                width = [(0, 0)] * (piece.ndim - 1) + [(0, pad)]
-                piece = np.pad(piece, width, constant_values=fill)
-            return piece
-
-        valid = cut(clip.valid, fill=False)
-        windows.append(
-            LabeledClip(
-                clip_id=clip.clip_id,
-                audio=cut(clip.audio),
-                visual=cut(clip.visual),
-                valence=cut(clip.valence),
-                arousal=cut(clip.arousal),
-                corrupt_audio=cut(clip.corrupt_audio, fill=False),
-                corrupt_visual=cut(clip.corrupt_visual, fill=False),
-                valid=valid,
-                frame_offset=clip.frame_offset + start,
-            )
+    return [
+        LabeledClip(
+            clip_id=clip.clip_id,
+            **{name: _cut(getattr(clip, name), start, length) for name in FRAME_FIELDS},
+            frame_offset=clip.frame_offset + start,
         )
-    return windows
+        for start in range(0, clip.frames, stride)
+    ]
 
 
 # -- feature file I/O --------------------------------------------------------
@@ -351,55 +322,45 @@ def _finite_float(cell: str) -> float:
     return value
 
 
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(cell)
+    return cell == "1"
+
+
 def write_features(directory, clip: LabeledClip):
-    """Four files per clip: two AVFS matrices, labels CSV, masks CSV."""
+    """Per clip: one AVFS matrix per modality, a labels CSV and a masks CSV."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_avfs(directory / f"{clip.clip_id}_audio.avfs", clip.audio)
-    write_avfs(directory / f"{clip.clip_id}_visual.avfs", clip.visual)
-    frames = [clip.frame_offset + j for j in range(clip.frames)]
+    for m in MODALITIES:
+        write_avfs(directory / f"{clip.clip_id}_{m}.avfs", getattr(clip, m))
+    frames = range(clip.frame_offset, clip.frame_offset + clip.frames)
     _write_csv(
         directory / f"{clip.clip_id}_labels.csv",
-        ["frame", "valence", "arousal"],
+        LABELS_HEADER,
         [[f, repr(float(v)), repr(float(a))] for f, v, a in zip(frames, clip.valence, clip.arousal)],
     )
-    _write_csv(
-        directory / f"{clip.clip_id}_masks.csv",
-        ["frame", "audio_corrupt", "visual_corrupt", "valid"],
-        [
-            [f, int(ca), int(cv), int(va)]
-            for f, ca, cv, va in zip(frames, clip.corrupt_audio, clip.corrupt_visual, clip.valid)
-        ],
-    )
+    masks = zip(frames, *(getattr(clip, name) for name in MASK_FIELDS))
+    _write_csv(directory / f"{clip.clip_id}_masks.csv", MASKS_HEADER, [[f, *map(int, row)] for f, *row in masks])
 
 
 def read_features(directory, clip_id: str) -> LabeledClip:
+    """The clip :func:`write_features` wrote; a feature file or mask CSV
+    whose frame count differs from the label rows is a FormatError naming
+    that file."""
     directory = Path(directory)
-    audio = read_avfs(directory / f"{clip_id}_audio.avfs")
-    visual = read_avfs(directory / f"{clip_id}_visual.avfs")
     frames, valence, arousal = _read_csv(
-        directory / f"{clip_id}_labels.csv",
-        ["frame", "valence", "arousal"],
-        (int, _finite_float, _finite_float),
+        directory / f"{clip_id}_labels.csv", LABELS_HEADER, (int, _finite_float, _finite_float)
     )
-    _, corrupt_audio, corrupt_visual, valid = _read_csv(
-        directory / f"{clip_id}_masks.csv",
-        ["frame", "audio_corrupt", "visual_corrupt", "valid"],
-        (int, int, int, int),
-    )
-    if len(frames) != audio.shape[1] or len(valid) != audio.shape[1]:
-        raise FormatError(
-            f"{clip_id}: {audio.shape[1]} feature frames but {len(frames)} label rows "
-            f"and {len(valid)} mask rows"
-        )
-    return LabeledClip(
-        clip_id=clip_id,
-        audio=audio,
-        visual=visual,
-        valence=np.array(valence),
-        arousal=np.array(arousal),
-        corrupt_audio=np.array(corrupt_audio, dtype=bool),
-        corrupt_visual=np.array(corrupt_visual, dtype=bool),
-        valid=np.array(valid, dtype=bool),
-        frame_offset=frames[0] if frames else 0,
-    )
+    fields = {"valence": np.array(valence), "arousal": np.array(arousal)}
+    for m in MODALITIES:
+        path = directory / f"{clip_id}_{m}.avfs"
+        fields[m] = read_avfs(path)
+        if fields[m].shape[1] != len(frames):
+            raise FormatError(f"{path}: {fields[m].shape[1]} frames but {len(frames)} label rows")
+    path = directory / f"{clip_id}_masks.csv"
+    _, *masks = _read_csv(path, MASKS_HEADER, (int,) + (_flag,) * len(MASK_FIELDS))
+    if len(masks[0]) != len(frames):
+        raise FormatError(f"{path}: {len(masks[0])} rows but {len(frames)} label rows")
+    fields.update((name, np.array(column, dtype=bool)) for name, column in zip(MASK_FIELDS, masks))
+    return LabeledClip(clip_id=clip_id, **fields, frame_offset=frames[0] if frames else 0)

@@ -28,11 +28,6 @@ from .exceptions import ConfigError
 from .fusion import xavier_uniform
 
 
-def receptive_field(levels: int, kernel_size: int) -> int:
-    """Frames an encoder output sees: itself and every frame it reaches back to."""
-    return 1 + (kernel_size - 1) * (2**levels - 1)
-
-
 def check_tcn_fits(levels: int, kernel_size: int, seq_len: int):
     """Raise unless every level's largest shift is shorter than the sequence.
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, NumericError, ParameterError
+from .fusion import MODALITIES
 from .metrics import EvalReport, ccc_flagged
 from .model import EmotionModel, ModelConfig
 from .synthdata import window
@@ -90,6 +91,11 @@ class TrainConfig:
             head_hidden=self.head_hidden,
             dropout=self.dropout,
         )
+
+    def new_model(self, clip) -> EmotionModel:
+        """A freshly initialised model sized for the feature rows of ``clip``."""
+        dims = {f"dim_{m}": getattr(clip, m).shape[0] for m in MODALITIES}
+        return EmotionModel(self.model_config(**dims), rng=self.model_rng())
 
     def model_rng(self):
         # deliberately independent of mode: gate weights are zero-init and
@@ -303,13 +309,11 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
     if not train_clips or not val_clips:
         raise ConfigError("train: both splits must be non-empty")
     retain_freed_heap()
-    dim_audio = train_clips[0].audio.shape[0]
-    dim_visual = train_clips[0].visual.shape[0]
     train_windows = [
         w for clip in train_clips for w in window(clip, config.window_len, config.window_stride)
     ]
 
-    model = EmotionModel(config.model_config(dim_audio, dim_visual), rng=config.model_rng())
+    model = config.new_model(train_clips[0])
     adam = AdamState()
     sched = SchedulerState(lr=config.init_lr)
     best_snapshot = model.snapshot()
@@ -373,14 +377,13 @@ def _report(clips, clip_preds, config: TrainConfig, fold=None):
             )
         per_clip[clip.clip_id], _ = ccc_flagged(preds, truth)
     pooled_truth = [getattr(clip, config.target) for clip in clips]
-    value, degenerate = ccc_flagged(np.concatenate(clip_preds), np.concatenate(pooled_truth))
+    value, _ = ccc_flagged(np.concatenate(clip_preds), np.concatenate(pooled_truth))
     report = EvalReport(
         ccc_valence=value if config.target == "valence" else None,
         ccc_arousal=value if config.target == "arousal" else None,
         frame_count=sum(clip.frames for clip in clips),
         fold=fold,
         per_clip=per_clip,
-        degenerate=degenerate,
     )
     return report, rows
 

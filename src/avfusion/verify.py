@@ -24,15 +24,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import gradcheck, record_kinks
+from .fusion import MODALITIES
 from .metrics import _moments
 from .model import EmotionModel, ModelConfig
 from .synthdata import LabeledClip
 from .training import map_in_order
 
 TOLERANCE = 1e-5
+SEED = 0
+PROBE_DIM = 8  # feature rows of each modality
+PROBE_LEN = 6  # frames of the probe window
+SAMPLES_PER_PARAM = 6  # probed coordinates per weight matrix, sampled reproducibly
 
 # every mode, recursion depths 1..3 where the mode supports them
-DEFAULT_CASES = (
+CASES = (
     ("JCA", 1),
     ("RJCA", 1),
     ("RJCA", 2),
@@ -82,20 +87,14 @@ class SuiteResult:
         return lines
 
 
-def _probe_window(dim_audio, dim_visual, seq_len, rng) -> LabeledClip:
+def _probe_window(rng) -> LabeledClip:
+    fields = {m: rng.standard_normal((PROBE_DIM, PROBE_LEN)).astype(np.float32) for m in MODALITIES}
+    fields["valence"] = rng.uniform(-0.8, 0.8, size=PROBE_LEN)
+    fields["arousal"] = rng.uniform(-0.8, 0.8, size=PROBE_LEN)
+    fields.update((f"corrupt_{m}", np.zeros(PROBE_LEN, dtype=bool)) for m in MODALITIES)
     # last two frames invalid so the masked-loss path is exercised
-    valid = np.ones(seq_len, dtype=bool)
-    valid[-2:] = False
-    return LabeledClip(
-        clip_id="probe",
-        audio=rng.standard_normal((dim_audio, seq_len)).astype(np.float32),
-        visual=rng.standard_normal((dim_visual, seq_len)).astype(np.float32),
-        valence=rng.uniform(-0.8, 0.8, size=seq_len),
-        arousal=rng.uniform(-0.8, 0.8, size=seq_len),
-        corrupt_audio=np.zeros(seq_len, dtype=bool),
-        corrupt_visual=np.zeros(seq_len, dtype=bool),
-        valid=valid,
-    )
+    fields["valid"] = np.arange(PROBE_LEN) < PROBE_LEN - 2
+    return LabeledClip(clip_id="probe", **fields)
 
 
 class SharedMask:
@@ -149,31 +148,23 @@ def stacked_probe(model: EmotionModel, win: LabeledClip, drop_seed: int):
     return probe
 
 
-def run_gradcheck_suite(
-    dim_audio=8,
-    dim_visual=8,
-    seq_len=6,
-    cases=DEFAULT_CASES,
-    samples_per_param=6,
-    seed=0,
-    workers=1,
-) -> SuiteResult:
+def run_gradcheck_suite(workers=1) -> SuiteResult:
     """Gradient-check the full training loss for every fusion mode.
 
-    ``samples_per_param`` caps the probed coordinates per weight matrix
-    (sampled reproducibly) to keep the suite fast; every matrix still
-    appears in the report exactly once per case.  The cases run in up to
-    ``workers`` processes and are reported in case order.
+    At most ``SAMPLES_PER_PARAM`` coordinates are probed per weight matrix
+    to keep the suite fast; every matrix still appears in the report
+    exactly once per case.  The cases run in up to ``workers`` processes
+    and are reported in case order.
     """
 
     def check_case(case_index):
-        mode, depth = cases[case_index]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, case_index]))
+        mode, depth = CASES[case_index]
+        rng = np.random.default_rng(np.random.SeedSequence([SEED, case_index]))
         config = ModelConfig(
             mode=mode,
-            dim_audio=dim_audio,
-            dim_visual=dim_visual,
-            seq_len=seq_len,
+            dim_audio=PROBE_DIM,
+            dim_visual=PROBE_DIM,
+            seq_len=PROBE_LEN,
             depth=depth,
             tcn_levels=2,
             tcn_kernel=3,
@@ -184,7 +175,7 @@ def run_gradcheck_suite(
         # generic point instead so no gradient path is trivially zero
         for p in model.parameters().values():
             p.value[...] = 0.3 * rng.standard_normal(p.shape)
-        win = _probe_window(dim_audio, dim_visual, seq_len, rng)
+        win = _probe_window(rng)
         drop_seed = int(rng.integers(0, 2**32))
 
         def loss():
@@ -194,13 +185,13 @@ def run_gradcheck_suite(
             loss,
             model.parameters(),
             epsilon=1e-5,
-            max_entries_per_param=samples_per_param,
-            rng=np.random.default_rng(np.random.SeedSequence([seed, case_index, 1])),
+            max_entries_per_param=SAMPLES_PER_PARAM,
+            rng=np.random.default_rng(np.random.SeedSequence([SEED, case_index, 1])),
             probe=stacked_probe(model, win, drop_seed),
         )
 
     result = SuiteResult()
-    for (mode, depth), report in zip(cases, map_in_order(check_case, len(cases), workers)):
+    for (mode, depth), report in zip(CASES, map_in_order(check_case, len(CASES), workers)):
         for name, err in report.per_param.items():
             result.entries.append((f"{mode}/M{depth}/{name}", err))
         result.checked += report.checked

@@ -22,7 +22,7 @@ from avfusion import autodiff as ad
 from avfusion import cli
 from avfusion.cli import load_params, main, save_params
 from avfusion.config import parse_config
-from avfusion.synthdata import generate
+from avfusion.synthdata import generate, read_avfs, write_avfs
 from avfusion.training import fold_assignments, train
 
 
@@ -413,6 +413,8 @@ class TestExitCodes:
             ("clip0000_labels.csv", 3, "1,nan,0.1"),
             ("clip0001_labels.csv", 4, "2,0.2,-inf"),
             ("clip0000_masks.csv", 4, "2,0,1,yes"),
+            ("clip0000_masks.csv", 3, "1,0,0,2"),
+            ("clip0001_masks.csv", 5, "3,0,0,-3"),
             ("manifest.csv", 3, ""),
             ("manifest.csv", 2, "clip0000,7,ninety,0,0"),
         ],
@@ -429,6 +431,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"{name}: row {row} " in err
+
+    @pytest.mark.parametrize("name", ["clip0001_audio.avfs", "clip0001_visual.avfs", "clip0001_masks.csv"])
+    def test_frame_count_mismatch_is_io_error(self, tmp_path, capsys, name):
+        # a file with fewer frames than the labels CSV has rows is named
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        path = out / "dataset" / name
+        if path.suffix == ".avfs":
+            write_avfs(path, read_avfs(path)[:, :80])
+        else:
+            path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"i/o error: {path}: ") and "but 96 label rows" in err
 
     @pytest.mark.parametrize(
         "training, key",

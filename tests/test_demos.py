@@ -16,7 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["ccc_metric", "fusion_modes", "gradient_check", "training_walkthrough"])
+@pytest.mark.parametrize(
+    "name", ["ccc_metric", "corruption_robustness", "fusion_modes", "gradient_check", "training_walkthrough"]
+)
 def test_demo_runs(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -194,6 +194,31 @@ class TestWindow:
         assert np.any(pred.grad[0, :50] != 0.0)
 
 
+PER_FRAME_FIELDS = ["audio", "visual", "valence", "arousal", "corrupt_audio", "corrupt_visual", "valid"]
+
+
+@pytest.mark.parametrize("name", PER_FRAME_FIELDS)
+def test_per_frame_field(name):
+    # every per-frame field is length-checked, compared and windowed
+    clip = generate(GenConfig(num_videos=1, frames=20, seed=30, corruption_prob=0.5))[0]
+    fields = {n: getattr(clip, n) for n in PER_FRAME_FIELDS}
+    column = fields[name]
+
+    with pytest.raises(ConfigError, match="clip clip0000"):
+        LabeledClip(clip.clip_id, **dict(fields, **{name: column[..., :-1]}))
+
+    changed = column.copy()
+    changed[..., 3] = ~changed[..., 3] if changed.dtype == bool else changed[..., 3] + 1
+    assert LabeledClip(clip.clip_id, **dict(fields, **{name: changed})) != clip
+    assert LabeledClip(clip.clip_id, **fields) == clip
+
+    padded = getattr(window(clip, 25, 25)[0], name)
+    assert padded.dtype == column.dtype
+    assert np.array_equal(padded[..., :20], column)
+    assert not padded[..., 20:].any()  # zeros, or False for a mask
+    assert np.shares_memory(getattr(window(clip, 10, 10)[1], name), column)
+
+
 class TestFeatureFiles:
     def test_avfs_round_trip(self, tmp_path):
         matrix = np.random.default_rng(20).standard_normal((5, 9)).astype(np.float32)

@@ -11,9 +11,13 @@ from avfusion.temporal import (
     TcnParams,
     apply_dropout,
     head_forward,
-    receptive_field,
     tcn_forward,
 )
+
+
+def receptive_field(levels: int, kernel_size: int) -> int:
+    """Frames an encoder output sees: itself and every frame it reaches back to."""
+    return 1 + (kernel_size - 1) * (2**levels - 1)
 
 
 def run_tcn(x, params):

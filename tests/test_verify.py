@@ -64,13 +64,14 @@ def probe_case():
     """An RJCA model at a generic point, a probe window like the suite's,
     and its one-window loss."""
     rng = np.random.default_rng(3)
+    dim, length = verify.PROBE_DIM, verify.PROBE_LEN
     config = ModelConfig(
-        mode="RJCA", dim_audio=8, dim_visual=8, seq_len=6, tcn_levels=2, tcn_kernel=3
+        mode="RJCA", dim_audio=dim, dim_visual=dim, seq_len=length, tcn_levels=2, tcn_kernel=3
     )
     model = EmotionModel(config, rng=rng)
     for p in model.parameters().values():
         p.value[...] = 0.3 * rng.standard_normal(p.shape)
-    win = verify._probe_window(8, 8, 6, rng)
+    win = verify._probe_window(rng)
     drop_seed = 11
 
     def loss():
