@@ -11,6 +11,7 @@ come from the training config, which copies them into the one
 
 import numpy as np
 
+from avfusion.metrics import ccc
 from avfusion.model import EmotionModel
 from avfusion.synthdata import GenConfig, generate, window
 from avfusion.training import TrainConfig, TrainResult, evaluate, train
@@ -65,24 +66,16 @@ def main():
     snapshot = result.model.snapshot()
     restored = EmotionModel(config.model_config(gen.dim_audio, gen.dim_visual))
     restored.load_snapshot(snapshot)
-    report, rows = evaluate(restored, val_clips, config)
-    print(f"held-out clips, frame-level predictions pooled per clip:")
-    per_clip = {}
-    for clip_id, _, pred, truth in rows:
-        per_clip.setdefault(clip_id, ([], []))
-        per_clip[clip_id][0].append(float(pred))
-        per_clip[clip_id][1].append(float(truth))
-    from avfusion.metrics import ccc
-
-    for clip_id, (preds, truths) in per_clip.items():
-        print(f"  {clip_id}: ccc {ccc(np.array(preds), np.array(truths)):.4f} over {len(preds)} frames")
-    print(f"pooled val ccc {report.ccc_valence:.4f} (training reported {result.best_val_ccc:.4f})")
+    clip_preds, pooled = evaluate(restored, val_clips, config)
+    print("held-out clips, frame-level predictions scored per clip:")
+    for clip, preds in zip(val_clips, clip_preds):
+        print(f"  {clip.clip_id}: ccc {ccc(preds, clip.valence):.4f} over {clip.frames} frames")
+    print(f"pooled val ccc {pooled:.4f} (training reported {result.best_val_ccc:.4f})")
     # training keeps the best epoch's validation predictions, stitched per
-    # clip like evaluate's; cross-validation builds its fold report from them
+    # clip like evaluate's; a fold's report is that validation pass
     kept = np.concatenate(result.predictions)
-    same = np.array_equal(kept, [float(row[2]) for row in rows])
+    same = np.array_equal(kept, np.concatenate(clip_preds))
     print(f"restored weights reproduce the best epoch's {kept.size} kept predictions: {same}")
-
 
 if __name__ == "__main__":
     main()

@@ -26,7 +26,6 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .exceptions import ConfigError, DimensionError, FormatError, NumericError, ParameterError
 from .fusion import MODALITIES
-from .metrics import EvalReport
 from .synthdata import _read_csv, _write_csv, clip_seed, generate, read_features, write_features
 from .training import (
     best_fold,
@@ -46,6 +45,8 @@ EXIT_IO = 3
 
 MANIFEST_HEADER = ["clip", "seed", "frames", *(f"{m}_corrupt_frames" for m in MODALITIES)]
 PREDICTIONS_HEADER = ["clip", "frame", "pred", "truth"]
+HISTORY_HEADER = ["epoch", "lr", "train_loss", "val_ccc"]
+REPORT_HEADER = ["fold", "mode", "M", "T", "ccc_v", "ccc_a"]
 ABLATION_HEADER = [
     "recursion_depth",
     "rjca_valence",
@@ -132,6 +133,22 @@ def _load_dataset(out: Path):
     return [read_features(manifest.parent, clip_id) for clip_id in clip_ids]
 
 
+def _prediction_rows(clips, clip_preds, target: str):
+    """One (clip, frame, pred, truth) row per frame of every clip."""
+    return [
+        [clip.clip_id, str(clip.frame_offset + j), repr(float(pred)), repr(float(truth))]
+        for clip, preds in zip(clips, clip_preds)
+        for j, (pred, truth) in enumerate(zip(preds, getattr(clip, target)))
+    ]
+
+
+def _report_row(tc, ccc: float, fold=None):
+    """An eval_report.csv row; the channel not trained for and the fold
+    of a plain ``eval`` are empty cells."""
+    cells = [repr(float(ccc)), ""] if tc.target == "valence" else ["", repr(float(ccc))]
+    return ["" if fold is None else str(fold), tc.mode, str(tc.depth), repr(tc.temperature), *cells]
+
+
 def cmd_gen(config: ExperimentConfig, out: Path) -> int:
     clips = generate(config.generator)
     dataset = _dataset_dir(out)
@@ -152,13 +169,17 @@ def cmd_train(config: ExperimentConfig, out: Path, threads: int) -> int:
     outcomes = cross_validate(clips, tc, workers=threads)
     b = best_fold(outcomes)
     chosen = outcomes[b]
+    val_clips = [clips[i] for i in chosen.val_indices]
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "history.csv", chosen.result.history_rows()[0], chosen.result.history_rows()[1:])
+    history = [[str(epoch), *(repr(float(x)) for x in values)] for epoch, *values in chosen.result.history]
+    _write_csv(out / "history.csv", HISTORY_HEADER, history)
     save_params(out / "params.bin", chosen.result.model.snapshot())
-    _write_csv(out / "predictions.csv", PREDICTIONS_HEADER, chosen.predictions)
-    report_rows = [o.report.csv_row(tc.mode, tc.depth, tc.temperature) for o in outcomes]
-    (out / "eval_report.csv").write_text(EvalReport.rows_to_csv(report_rows), encoding="utf-8")
+    predictions = _prediction_rows(val_clips, chosen.result.predictions, tc.target)
+    _write_csv(out / "predictions.csv", PREDICTIONS_HEADER, predictions)
+    # a fold's report is its best validation pass, the score the summary lists
+    report = [_report_row(tc, o.result.best_val_ccc, o.fold) for o in outcomes]
+    _write_csv(out / "eval_report.csv", REPORT_HEADER, report)
     summary = {
         "mode": tc.mode,
         "depth": tc.depth,
@@ -168,15 +189,15 @@ def cmd_train(config: ExperimentConfig, out: Path, threads: int) -> int:
         "best_fold": b,
         "best_epoch": chosen.result.best_epoch,
         "best_val_ccc": float(chosen.result.best_val_ccc),
-        "per_fold_val_ccc": [float(o.val_ccc) for o in outcomes],
-        "best_fold_val_clips": chosen.val_clip_ids,
+        "per_fold_val_ccc": [float(o.result.best_val_ccc) for o in outcomes],
+        "best_fold_val_clips": [clip.clip_id for clip in val_clips],
     }
     with open(out / "train_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     for o in outcomes:
         marker = " *" if o.fold == b else ""
-        print(f"fold {o.fold}: best val ccc {o.val_ccc:.4f} at epoch {o.result.best_epoch}{marker}")
+        print(f"fold {o.fold}: best val ccc {o.result.best_val_ccc:.4f} at epoch {o.result.best_epoch}{marker}")
     print(f"saved best fold {b} artifacts to {out}")
     return EXIT_OK
 
@@ -189,14 +210,13 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> int:
     tc = config.training
     model = tc.new_model(clips[0])
     model.load_snapshot(load_params(params_path))
-    report, rows = evaluate(model, clips, tc)
+    clip_preds, pooled = evaluate(model, clips, tc)
     eval_dir = out / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(eval_dir / "predictions.csv", PREDICTIONS_HEADER, rows)
-    report_text = EvalReport.rows_to_csv([report.csv_row(tc.mode, tc.depth, tc.temperature)])
-    (eval_dir / "eval_report.csv").write_text(report_text, encoding="utf-8")
-    pooled = report.ccc_valence if tc.target == "valence" else report.ccc_arousal
-    print(f"pooled {tc.target} ccc {pooled:.6f} over {report.frame_count} frames ({len(clips)} clips)")
+    _write_csv(eval_dir / "predictions.csv", PREDICTIONS_HEADER, _prediction_rows(clips, clip_preds, tc.target))
+    _write_csv(eval_dir / "eval_report.csv", REPORT_HEADER, [_report_row(tc, pooled)])
+    frames = sum(int(clip.valid.sum()) for clip in clips)
+    print(f"pooled {tc.target} ccc {pooled:.6f} over {frames} frames ({len(clips)} clips)")
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ Every field has a default, unknown keys and values of the wrong JSON type
 are rejected with the offending line number, and parse -> serialize ->
 parse is the identity.  Float fields take integers too and keep them as
 given; the model settings among the training fields are checked by
-``model.ModelConfig`` when the training section is built.  The
+``model.ModelSettings`` when the training section is built.  The
 machine-readable field list lives in ``config.schema.json`` at the
 repository root.
 """

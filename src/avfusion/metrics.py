@@ -9,14 +9,12 @@ on arrays for evaluation; :func:`ccc_loss` is the training loss 1 - ccc as
 a single graph node, optionally restricted to valid frames by a 0/1 mask.
 Both take their moments from one helper, so a loss value equals 1 minus
 the evaluation score of the same frames bit for bit, and the loss's
-backward is the closed-form derivative of ccc.
+backward is the closed-form derivative of ccc.  Validation, the fold
+reports and ``eval`` score with ``training._pooled_ccc``: this ccc of the
+clips' predictions pooled over their valid frames.
 """
 
 from __future__ import annotations
-
-import csv
-import io
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,41 +106,3 @@ def ccc_loss(pred: ad.Tensor, truth, valid=None) -> ad.Tensor:
 
     return ad.Tensor._make(np.array([[1.0 - value]]), (pred,), backward)
 
-
-@dataclass
-class EvalReport:
-    """Pooled evaluation outcome for one model on one clip set.
-
-    ``ccc_valence`` / ``ccc_arousal`` are pooled over all valid frames;
-    a channel the model was not trained for is None.  ``per_clip`` keeps
-    per-clip CCCs for diagnostics.
-    """
-
-    ccc_valence: float | None = None
-    ccc_arousal: float | None = None
-    frame_count: int = 0
-    fold: int | None = None
-    per_clip: dict = field(default_factory=dict)
-
-    CSV_HEADER = ["fold", "mode", "M", "T", "ccc_v", "ccc_a"]
-
-    def csv_row(self, mode: str, depth: int, temperature: float):
-        def cell(x):
-            return "" if x is None else repr(float(x))
-
-        return [
-            "" if self.fold is None else str(self.fold),
-            mode,
-            str(depth),
-            repr(temperature),
-            cell(self.ccc_valence),
-            cell(self.ccc_arousal),
-        ]
-
-    @staticmethod
-    def rows_to_csv(rows) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(EvalReport.CSV_HEADER)
-        writer.writerows(rows)
-        return buf.getvalue()

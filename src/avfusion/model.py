@@ -5,10 +5,10 @@ The model loops over :data:`~avfusion.fusion.MODALITIES` wherever the
 two streams are handled alike: ``EmotionModel.tcn`` holds one encoder
 per modality, and the fusion stack keeps its own per-modality weights.
 
-:class:`ModelConfig` is the one record of model settings.  Every part of
-the network reads its sizes from it, and its checks run when it is
-built, so a training config that copies its settings into one is
-validated when the config file is parsed.
+:class:`ModelSettings` holds the model settings and their checks once.
+The training config extends it, so they are checked when the config file
+is parsed; :class:`ModelConfig` extends it with the feature dims and the
+window length, and every part of the network reads its sizes from that.
 """
 
 from __future__ import annotations
@@ -26,24 +26,19 @@ from .temporal import HeadParams, TcnParams, apply_dropout, head_forward, tcn_fo
 
 
 @dataclass
-class ModelConfig:
-    """Shape and behavior of one model.
+class ModelSettings:
+    """The model settings a training config shares with :class:`ModelConfig`.
 
-    ``seq_len`` is the window length the L x L attention weights are
-    sized for.  ``depth`` is the number of fusion recursion rounds (JCA
-    requires 1).  ``temperature`` scales the gate softmax; smaller
-    approaches hard selection.  ``joint_projection`` toggles the
-    learnable d x d map on the concatenated joint representation.  Each
-    temporal encoder has ``tcn_levels`` dilated convolutions of
-    ``tcn_kernel`` taps; the head has one relu layer per ``head_hidden``
-    entry.  ``dropout`` is the rate applied to the fused features while
-    training.
+    ``depth`` is the number of fusion recursion rounds (JCA requires 1).
+    ``temperature`` scales the gate softmax; smaller approaches hard
+    selection.  ``joint_projection`` toggles the learnable d x d map on
+    the concatenated joint representation.  Each temporal encoder has
+    ``tcn_levels`` dilated convolutions of ``tcn_kernel`` taps; the head
+    has one relu layer per ``head_hidden`` entry.  ``dropout`` is the
+    rate applied to the fused features while training.
     """
 
-    mode: str
-    dim_audio: int
-    dim_visual: int
-    seq_len: int
+    mode: str = "RJCA"
     depth: int = 1
     temperature: float = 0.1
     joint_projection: bool = True
@@ -62,11 +57,8 @@ class ModelConfig:
             raise ConfigError(f"JCA is single-round; depth must be 1, got {self.depth}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        for name in ("dim_audio", "dim_visual", "tcn_levels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seq_len < 1:
-            raise ConfigError(f"seq_len (the window_len) must be >= 1, got {self.seq_len}")
+        if self.tcn_levels < 1:
+            raise ConfigError(f"tcn_levels must be >= 1, got {self.tcn_levels}")
         if self.tcn_kernel < 2:
             raise ConfigError(f"tcn_kernel must be >= 2, got {self.tcn_kernel}")
         if any(n < 1 for n in self.head_hidden):
@@ -74,14 +66,33 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
+
+@dataclass(kw_only=True)
+class ModelConfig(ModelSettings):
+    """Shape and behavior of one model: the shared settings, the feature
+    rows per modality, and ``seq_len``, the window length the L x L
+    attention weights are sized for."""
+
+    dim_audio: int
+    dim_visual: int
+    seq_len: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        for m, dim in self.dims.items():
+            if dim < 1:
+                raise ConfigError(f"dim_{m} must be >= 1, got {dim}")
+        if self.seq_len < 1:
+            raise ConfigError(f"seq_len (the window_len) must be >= 1, got {self.seq_len}")
+
     @property
     def dims(self):
         """Feature rows per modality."""
-        return {"audio": self.dim_audio, "visual": self.dim_visual}
+        return {m: getattr(self, f"dim_{m}") for m in MODALITIES}
 
     @property
     def dim_joint(self):
-        return self.dim_audio + self.dim_visual
+        return sum(self.dims.values())
 
 
 class EmotionModel:

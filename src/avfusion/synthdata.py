@@ -344,14 +344,23 @@ def write_features(directory, clip: LabeledClip):
     _write_csv(directory / f"{clip.clip_id}_masks.csv", MASKS_HEADER, [[f, *map(int, row)] for f, *row in masks])
 
 
+def _check_frames(path, column, first: int):
+    """Frame numbers must count up by one from ``first``; the 1-based
+    row of the first one that does not is named (the header is row 1)."""
+    for number, frame in enumerate(column, start=2):
+        if frame != first + number - 2:
+            raise FormatError(f"{path}: row {number} has frame {frame}, expected {first + number - 2}")
+
+
 def read_features(directory, clip_id: str) -> LabeledClip:
-    """The clip :func:`write_features` wrote; a feature file or mask CSV
-    whose frame count differs from the label rows is a FormatError naming
-    that file."""
+    """The clip :func:`write_features` wrote.  A feature file or mask CSV
+    whose frame count differs from the label rows, or frames that do not
+    count up by one from the labels' first, is a FormatError naming it."""
     directory = Path(directory)
-    frames, valence, arousal = _read_csv(
-        directory / f"{clip_id}_labels.csv", LABELS_HEADER, (int, _finite_float, _finite_float)
-    )
+    path = directory / f"{clip_id}_labels.csv"
+    frames, valence, arousal = _read_csv(path, LABELS_HEADER, (int, _finite_float, _finite_float))
+    first = frames[0] if frames else 0
+    _check_frames(path, frames, first)
     fields = {"valence": np.array(valence), "arousal": np.array(arousal)}
     for m in MODALITIES:
         path = directory / f"{clip_id}_{m}.avfs"
@@ -359,8 +368,9 @@ def read_features(directory, clip_id: str) -> LabeledClip:
         if fields[m].shape[1] != len(frames):
             raise FormatError(f"{path}: {fields[m].shape[1]} frames but {len(frames)} label rows")
     path = directory / f"{clip_id}_masks.csv"
-    _, *masks = _read_csv(path, MASKS_HEADER, (int,) + (_flag,) * len(MASK_FIELDS))
+    mask_frames, *masks = _read_csv(path, MASKS_HEADER, (int,) + (_flag,) * len(MASK_FIELDS))
     if len(masks[0]) != len(frames):
         raise FormatError(f"{path}: {len(masks[0])} rows but {len(frames)} label rows")
+    _check_frames(path, mask_frames, first)
     fields.update((name, np.array(column, dtype=bool)) for name, column in zip(MASK_FIELDS, masks))
-    return LabeledClip(clip_id=clip_id, **fields, frame_offset=frames[0] if frames else 0)
+    return LabeledClip(clip_id=clip_id, **fields, frame_offset=first)

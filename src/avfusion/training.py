@@ -14,14 +14,14 @@ import ctypes
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .exceptions import ConfigError, NumericError, ParameterError
 from .fusion import MODALITIES
-from .metrics import EvalReport, ccc_flagged
-from .model import EmotionModel, ModelConfig
+from .metrics import ccc_flagged
+from .model import EmotionModel, ModelConfig, ModelSettings
 from .synthdata import window
 from .temporal import check_tcn_fits
 
@@ -31,10 +31,10 @@ ADAM_EPS = 1e-8
 
 
 @dataclass
-class TrainConfig:
-    mode: str = "RJCA"
-    depth: int = 1
-    temperature: float = 0.1
+class TrainConfig(ModelSettings):
+    """The model settings plus the optimizer, schedule, data split and
+    windowing of a training run."""
+
     batch_size: int = 12
     init_lr: float = 1e-4
     min_lr: float = 1e-8
@@ -42,7 +42,6 @@ class TrainConfig:
     plateau_patience: int = 5
     plateau_factor: float = 0.1
     weight_decay: float = 5e-4
-    dropout: float = 0.5
     max_epochs: int = 100
     early_stop_patience: int = 10
     folds: int = 6
@@ -50,10 +49,6 @@ class TrainConfig:
     target: str = "valence"
     window_len: int = 64
     window_stride: int = 43
-    joint_projection: bool = True
-    tcn_levels: int = 2
-    tcn_kernel: int = 3
-    head_hidden: tuple = (16,)
 
     def __post_init__(self):
         if self.target not in ("valence", "arousal"):
@@ -71,26 +66,16 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.warmup_epochs < 0:
             raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
-        # the model settings are checked where the model reads them
-        self.model_config(1, 1)
+        super().__post_init__()
+        if self.window_len < 1:
+            raise ConfigError(f"seq_len (the window_len) must be >= 1, got {self.window_len}")
         # fusion-only model configs may be shorter than the encoders' reach,
         # so the window is checked against the encoders here
         check_tcn_fits(self.tcn_levels, self.tcn_kernel, self.window_len)
 
     def model_config(self, dim_audio, dim_visual):
-        return ModelConfig(
-            mode=self.mode,
-            dim_audio=dim_audio,
-            dim_visual=dim_visual,
-            seq_len=self.window_len,
-            depth=self.depth,
-            temperature=self.temperature,
-            joint_projection=self.joint_projection,
-            tcn_levels=self.tcn_levels,
-            tcn_kernel=self.tcn_kernel,
-            head_hidden=self.head_hidden,
-            dropout=self.dropout,
-        )
+        settings = {f.name: getattr(self, f.name) for f in fields(ModelSettings)}
+        return ModelConfig(**settings, dim_audio=dim_audio, dim_visual=dim_visual, seq_len=self.window_len)
 
     def new_model(self, clip) -> EmotionModel:
         """A freshly initialised model sized for the feature rows of ``clip``."""
@@ -258,12 +243,6 @@ class TrainResult:
     best_epoch: int
     predictions: list  # per validation clip, the best epoch's frame predictions
 
-    def history_rows(self):
-        rows = [["epoch", "lr", "train_loss", "val_ccc"]]
-        for epoch, lr, loss, ccc in self.history:
-            rows.append([str(epoch), repr(float(lr)), repr(float(loss)), repr(float(ccc))])
-        return rows
-
 
 def _clip_predictions(model: EmotionModel, clips, config: TrainConfig):
     """One prediction per frame of every clip.
@@ -290,7 +269,8 @@ def _clip_predictions(model: EmotionModel, clips, config: TrainConfig):
 
 def _pooled_ccc(model: EmotionModel, clips, config: TrainConfig):
     """Validation pass: the per-clip predictions, and their pooled
-    concordance with the target over the clips' valid frames."""
+    concordance with the target over the clips' valid frames.  The one
+    scorer of validation, the fold reports and :func:`evaluate`."""
     clip_preds = _clip_predictions(model, clips, config)
     valid = np.concatenate([clip.valid for clip in clips])
     truth = np.concatenate([getattr(clip, config.target) for clip in clips])
@@ -365,36 +345,13 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
     )
 
 
-def _report(clips, clip_preds, config: TrainConfig, fold=None):
-    """What :func:`evaluate` returns, from per-clip predictions."""
-    rows = []
-    per_clip = {}
-    for clip, preds in zip(clips, clip_preds):
-        truth = getattr(clip, config.target)
-        for j in range(clip.frames):
-            rows.append(
-                [clip.clip_id, str(clip.frame_offset + j), repr(float(preds[j])), repr(float(truth[j]))]
-            )
-        per_clip[clip.clip_id], _ = ccc_flagged(preds, truth)
-    pooled_truth = [getattr(clip, config.target) for clip in clips]
-    value, _ = ccc_flagged(np.concatenate(clip_preds), np.concatenate(pooled_truth))
-    report = EvalReport(
-        ccc_valence=value if config.target == "valence" else None,
-        ccc_arousal=value if config.target == "arousal" else None,
-        frame_count=sum(clip.frames for clip in clips),
-        fold=fold,
-        per_clip=per_clip,
-    )
-    return report, rows
-
-
-def evaluate(model: EmotionModel, clips, config: TrainConfig, fold=None):
-    """Pooled concordance over every frame of every clip, plus prediction
-    rows (clip, frame, pred, truth) for the trained target channel."""
+def evaluate(model: EmotionModel, clips, config: TrainConfig):
+    """Per-clip predictions of the trained target channel, and their
+    pooled concordance over the clips' valid frames, as in validation."""
     if not clips:
         raise ConfigError("evaluate: no clips given")
     retain_freed_heap()
-    return _report(clips, _clip_predictions(model, clips, config), config, fold)
+    return _pooled_ccc(model, clips, config)
 
 
 # -- cross-validation --------------------------------------------------------
@@ -403,14 +360,8 @@ def evaluate(model: EmotionModel, clips, config: TrainConfig, fold=None):
 @dataclass
 class FoldOutcome:
     fold: int
-    report: EvalReport
     result: TrainResult
-    predictions: list
-    val_clip_ids: list
-
-    @property
-    def val_ccc(self):
-        return self.result.best_val_ccc
+    val_indices: list  # positions of the fold's validation clips in the clip list
 
 
 def fold_assignments(num_clips: int, config: TrainConfig):
@@ -433,19 +384,10 @@ def cross_validate(clips, config: TrainConfig, workers: int = 1):
         val_set = set(folds[fold])
         train_clips = [c for i, c in enumerate(clips) if i not in val_set]
         val_clips = [clips[i] for i in folds[fold]]
-        result = train(train_clips, val_clips, config, fold=fold)
-        # the best epoch's validation pass already predicted every val frame
-        report, predictions = _report(val_clips, result.predictions, config, fold=fold)
-        return FoldOutcome(
-            fold=fold,
-            report=report,
-            result=result,
-            predictions=predictions,
-            val_clip_ids=[c.clip_id for c in val_clips],
-        )
+        return FoldOutcome(fold, train(train_clips, val_clips, config, fold=fold), folds[fold])
 
     return map_in_order(run_fold, len(folds), workers)
 
 
 def best_fold(outcomes) -> int:
-    return max(range(len(outcomes)), key=lambda i: outcomes[i].val_ccc)
+    return max(range(len(outcomes)), key=lambda i: outcomes[i].result.best_val_ccc)

@@ -23,7 +23,7 @@ from avfusion import cli
 from avfusion.cli import load_params, main, save_params
 from avfusion.config import parse_config
 from avfusion.synthdata import generate, read_avfs, write_avfs
-from avfusion.training import fold_assignments, train
+from avfusion.training import TrainConfig, fold_assignments, train
 
 
 def experiment_json(out_dir, **overrides):
@@ -155,6 +155,15 @@ class TestTrainEval:
         assert report[0] == ["fold", "mode", "M", "T", "ccc_v", "ccc_a"]
         assert len(report) - 1 == 3  # one row per fold
         assert {row[0] for row in report[1:]} == {"0", "1", "2"}
+        with open(out / "eval" / "eval_report.csv", newline="") as fh:
+            report = list(csv.reader(fh))
+        assert report[0] == ["fold", "mode", "M", "T", "ccc_v", "ccc_a"]
+        assert len(report) == 2 and report[1][:4] == ["", "RJCA", "1", "0.1"] and report[1][5] == ""
+        with open(out / "eval" / "predictions.csv", newline="") as fh:
+            preds = list(csv.reader(fh))[1:]
+        # one row per frame of every clip, numbered from the clip's first frame
+        assert len(preds) == 6 * 96
+        assert [row[1] for row in preds[:96]] == [str(f) for f in range(96)]
         # no numpy reprs may leak into any artifact
         for path in out.rglob("*.csv"):
             assert "np.float" not in path.read_text(), path
@@ -177,27 +186,68 @@ class TestTrainEval:
         assert tree_bytes(out) == first
 
     def test_eval_reproduces_best_fold_ccc(self, tmp_path):
-        config, out = self.run_pipeline(tmp_path)
-        summary = json.loads((out / "train_summary.json").read_text())
-        # rebuild a dataset directory holding only the winning fold's
-        # validation clips; evaluating the saved model there must
-        # reproduce the reported best validation concordance
-        fold_out = tmp_path / "foldcheck"
-        fold_ds = fold_out / "dataset"
-        fold_ds.mkdir(parents=True)
-        with open(out / "dataset" / "manifest.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        keep = [rows[0]] + [r for r in rows[1:] if r[0] in set(summary["best_fold_val_clips"])]
-        with open(fold_ds / "manifest.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows(keep)
-        for row in keep[1:]:
-            for suffix in ("_audio.avfs", "_visual.avfs", "_labels.csv", "_masks.csv"):
-                shutil.copy(out / "dataset" / (row[0] + suffix), fold_ds / (row[0] + suffix))
-        shutil.copy(out / "params.bin", fold_out / "params.bin")
-        assert main(["eval", "--config", str(config), "--out", str(fold_out)]) == 0
-        with open(fold_out / "eval" / "eval_report.csv", newline="") as fh:
-            report = list(csv.reader(fh))
-        assert abs(float(report[1][4]) - summary["best_val_ccc"]) < 1e-9
+        # once on clean clips, once with frames 4-13 of every clip marked
+        # invalid: each fold's report row is the summary's score for that
+        # fold, and evaluating the saved model on a dataset directory
+        # holding only the winning fold's validation clips reproduces the
+        # best validation concordance
+        for masked in (False, True):
+            run = tmp_path / ("masked" if masked else "clean")
+            run.mkdir()
+            config, out = write_experiment(run)
+            assert main(["gen", "--config", str(config)]) == 0
+            if masked:
+                for path in (out / "dataset").glob("*_masks.csv"):
+                    lines = path.read_text().splitlines()
+                    for frame in range(4, 14):  # the last cell is valid
+                        lines[frame + 1] = lines[frame + 1][:-1] + "0"
+                    path.write_text("\n".join(lines) + "\n")
+            assert main(["train", "--config", str(config)]) == 0
+            summary = json.loads((out / "train_summary.json").read_text())
+            with open(out / "eval_report.csv", newline="") as fh:
+                report = list(csv.reader(fh))
+            assert [float(row[4]) for row in report[1:]] == summary["per_fold_val_ccc"]
+
+            fold_out = run / "foldcheck"
+            fold_ds = fold_out / "dataset"
+            fold_ds.mkdir(parents=True)
+            with open(out / "dataset" / "manifest.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            keep = [rows[0]] + [r for r in rows[1:] if r[0] in set(summary["best_fold_val_clips"])]
+            with open(fold_ds / "manifest.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(keep)
+            for row in keep[1:]:
+                for suffix in ("_audio.avfs", "_visual.avfs", "_labels.csv", "_masks.csv"):
+                    shutil.copy(out / "dataset" / (row[0] + suffix), fold_ds / (row[0] + suffix))
+            shutil.copy(out / "params.bin", fold_out / "params.bin")
+            assert main(["eval", "--config", str(config), "--out", str(fold_out)]) == 0
+            with open(fold_out / "eval" / "eval_report.csv", newline="") as fh:
+                report = list(csv.reader(fh))
+            assert abs(float(report[1][4]) - summary["best_val_ccc"]) < 1e-9
+
+    def test_one_frame_clips(self, tmp_path):
+        # a one-frame clip has no concordance of its own; validation and
+        # eval pool the frames of all their clips
+        config, out = self.run_pipeline(tmp_path, generator={"frames": 1})
+        with open(out / "eval" / "predictions.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 6
+
+    def test_every_csv_ends_lines_in_crlf(self, tmp_path):
+        config, out = write_experiment(
+            tmp_path,
+            generator={"num_videos": 4, "frames": 48, "dim_audio": 4, "dim_visual": 4, "latent_dim": 3},
+            training={"max_epochs": 1, "window_len": 24, "window_stride": 24, "folds": 2, "head_hidden": [6]},
+        )
+        for command in ("gen", "train", "eval", "ablate"):
+            assert main([command, "--config", str(config)]) == 0
+        written = sorted(out.rglob("*.csv"))
+        names = {path.name for path in written}
+        assert {"manifest.csv", "clip0000_labels.csv", "clip0000_masks.csv", "history.csv"} <= names
+        assert {"predictions.csv", "eval_report.csv", "ablation.csv"} <= names
+        assert len([p for p in written if p.name == "eval_report.csv"]) == 2
+        for path in written:
+            data = path.read_bytes()
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), path
 
     def test_eval_leaves_dataset_untouched(self, tmp_path):
         config, out = self.run_pipeline(tmp_path)
@@ -415,6 +465,10 @@ class TestExitCodes:
             ("clip0000_masks.csv", 4, "2,0,1,yes"),
             ("clip0000_masks.csv", 3, "1,0,0,2"),
             ("clip0001_masks.csv", 5, "3,0,0,-3"),
+            ("clip0000_labels.csv", 4, "99,0.1,0.1"),
+            ("clip0001_labels.csv", 3, "3,0.1,0.1"),
+            ("clip0000_masks.csv", 2, "7,0,0,1"),
+            ("clip0001_masks.csv", 6, "5,0,0,1"),
             ("manifest.csv", 3, ""),
             ("manifest.csv", 2, "clip0000,7,ninety,0,0"),
         ],
@@ -500,6 +554,19 @@ class TestExitCodes:
     def test_bad_thread_count(self, tmp_path, capsys):
         config, _ = write_experiment(tmp_path)
         assert main(["gen", "--config", str(config), "--threads", "0"]) == 2
+
+
+class TestReportRow:
+    def test_csv_row_shape(self):
+        row = cli._report_row(TrainConfig(mode="RJCA", depth=3, temperature=0.1), 0.5, fold=2)
+        assert row == ["2", "RJCA", "3", "0.1", repr(0.5), ""]
+        # eval's row has no fold; only the trained channel has a score
+        row = cli._report_row(TrainConfig(target="arousal"), -0.25)
+        assert row == ["", "RJCA", "1", "0.1", "", repr(-0.25)]
+
+    def test_csv_serialization_header(self, tmp_path):
+        cli._write_csv(tmp_path / "report.csv", cli.REPORT_HEADER, [])
+        assert (tmp_path / "report.csv").read_bytes() == b"fold,mode,M,T,ccc_v,ccc_a\r\n"
 
 
 class TestParamsFile:

@@ -148,16 +148,3 @@ class TestCccLoss:
         with pytest.raises(DimensionError, match="4 targets"):
             metrics.ccc_loss(ad.Tensor(np.zeros((2, 2))), np.arange(4.0))
 
-
-class TestEvalReport:
-    def test_csv_row_shape(self):
-        report = metrics.EvalReport(ccc_valence=0.5, ccc_arousal=None, fold=2)
-        row = report.csv_row("RJCA", 3, 0.1)
-        assert row[0] == "2"
-        assert row[1] == "RJCA"
-        assert row[4] == repr(0.5)
-        assert row[5] == ""
-
-    def test_csv_serialization_header(self):
-        text = metrics.EvalReport.rows_to_csv([])
-        assert text.splitlines()[0] == "fold,mode,M,T,ccc_v,ccc_a"

@@ -273,33 +273,28 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
-    def test_report_and_rows(self):
+    def test_predictions_and_score(self):
         clips = make_clips(3, seed=8)
         config = small_config(max_epochs=1)
         result = train(clips[:2], clips[2:], config)
-        report, rows = evaluate(result.model, clips[2:], config, fold=0)
-        assert report.fold == 0
-        assert report.frame_count == 64
-        assert report.ccc_arousal is None
-        assert -1.0 <= report.ccc_valence <= 1.0
-        assert len(rows) == 64
-        assert rows[0][0] == clips[2].clip_id
-        assert [r[1] for r in rows] == [str(i) for i in range(64)]
-        assert set(report.per_clip) == {clips[2].clip_id}
+        clip_preds, value = evaluate(result.model, clips[2:], config)
+        assert [preds.shape for preds in clip_preds] == [(64,)]
+        assert -1.0 <= value <= 1.0
+        assert value == training.ccc_flagged(clip_preds[0], clips[2].valence)[0]
 
     def test_best_validation_pass_is_the_fold_report(self):
-        # the fold report reuses the best epoch's validation predictions;
-        # they equal a fresh evaluate of the restored best weights
+        # the fold report is the best epoch's validation pass; it equals a
+        # fresh evaluate of the restored best weights
         clips = make_clips(5, frames=80, seed=12)
         config = small_config(max_epochs=3, batch_size=3)
         result = train(clips[:3], clips[3:], config)
-        report, rows = evaluate(result.model, clips[3:], config)
-        assert report.ccc_valence == result.best_val_ccc
-        assert [float(r[2]) for r in rows] == [float(p) for preds in result.predictions for p in preds]
+        clip_preds, value = evaluate(result.model, clips[3:], config)
+        assert value == result.best_val_ccc
+        assert all(np.array_equal(a, b) for a, b in zip(clip_preds, result.predictions, strict=True))
 
     def test_masked_clip_frames_are_stitched_in_place(self):
         # a clip frame marked invalid in the mask file is predicted in place
-        # and left out of the validation score
+        # and left out of both the validation and the evaluate score
         clips = make_clips(3, seed=13)
         clips[2].valid[10:20] = False
         config = small_config(max_epochs=1)
@@ -307,10 +302,11 @@ class TestEvaluate:
         wins = training.window(clips[2], config.window_len, config.window_len)
         forward = result.model.forward(wins).value[0][: clips[2].frames]
         assert np.array_equal(result.predictions[0], forward)
-        _, rows = evaluate(result.model, clips[2:], config)
-        assert np.array_equal([float(r[2]) for r in rows], forward)
+        clip_preds, value = evaluate(result.model, clips[2:], config)
+        assert np.array_equal(clip_preds[0], forward)
         valid = clips[2].valid
         assert result.best_val_ccc == training.ccc_flagged(forward[valid], clips[2].valence[valid])[0]
+        assert value == result.best_val_ccc
 
     def test_no_clips_rejected(self):
         clips = make_clips(2, seed=10)
@@ -346,10 +342,14 @@ class TestCrossValidate:
         config = small_config(folds=2, max_epochs=1)
         outcomes = cross_validate(clips, config)
         assert [o.fold for o in outcomes] == [0, 1]
-        validated = sorted(cid for o in outcomes for cid in o.val_clip_ids)
-        assert validated == sorted(c.clip_id for c in clips)
+        assert [o.val_indices for o in outcomes] == fold_assignments(len(clips), config)
+        assert sorted(i for o in outcomes for i in o.val_indices) == list(range(len(clips)))
+        # each fold's report is its best validation pass
+        for o in outcomes:
+            val_clips = [clips[i] for i in o.val_indices]
+            assert evaluate(o.result.model, val_clips, config)[1] == o.result.best_val_ccc
         best = best_fold(outcomes)
-        assert outcomes[best].val_ccc == max(o.val_ccc for o in outcomes)
+        assert outcomes[best].result.best_val_ccc == max(o.result.best_val_ccc for o in outcomes)
 
     def test_one_forward_per_batch_and_no_reevaluation(self, monkeypatch):
         # 5 train clips of 2 windows at batch 4 make 3 train batches; 2 val
