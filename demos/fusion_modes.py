@@ -26,7 +26,7 @@ def run(mode, audio, visual, depth=3, seed=0, temperature=0.1):
     # fresh parameters start every round as the identity; fill the output
     # projections and gates so the demo shows a generic operating point
     jitter = np.random.default_rng(seed + 1)
-    for p in params.parameters().values():
+    for p in params.weights.values():
         p.value[...] = 0.3 * jitter.standard_normal(p.shape)
     state = fusion_forward(Tensor(audio), Tensor(visual), params)
     return state

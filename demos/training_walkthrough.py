@@ -12,7 +12,6 @@ come from the training config, which copies them into the one
 import numpy as np
 
 from avfusion.metrics import ccc
-from avfusion.model import EmotionModel
 from avfusion.synthdata import GenConfig, generate, window
 from avfusion.training import TrainConfig, TrainResult, evaluate, train
 
@@ -64,7 +63,7 @@ def main():
     # rebuild a fresh model from the best snapshot: plain name -> array
     # dicts, so persistence needs no framework
     snapshot = result.model.snapshot()
-    restored = EmotionModel(config.model_config(gen.dim_audio, gen.dim_visual))
+    restored = config.new_model(val_clips[0])
     restored.load_snapshot(snapshot)
     clip_preds, pooled = evaluate(restored, val_clips, config)
     print("held-out clips, frame-level predictions scored per clip:")

@@ -98,8 +98,6 @@ class Tensor:
     value : array-like
         2-D real data (1-D input is promoted to a single row), or a 3-D
         stack of B matrices of one shape (B x r x c), stored as float64.
-    name : str, optional
-        Identifier used in diagnostics; parameters get stable names.
 
     Notes
     -----
@@ -111,12 +109,11 @@ class Tensor:
     ``rows`` and ``cols`` are the last two axes, the ones every op acts on.
     """
 
-    __slots__ = ("value", "grad", "name", "_parents", "_backward", "__weakref__")
+    __slots__ = ("value", "grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, value, name=None):
+    def __init__(self, value):
         self.value = _as_matrix(value)
         self.grad = None
-        self.name = name
         self._parents = ()
         self._backward = None
 
@@ -144,8 +141,7 @@ class Tensor:
         return float(self.value[0, 0])
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
     # -- graph plumbing ------------------------------------------------------
 
@@ -160,7 +156,6 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.value = value
         out.grad = None
-        out.name = None
         out._parents = parents
         ref = weakref.ref(out)
         out._backward = lambda: backward(ref().grad)

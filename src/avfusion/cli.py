@@ -122,15 +122,22 @@ def _dataset_dir(out: Path) -> Path:
 
 
 def _load_dataset(out: Path):
-    """Clips in manifest order; a missing or empty manifest is a config
-    problem (run gen first), a missing clip file an I/O one."""
+    """Clips in manifest order; no manifest or an empty one is a config problem
+    (run gen first), a missing clip or mismatched feature rows an I/O one."""
     manifest = _dataset_dir(out) / "manifest.csv"
     if not manifest.exists():
         raise ConfigError(f"no dataset at {manifest.parent}; run the gen command first")
     clip_ids = _read_csv(manifest, MANIFEST_HEADER, (str,) + (int,) * (len(MANIFEST_HEADER) - 1))[0]
     if not clip_ids:
         raise ConfigError(f"{manifest}: dataset lists no clips")
-    return [read_features(manifest.parent, clip_id) for clip_id in clip_ids]
+    clips = [read_features(manifest.parent, clip_id) for clip_id in clip_ids]
+    for clip in clips[1:]:
+        for m in MODALITIES:
+            rows, first = getattr(clip, m).shape[0], getattr(clips[0], m).shape[0]
+            if rows != first:
+                path = manifest.parent / f"{clip.clip_id}_{m}.avfs"
+                raise FormatError(f"{path}: {rows} feature rows but {clips[0].clip_id} has {first}")
+    return clips
 
 
 def _prediction_rows(clips, clip_preds, target: str):

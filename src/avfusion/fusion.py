@@ -86,58 +86,38 @@ class FusionParams:
     ========================  ===============  =============================
     """
 
-    def __init__(self, config: ModelConfig, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, config: ModelConfig, rng):
         self.config = c = config
         d = c.dim_joint
         L = c.seq_len
-        self.weights = {}
-
-        def add(name, value):
-            self.weights[name] = Tensor(value, name=name)
-
+        w = self.weights = {}
         for t in range(1, c.depth + 1):
             for m in MODALITIES:
-                add(f"round{t}.corr_{m}", xavier_uniform(rng, c.dims[m], d))
+                w[f"round{t}.corr_{m}"] = Tensor(xavier_uniform(rng, c.dims[m], d))
             for m in MODALITIES:
-                add(f"round{t}.attn_{m}", xavier_uniform(rng, L, L))
+                w[f"round{t}.attn_{m}"] = Tensor(xavier_uniform(rng, L, L))
             # Output projections start at zero so every round opens as the
             # identity (residual only).  The attention-map product sums L
             # terms twice; at L ~ 64 a non-zero start compounds across
             # rounds, saturates the bounded head, and kills gradients.
             for m in MODALITIES:
-                add(f"round{t}.out_{m}", np.zeros((L, L)))
+                w[f"round{t}.out_{m}"] = Tensor(np.zeros((L, L)))
             if c.joint_projection:
-                add(f"round{t}.joint_proj", xavier_uniform(rng, d, d))
+                w[f"round{t}.joint_proj"] = Tensor(xavier_uniform(rng, d, d))
             if c.mode == "HGRJCA":
                 for m in MODALITIES:
-                    add(f"round{t}.iter_gate_{m}", np.zeros((c.dims[m], 2)))
+                    w[f"round{t}.iter_gate_{m}"] = Tensor(np.zeros((c.dims[m], 2)))
         for m in MODALITIES:
             if c.mode == "GRJCA":
-                add(f"gate_{m}", np.zeros((c.dims[m], c.depth + 1)))
+                w[f"gate_{m}"] = Tensor(np.zeros((c.dims[m], c.depth + 1)))
             elif c.mode == "HGRJCA":
-                add(f"final_gate_{m}", np.zeros((c.dims[m], c.depth)))
-
-    @property
-    def depth(self):
-        return self.config.depth
-
-    @property
-    def temperature(self):
-        return self.config.temperature
+                w[f"final_gate_{m}"] = Tensor(np.zeros((c.dims[m], c.depth)))
 
     def gate_weight(self, name) -> Tensor:
         """The gate weight ``name``; params built for a mode without it raise."""
         if name not in self.weights:
             raise ConfigError(f"no gate weight {name!r}: the fusion params were built for {self.config.mode}")
         return self.weights[name]
-
-    def parameters(self, prefix="") -> dict:
-        return {prefix + name: tensor for name, tensor in self.weights.items()}
-
-    def export(self) -> dict:
-        return {name: t.value.copy() for name, t in self.weights.items()}
 
 
 def _per_modality():
@@ -209,7 +189,7 @@ def rjca_forward(audio: Tensor, visual: Tensor, params: FusionParams) -> FusionS
     current = dict(zip(MODALITIES, (audio, visual)))
     for m in MODALITIES:
         state.attended[m].append(current[m])
-    for t in range(1, params.depth + 1):
+    for t in range(1, params.config.depth + 1):
         joint = joint_representation(current, params, t)
         corr = joint_correlation(current, joint, params, t)
         maps = attention_maps(current, corr, params, t)
@@ -243,7 +223,7 @@ def grjca_gate(state: FusionState, params: FusionParams):
     for m in MODALITIES:
         attended = state.attended[m]
         weight = params.gate_weight(f"gate_{m}")
-        state.gates[m], state.final[m] = _gate(attended[-1], attended, weight, params.temperature)
+        state.gates[m], state.final[m] = _gate(attended[-1], attended, weight, params.config.temperature)
 
 
 def hgrjca_iteration_gate(state: FusionState, params: FusionParams, round_index: int):
@@ -256,7 +236,7 @@ def hgrjca_iteration_gate(state: FusionState, params: FusionParams, round_index:
     for m in MODALITIES:
         prev, cur = state.attended[m][round_index - 1 : round_index + 1]
         weight = params.gate_weight(f"round{round_index}.iter_gate_{m}")
-        gates, gated = _gate(cur, [prev, cur], weight, params.temperature)
+        gates, gated = _gate(cur, [prev, cur], weight, params.config.temperature)
         state.iter_gates[m].append(gates)
         state.iter_gated[m].append(gated)
 
@@ -275,7 +255,7 @@ def hgrjca_final_gate(state: FusionState, params: FusionParams):
         for g in gated[1:]:
             pooled = pooled + g
         weight = params.gate_weight(f"final_gate_{m}")
-        state.gates[m], state.final[m] = _gate(pooled, gated, weight, params.temperature)
+        state.gates[m], state.final[m] = _gate(pooled, gated, weight, params.config.temperature)
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -289,7 +269,7 @@ def fusion_forward(audio: Tensor, visual: Tensor, params: FusionParams) -> Fusio
     if mode == "GRJCA":
         grjca_gate(state, params)
     elif mode == "HGRJCA":
-        for t in range(1, params.depth + 1):
+        for t in range(1, params.config.depth + 1):
             hgrjca_iteration_gate(state, params, t)
         hgrjca_final_gate(state, params)
     else:

@@ -5,6 +5,10 @@ The model loops over :data:`~avfusion.fusion.MODALITIES` wherever the
 two streams are handled alike: ``EmotionModel.tcn`` holds one encoder
 per modality, and the fusion stack keeps its own per-modality weights.
 
+Each part keeps a ``weights`` dict (local name -> leaf tensor), and
+``EmotionModel.weights``, built once, is their union with each name
+prefixed by its part (``tcn_audio.``, ``tcn_visual.``, ``fusion.``, ``head.``).
+
 :class:`ModelSettings` holds the model settings and their checks once.
 The training config extends it, so they are checked when the config file
 is parsed; :class:`ModelConfig` extends it with the feature dims and the
@@ -97,8 +101,9 @@ class ModelConfig(ModelSettings):
 
 class EmotionModel:
     """Owns every parameter tensor (an encoder per modality in ``tcn``,
-    the fusion stack, the head); forward maps a batch of clip windows to
-    per-frame predictions in [-1, 1].
+    the fusion stack in ``fusion``, the head in ``head``) and lists them
+    once in ``weights``; forward maps a batch of clip windows to per-frame
+    predictions in [-1, 1].
 
     The same ``rng`` drives all weight draws, and gate weights consume no
     randomness (zero init), so two models differing only in mode share
@@ -106,24 +111,18 @@ class EmotionModel:
     comparisons at a fixed seed controlled experiments.
     """
 
-    def __init__(self, config: ModelConfig, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, config: ModelConfig, rng):
         self.config = config
         self.tcn = {m: TcnParams(config.dims[m], config.tcn_levels, config.tcn_kernel, rng=rng) for m in MODALITIES}
         self.fusion = FusionParams(config, rng=rng)
         # the encoders keep each dimension, so the fused features have dim_joint rows
         self.head = HeadParams(config.dim_joint, config.head_hidden, rng=rng)
+        parts = {f"tcn_{m}": self.tcn[m] for m in MODALITIES} | {"fusion": self.fusion, "head": self.head}
+        self.weights = {f"{part}.{name}": t for part, params in parts.items() for name, t in params.weights.items()}
 
     def parameters(self) -> dict:
-        out = {}
-        for m in MODALITIES:
-            out.update(self.tcn[m].parameters(prefix=f"tcn_{m}."))
-        out.update(self.fusion.parameters(prefix="fusion."))
-        out.update(self.head.parameters(prefix="head."))
-        for name, tensor in out.items():
-            tensor.name = name
-        return out
+        """``weights``: the encoders', the fusion stack's, then the head's."""
+        return self.weights
 
     def forward(self, windows, dropout_rng=None) -> Tensor:
         """Predict one target channel per frame for a batch of B windows of

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -264,14 +265,15 @@ def read_avfs(path) -> np.ndarray:
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}", offset=4)
         expected = 4 * frames * dim
-        payload = fh.read(expected + 1)
-    if len(payload) < expected:
-        raise FormatError(
-            f"{path}: payload truncated at {len(payload)} of {expected} bytes",
-            offset=HEADER.size + len(payload),
-        )
-    if len(payload) > expected:
-        raise FormatError(f"{path}: trailing data after payload", offset=HEADER.size + expected)
+        available = os.fstat(fh.fileno()).st_size - HEADER.size
+        if available < expected:
+            raise FormatError(
+                f"{path}: payload truncated at {available} of {expected} bytes",
+                offset=HEADER.size + available,
+            )
+        if available > expected:
+            raise FormatError(f"{path}: trailing data after payload", offset=HEADER.size + expected)
+        payload = fh.read(expected)
     return np.frombuffer(payload, dtype="<f4").reshape(dim, frames).copy()
 
 

@@ -14,8 +14,8 @@ output bounded to [-1, 1] to match the label range.
 
 The sizes come from :class:`~avfusion.model.ModelConfig` (``tcn_levels``,
 ``tcn_kernel``, ``head_hidden``), which validates them; the parameter
-classes take them as plain values, and the forward passes read the level,
-tap and layer counts back from the weights they hold.
+classes take them as plain values and keep one ``weights`` dict (local
+name -> leaf tensor), which the forward passes read by name.
 """
 
 from __future__ import annotations
@@ -44,32 +44,20 @@ def check_tcn_fits(levels: int, kernel_size: int, seq_len: int):
 
 
 class TcnParams:
-    """Per level: one dim_in x dim_in tap matrix per kernel position and a
-    dim_in x 1 bias; the output keeps the input's dimension."""
+    """Per level i (1-based): a dim_in x dim_in ``level{i}.tap{j}`` per kernel
+    position j and a dim_in x 1 ``level{i}.bias``; the output keeps dim_in."""
 
-    def __init__(self, dim_in: int, levels: int, kernel_size: int, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.taps = []
-        self.biases = []
+    def __init__(self, dim_in: int, levels: int, kernel_size: int, rng):
+        self.levels = levels
+        self.kernel_size = kernel_size
+        self.weights = {}
         fan = kernel_size * dim_in
-        for _ in range(levels):
+        for level in range(1, levels + 1):
             # The taps are summed, so the effective fan of the conv is
             # kernel_size times the per-tap fan; fold that into the Xavier limit.
-            self.taps.append(
-                [Tensor(xavier_uniform(rng, dim_in, dim_in, fan=(fan, fan))) for _ in range(kernel_size)]
-            )
-            self.biases.append(Tensor(np.zeros((dim_in, 1))))
-
-    def parameters(self, prefix="") -> dict:
-        out = {}
-        for level, (taps, bias) in enumerate(zip(self.taps, self.biases), start=1):
-            for j, tap in enumerate(taps):
-                out[f"{prefix}level{level}.tap{j}"] = tap
-            out[f"{prefix}level{level}.bias"] = bias
-        for name, tensor in out.items():
-            tensor.name = tensor.name or name
-        return out
+            for j in range(kernel_size):
+                self.weights[f"level{level}.tap{j}"] = Tensor(xavier_uniform(rng, dim_in, dim_in, fan=(fan, fan)))
+            self.weights[f"level{level}.bias"] = Tensor(np.zeros((dim_in, 1)))
 
 
 def apply_dropout(x: Tensor, rate: float, rng) -> Tensor:
@@ -92,41 +80,32 @@ def tcn_forward(x: Tensor, params: TcnParams) -> Tensor:
     length; a shift spanning the whole sequence is a configuration error.
     ``x`` is d x L, or B x d x L for a batch of windows.
     """
-    check_tcn_fits(len(params.taps), len(params.taps[0]), x.cols)
+    check_tcn_fits(params.levels, params.kernel_size, x.cols)
     h = x
-    for level, taps in enumerate(params.taps):
-        dilation = 2**level
-        conv = ad.causal_conv(h, taps, dilation)
-        h = ad.relu(ad.add_colvec(conv, params.biases[level])) + h
+    for level in range(1, params.levels + 1):
+        taps = [params.weights[f"level{level}.tap{j}"] for j in range(params.kernel_size)]
+        conv = ad.causal_conv(h, taps, 2 ** (level - 1))
+        h = ad.relu(ad.add_colvec(conv, params.weights[f"level{level}.bias"])) + h
     return h
 
 
 class HeadParams:
-    def __init__(self, dim_in: int, hidden, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        sizes = [dim_in, *hidden, 1]  # one target channel
-        self.weights = []
-        self.biases = []
-        for c_in, c_out in zip(sizes[:-1], sizes[1:]):
-            self.weights.append(Tensor(xavier_uniform(rng, c_out, c_in)))
-            self.biases.append(Tensor(np.zeros((c_out, 1))))
+    """Per layer i (1-based): ``layer{i}.weight`` and a ``layer{i}.bias``
+    column, from dim_in through the ``hidden`` sizes to one target channel."""
 
-    def parameters(self, prefix="") -> dict:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
-            out[f"{prefix}layer{i}.weight"] = w
-            out[f"{prefix}layer{i}.bias"] = b
-        for name, tensor in out.items():
-            tensor.name = tensor.name or name
-        return out
+    def __init__(self, dim_in: int, hidden, rng):
+        sizes = [dim_in, *hidden, 1]
+        self.layers = len(sizes) - 1
+        self.weights = {}
+        for i, (c_in, c_out) in enumerate(zip(sizes[:-1], sizes[1:]), start=1):
+            self.weights[f"layer{i}.weight"] = Tensor(xavier_uniform(rng, c_out, c_in))
+            self.weights[f"layer{i}.bias"] = Tensor(np.zeros((c_out, 1)))
 
 
 def head_forward(fused: Tensor, params: HeadParams) -> Tensor:
     """Frame-wise MLP: relu hiddens, tanh output; returns 1 x L in [-1, 1]."""
     h = fused
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = ad.add_colvec(w @ h, b)
-        h = ad.tanh(h) if i == last else ad.relu(h)
+    for i in range(1, params.layers + 1):
+        h = ad.add_colvec(params.weights[f"layer{i}.weight"] @ h, params.weights[f"layer{i}.bias"])
+        h = ad.tanh(h) if i == params.layers else ad.relu(h)
     return h

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericError, ParameterError
+from .exceptions import ConfigError, DimensionError, NumericError, ParameterError
 from .fusion import MODALITIES
 from .metrics import ccc_flagged
 from .model import EmotionModel, ModelConfig, ModelSettings
@@ -319,13 +319,13 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
                 loss = model.batch_loss(batch, config.target, dropout_rng=dropout_rng)
                 loss.backward()
                 adam_step(model.parameters(), adam, lr, config.weight_decay)
-            except NumericError as exc:
-                raise NumericError(f"{exc} ({where}epoch {epoch}, batch {b // config.batch_size})") from exc
+            except (NumericError, DimensionError) as exc:
+                raise type(exc)(f"{exc} ({where}epoch {epoch}, batch {b // config.batch_size})") from exc
             batch_losses.append(loss.item())
         try:
             val_preds, val_ccc = _pooled_ccc(model, val_clips, config)
-        except NumericError as exc:
-            raise NumericError(f"{exc} ({where}epoch {epoch}, validation)") from exc
+        except (NumericError, DimensionError) as exc:
+            raise type(exc)(f"{exc} ({where}epoch {epoch}, validation)") from exc
         history.append((epoch, lr, float(np.mean(batch_losses)), val_ccc))
         if val_ccc > best_ccc:
             best_ccc = val_ccc

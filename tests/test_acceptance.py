@@ -34,7 +34,7 @@ from avfusion.training import (
 )
 from avfusion.verify import TOLERANCE, run_gradcheck_suite
 
-from test_fusion import oracle_fusion, random_case, randomize, run_modular
+from test_fusion import oracle_fusion, random_case, randomize, run_modular, weight_values
 
 
 CRITERION_LINES = []
@@ -79,10 +79,10 @@ class TestCriterion2Oracle:
             expected = oracle_fusion(
                 audio,
                 visual,
-                params.export(),
+                weight_values(params),
                 mode,
-                params.depth,
-                params.temperature,
+                params.config.depth,
+                params.config.temperature,
                 params.config.joint_projection,
             )
             worst = max(worst, float(np.max(np.abs(state.fused.value - expected))))
@@ -119,7 +119,7 @@ class TestCriterion3Identities:
             ModelConfig("RJCA", dim_audio=3, dim_visual=4, seq_len=5, depth=3),
             rng=np.random.default_rng(4),
         )
-        for p in p_zero.parameters().values():
+        for p in p_zero.weights.values():
             p.value[...] = 0.0
         audio, visual = rng.standard_normal((3, 5)), rng.standard_normal((4, 5))
         state = run_modular(audio, visual, p_zero)

@@ -502,6 +502,33 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith(f"i/o error: {path}: ") and "but 96 label rows" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_feature_row_mismatch_is_io_error(self, tmp_path, capsys, command):
+        # one clip's features have fewer rows than the first clip's; the
+        # clips could not be stacked into one batch
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        path = out / "dataset" / "clip0003_audio.avfs"
+        write_avfs(path, read_avfs(path)[:4])
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"i/o error: {path}: ") and "4 feature rows but clip0000 has 6" in err
+
+    def test_too_few_valid_frames_names_the_batch(self, tmp_path, capsys):
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        for path in (out / "dataset").glob("*_masks.csv"):
+            header, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([header, *(row[: row.rindex(",")] + ",0" for row in rows)]) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("verification failure: ccc_loss: need at least 2 valid frames")
+        assert err.endswith("(fold 0, epoch 0, batch 0)\n")
+
     @pytest.mark.parametrize(
         "training, key",
         [

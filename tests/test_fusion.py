@@ -1,8 +1,8 @@
 """Fusion mechanism tests.
 
 The load-bearing check is oracle equivalence: a straight-line numpy
-reimplementation of the same equations, written against the exported
-weight dict only, must agree with the modular pipeline within 1e-12
+reimplementation of the same equations, written against the name -> array
+weight values only, must agree with the modular pipeline within 1e-12
 across random small configurations of every mode.
 """
 
@@ -31,7 +31,7 @@ def softmax_rows_oracle(logits, temperature):
 
 
 def oracle_fusion(audio, visual, weights, mode, depth, temperature, joint_projection):
-    """Independent reimplementation reading only the exported weight dict."""
+    """Independent reimplementation reading only a name -> array weight dict."""
     d = audio.shape[0] + visual.shape[0]
     xa = [np.asarray(audio, dtype=np.float64)]
     xv = [np.asarray(visual, dtype=np.float64)]
@@ -78,6 +78,11 @@ def oracle_fusion(audio, visual, weights, mode, depth, temperature, joint_projec
     return np.vstack([final_a, final_v])
 
 
+def weight_values(params):
+    """The oracle's input: name -> array, read from the params' leaf tensors."""
+    return {name: t.value for name, t in params.weights.items()}
+
+
 def run_modular(audio, visual, params):
     return fusion_forward(Tensor(audio), Tensor(visual), params)
 
@@ -86,7 +91,7 @@ def randomize(params, rng, scale=0.3, include_gates=True):
     # default init zeroes the output projections and gates, which makes
     # every round an identity; fill the weights so tests probe a generic
     # point of the computation
-    for name, p in params.parameters().items():
+    for name, p in params.weights.items():
         if not include_gates and "gate" in name:
             continue
         p.value[...] = scale * rng.standard_normal(p.shape)
@@ -126,10 +131,10 @@ class TestOracleEquivalence:
             expected = oracle_fusion(
                 audio,
                 visual,
-                params.export(),
+                weight_values(params),
                 mode,
-                params.depth,
-                params.temperature,
+                params.config.depth,
+                params.config.temperature,
                 params.config.joint_projection,
             )
             diff = np.max(np.abs(state.fused.value - expected))
@@ -146,7 +151,7 @@ class TestOracleEquivalence:
         audio = rng.standard_normal((4, 5))
         visual = rng.standard_normal((4, 5))
         state = run_modular(audio, visual, params)
-        expected = oracle_fusion(audio, visual, params.export(), "HGRJCA", 2, 0.1, True)
+        expected = oracle_fusion(audio, visual, weight_values(params), "HGRJCA", 2, 0.1, True)
         assert np.max(np.abs(state.fused.value - expected)) < 1e-12
 
 
@@ -192,7 +197,7 @@ class TestRoundPieces:
         # tanh(x^T w j / sqrt(d)) with every value 1 and d = 2
         config = ModelConfig("JCA", dim_audio=1, dim_visual=1, seq_len=1, joint_projection=False)
         params = FusionParams(config, rng=np.random.default_rng(0))
-        for p in params.parameters().values():
+        for p in params.weights.values():
             p.value[...] = 1.0
         state = run_modular(np.ones((1, 1)), np.ones((1, 1)), params)
         expected = math.tanh(2.0 / math.sqrt(2.0))
@@ -228,7 +233,7 @@ class TestIdentities:
         # zeroed attention and joint weights telescope to the inputs exactly
         config = ModelConfig("RJCA", dim_audio=3, dim_visual=4, seq_len=5, depth=3)
         params = FusionParams(config, rng=np.random.default_rng(21))
-        for p in params.parameters().values():
+        for p in params.weights.values():
             p.value[...] = 0.0
         rng = np.random.default_rng(22)
         audio = rng.standard_normal((3, 5))
@@ -401,7 +406,7 @@ class TestGradients:
 
         report = gradcheck(
             loss,
-            params.parameters(),
+            params.weights,
             epsilon=1e-5,
             max_entries_per_param=6,
             rng=np.random.default_rng(123),
@@ -425,7 +430,7 @@ class TestGradients:
 
         report = gradcheck(
             loss,
-            params.parameters(),
+            params.weights,
             epsilon=1e-5,
             max_entries_per_param=6,
             rng=np.random.default_rng(133),

@@ -80,7 +80,7 @@ class TestCccLoss:
 
     def test_gradcheck(self, rng):
         truth = rng.standard_normal(12)
-        pred = ad.Tensor(rng.standard_normal((1, 12)), name="pred")
+        pred = ad.Tensor(rng.standard_normal((1, 12)))
         report = ad.gradcheck(lambda: metrics.ccc_loss(pred, truth), {"pred": pred})
         assert report.worst < 1e-6
 
@@ -88,7 +88,7 @@ class TestCccLoss:
         truth = rng.standard_normal(15)
         valid = (rng.uniform(size=15) > 0.3).astype(float)
         valid[:4] = 1.0  # ensure enough valid frames
-        pred = ad.Tensor(rng.standard_normal((1, 15)), name="pred")
+        pred = ad.Tensor(rng.standard_normal((1, 15)))
         report = ad.gradcheck(
             lambda: metrics.ccc_loss(pred, truth, valid=valid), {"pred": pred}
         )

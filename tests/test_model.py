@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from avfusion.autodiff import gradcheck
+from avfusion.fusion import MODALITIES, MODES
 from avfusion.model import EmotionModel, ModelConfig
 from avfusion.synthdata import GenConfig, generate, window
+
+from test_autodiff import graph_nodes
 
 
 def make_model(mode="HGRJCA", seq_len=16, dim=4, depth=2, dropout=0.5, seed=0):
@@ -192,6 +195,33 @@ class TestParameterNames:
         config = ModelConfig(
             mode=mode, dim_audio=3, dim_visual=2, seq_len=8, depth=depth, joint_projection=joint_projection
         )
-        params = EmotionModel(config).parameters()
+        params = EmotionModel(config, rng=np.random.default_rng(0)).parameters()
         assert list(params) == TCN_NAMES + fusion_names + HEAD_NAMES
-        assert all(p.name == name for name, p in params.items())
+
+
+class TestParametersAreTheGraphWeights:
+    """The listed parameters are exactly the weights a training graph reads."""
+
+    @pytest.mark.parametrize("joint_projection", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_leaves_are_parameters_and_inputs(self, mode, joint_projection):
+        config = ModelConfig(
+            mode=mode,
+            dim_audio=4,
+            dim_visual=4,
+            seq_len=16,
+            depth=1 if mode == "JCA" else 2,
+            joint_projection=joint_projection,
+        )
+        model = EmotionModel(config, rng=np.random.default_rng(0))
+        wins = make_windows([32, 16, 27])
+        loss = model.batch_loss(wins, "valence", dropout_rng=np.random.default_rng(1))
+        leaves = [node for node in graph_nodes(loss) if not node._parents]
+        params = model.parameters()
+        assert params is model.parameters()
+        param_ids = {id(p) for p in params.values()}
+        assert {id(leaf) for leaf in leaves} >= param_ids
+        inputs = [leaf for leaf in leaves if id(leaf) not in param_ids]
+        gate = np.stack([win.valid for win in wins])[:, None, :]
+        expected = [np.stack([getattr(win, m) for win in wins]).astype(np.float64) * gate for m in MODALITIES]
+        assert sorted(leaf.value.tobytes() for leaf in inputs) == sorted(f.tobytes() for f in expected)

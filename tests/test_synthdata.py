@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avfusion.autodiff import Tensor
 from avfusion.exceptions import ConfigError, FormatError
 from avfusion.metrics import ccc, ccc_loss
 from avfusion.synthdata import (
+    HEADER,
+    MAGIC,
+    VERSION,
     GenConfig,
     LabeledClip,
     generate,
@@ -297,3 +302,32 @@ class TestFeatureFiles:
         label_path.write_text(text)
         with pytest.raises(FormatError, match="header"):
             read_features(tmp_path, clip.clip_id)
+
+
+# small sizes reach the payload checks; any 32-bit size may appear
+AVFS_SIZE = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
+AVFS_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.builds(
+        lambda version, frames, dim, payload: HEADER.pack(MAGIC, version, frames, dim) + payload,
+        st.one_of(st.just(VERSION), st.integers(0, 2**32 - 1)),
+        AVFS_SIZE,
+        AVFS_SIZE,
+        st.binary(max_size=80),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(blob=HEADER.pack(MAGIC, VERSION, 2**32 - 1, 2**32 - 1))
+@given(blob=AVFS_BYTES)
+def test_any_avfs_bytes_parse_or_are_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "any.avfs"
+    path.write_bytes(blob)
+    try:
+        matrix = read_avfs(path)
+    except FormatError:
+        return
+    # what parses is exactly what write_avfs would have written
+    write_avfs(path, matrix)
+    assert path.read_bytes() == blob

@@ -97,7 +97,7 @@ class TestTcnGradients:
 
         report = gradcheck(
             loss,
-            params.parameters(),
+            params.weights,
             epsilon=1e-5,
             max_entries_per_param=8,
             rng=np.random.default_rng(13),
@@ -108,7 +108,7 @@ class TestTcnGradients:
 class TestHead:
     def test_zero_weights_zero_output(self):
         params = HeadParams(5, (4,), rng=np.random.default_rng(14))
-        for p in params.parameters().values():
+        for p in params.weights.values():
             p.value[...] = 0.0
         out = head_forward(Tensor(np.random.default_rng(15).standard_normal((5, 7))), params)
         assert np.array_equal(out.value, np.zeros((1, 7)))
@@ -137,7 +137,7 @@ class TestHead:
 
         report = gradcheck(
             loss,
-            params.parameters(),
+            params.weights,
             epsilon=1e-5,
             rng=np.random.default_rng(20),
         )

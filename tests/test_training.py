@@ -211,7 +211,7 @@ class TestTrainLoop:
 
     def test_wrong_shape_snapshot_rejected(self):
         # a 1x1 bias would broadcast into the 8x1 hidden bias without the check
-        model = EmotionModel(small_config().model_config(4, 4))
+        model = EmotionModel(small_config().model_config(4, 4), rng=np.random.default_rng(0))
         before = model.snapshot()
         stored = dict(before, **{"head.layer1.bias": np.ones((1, 1))})
         with pytest.raises(ParameterError, match=r"head\.layer1\.bias is \(1, 1\) in the file, \(8, 1\)"):

@@ -82,12 +82,14 @@ def probe_case():
 
 def test_one_kink_crossing_coordinate_is_skipped():
     model, win, drop_seed, loss = probe_case()
-    bias = model.tcn["audio"].biases[0]
+    tcn = model.tcn["audio"]
+    bias = tcn.weights["level1.bias"]
     # put one first-level pre-activation 5e-7 above its kink: every step of
     # the ladder moves it across, and no other coordinate of this bias
     # reaches it
     x = ad.Tensor(np.stack([win.audio]).astype(np.float64) * win.valid)
-    conv = ad.causal_conv(x, model.tcn["audio"].taps[0], 1).value
+    taps = [tcn.weights[f"level1.tap{j}"] for j in range(tcn.kernel_size)]
+    conv = ad.causal_conv(x, taps, 1).value
     bias.value[3, 0] = 5e-7 - conv[0, 3, 2]
     params = {"bias": bias}
 
@@ -103,8 +105,8 @@ def test_constant_prediction_member_scores_one_without_warning():
     model, win, drop_seed, loss = probe_case()
     # a zero output layer and zero targets: every member predicts exactly 0
     # against constant truth, so its CCC denominator is 0
-    model.head.weights[-1].value[...] = 0.0
-    model.head.biases[-1].value[...] = 0.0
+    model.head.weights["layer2.weight"].value[...] = 0.0
+    model.head.weights["layer2.bias"].value[...] = 0.0
     win = dataclasses.replace(win, valence=np.zeros_like(win.valence))
     pred = model.forward([win], dropout_rng=verify.SharedMask(drop_seed)).value
     assert ccc_flagged(pred[0, win.valid], win.valence[win.valid]) == (0.0, True)
@@ -112,7 +114,7 @@ def test_constant_prediction_member_scores_one_without_warning():
     coords = [(0, 0), (1, 2), (3, 1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        hi, lo, crossed = probe(model.head.weights[0], coords, 1e-5)
+        hi, lo, crossed = probe(model.head.weights["layer1.weight"], coords, 1e-5)
     assert hi == lo == [1.0, 1.0, 1.0]
     assert crossed == [False, False, False]
 
@@ -126,7 +128,7 @@ def test_nonfinite_member_loss_names_the_parameter():
         lo[-1] = np.nan
         return hi, lo, crossed
 
-    params = {"head.layer1.weight": model.head.weights[0]}
+    params = {"head.layer1.weight": model.head.weights["layer1.weight"]}
     with pytest.raises(NumericError, match="head.layer1.weight"):
         ad.gradcheck(loss, params, max_entries_per_param=4, probe=poisoned)
 
