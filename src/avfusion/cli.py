@@ -26,7 +26,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .exceptions import ConfigError, DimensionError, FormatError, NumericError, ParameterError
 from .fusion import MODALITIES
-from .synthdata import _read_csv, _write_csv, clip_seed, generate, read_features, write_features
+from .synthdata import _check_finite, _read_csv, _write_csv, clip_seed, generate, read_features, write_features
 from .training import (
     best_fold,
     cross_validate,
@@ -111,6 +111,7 @@ def load_params(path) -> dict:
         if pos + nbytes > len(blob):
             raise FormatError(f"{path}: truncated payload for {name!r}", offset=pos)
         out[name] = np.frombuffer(blob[pos : pos + nbytes], dtype="<f8").reshape(rows, cols).copy()
+        _check_finite(path, repr(name), out[name], pos)
         pos += nbytes
     if pos != len(blob):
         raise FormatError(f"{path}: trailing bytes", offset=pos)
@@ -173,38 +174,38 @@ def cmd_gen(config: ExperimentConfig, out: Path) -> int:
 def cmd_train(config: ExperimentConfig, out: Path, threads: int) -> int:
     clips = _load_dataset(out)
     tc = config.training
-    outcomes = cross_validate(clips, tc, workers=threads)
-    b = best_fold(outcomes)
-    chosen = outcomes[b]
-    val_clips = [clips[i] for i in chosen.val_indices]
+    folds, results = cross_validate(clips, tc, workers=threads)
+    b = best_fold(results)
+    best = results[b]
+    val_clips = [clips[i] for i in folds[b]]
 
     out.mkdir(parents=True, exist_ok=True)
-    history = [[str(epoch), *(repr(float(x)) for x in values)] for epoch, *values in chosen.result.history]
+    history = [[str(epoch), *(repr(float(x)) for x in values)] for epoch, *values in best.history]
     _write_csv(out / "history.csv", HISTORY_HEADER, history)
-    save_params(out / "params.bin", chosen.result.model.snapshot())
-    predictions = _prediction_rows(val_clips, chosen.result.predictions, tc.target)
+    save_params(out / "params.bin", best.model.snapshot())
+    predictions = _prediction_rows(val_clips, best.predictions, tc.target)
     _write_csv(out / "predictions.csv", PREDICTIONS_HEADER, predictions)
     # a fold's report is its best validation pass, the score the summary lists
-    report = [_report_row(tc, o.result.best_val_ccc, o.fold) for o in outcomes]
+    report = [_report_row(tc, r.best_val_ccc, fold) for fold, r in enumerate(results)]
     _write_csv(out / "eval_report.csv", REPORT_HEADER, report)
     summary = {
         "mode": tc.mode,
         "depth": tc.depth,
         "temperature": tc.temperature,
         "target": tc.target,
-        "folds": len(outcomes),
+        "folds": len(results),
         "best_fold": b,
-        "best_epoch": chosen.result.best_epoch,
-        "best_val_ccc": float(chosen.result.best_val_ccc),
-        "per_fold_val_ccc": [float(o.result.best_val_ccc) for o in outcomes],
+        "best_epoch": best.best_epoch,
+        "best_val_ccc": float(best.best_val_ccc),
+        "per_fold_val_ccc": [float(r.best_val_ccc) for r in results],
         "best_fold_val_clips": [clip.clip_id for clip in val_clips],
     }
     with open(out / "train_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    for o in outcomes:
-        marker = " *" if o.fold == b else ""
-        print(f"fold {o.fold}: best val ccc {o.result.best_val_ccc:.4f} at epoch {o.result.best_epoch}{marker}")
+    for fold, r in enumerate(results):
+        marker = " *" if fold == b else ""
+        print(f"fold {fold}: best val ccc {r.best_val_ccc:.4f} at epoch {r.best_epoch}{marker}")
     print(f"saved best fold {b} artifacts to {out}")
     return EXIT_OK
 
@@ -217,7 +218,10 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> int:
     tc = config.training
     model = tc.new_model(clips[0])
     model.load_snapshot(load_params(params_path))
-    clip_preds, pooled = evaluate(model, clips, tc)
+    try:
+        clip_preds, pooled = evaluate(model, clips, tc)
+    except (NumericError, DimensionError) as exc:
+        raise type(exc)(f"{exc} ({_dataset_dir(out)})") from exc
     eval_dir = out / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(eval_dir / "predictions.csv", PREDICTIONS_HEADER, _prediction_rows(clips, clip_preds, tc.target))

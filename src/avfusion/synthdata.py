@@ -23,6 +23,7 @@ masks (0/1 cells) live in sidecar CSVs keyed by absolute frame index.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import struct
@@ -264,6 +265,8 @@ def read_avfs(path) -> np.ndarray:
         _, version, frames, dim = HEADER.unpack(header)
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}", offset=4)
+        if dim == 0:
+            raise FormatError(f"{path}: no feature rows", offset=12)
         expected = 4 * frames * dim
         available = os.fstat(fh.fileno()).st_size - HEADER.size
         if available < expected:
@@ -273,8 +276,19 @@ def read_avfs(path) -> np.ndarray:
             )
         if available > expected:
             raise FormatError(f"{path}: trailing data after payload", offset=HEADER.size + expected)
-        payload = fh.read(expected)
-    return np.frombuffer(payload, dtype="<f4").reshape(dim, frames).copy()
+        matrix = np.frombuffer(fh.read(expected), dtype="<f4").reshape(dim, frames)
+    _check_finite(path, "feature", matrix, HEADER.size)
+    return matrix.copy()
+
+
+def _check_finite(path, name: str, matrix: np.ndarray, offset: int):
+    """A FormatError naming ``name``, the [row, column] and the byte offset of
+    the first non-finite entry of a matrix read row-major from ``offset``."""
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        at = offset + matrix.itemsize * (row * matrix.shape[1] + col)
+        raise FormatError(f"{path}: non-finite {name} entry [{row}, {col}]", offset=at)
 
 
 def _write_csv(path, header, rows):
@@ -288,18 +302,23 @@ def _read_csv(path, header, parsers):
     """Columns of the rows below ``header``, each cell converted by its
     column's parser.
 
-    A row with the wrong cell count, or a cell its parser rejects, is a
-    FormatError naming the file and the 1-based row (the header is row 1).
+    Bytes that are not UTF-8 are a FormatError naming the file and the byte
+    offset; a row the csv module rejects (a field past its size limit), a
+    row with the wrong cell count, or a cell its parser rejects, one naming
+    the file and the 1-based row (the header is row 1).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file", offset=0) from None
-        if first != header:
-            raise FormatError(f"{path}: expected header {','.join(header)}", offset=0)
+    try:
+        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
         rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: row {reader.line_num}: {exc}") from None
+    if not rows:
+        raise FormatError(f"{path}: empty file", offset=0)
+    first, *rows = rows
+    if first != header:
+        raise FormatError(f"{path}: expected header {','.join(header)}", offset=0)
     for number, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise FormatError(f"{path}: row {number} has {len(row)} cells, expected {len(header)}")

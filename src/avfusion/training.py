@@ -197,7 +197,7 @@ class SchedulerState:
 
     lr: float
     epoch: int = 0  # completed epochs
-    best: float = -math.inf
+    best: float = -math.inf  # the best validation score so far, the one train reports
     counter: int = 0
     drops: int = 0
 
@@ -210,8 +210,8 @@ def lr_for_epoch(state: SchedulerState, config: TrainConfig) -> float:
     return state.lr
 
 
-def scheduler_step(state: SchedulerState, val_ccc: float, config: TrainConfig) -> float:
-    """Consume one epoch's validation score; returns the next epoch's lr.
+def scheduler_step(state: SchedulerState, val_ccc: float, config: TrainConfig):
+    """Consume one epoch's validation score; the next lr is :func:`lr_for_epoch`'s.
 
     During warmup only the best score is tracked.  Afterwards, ``patience``
     consecutive epochs without a strictly better score multiply the rate
@@ -229,7 +229,6 @@ def scheduler_step(state: SchedulerState, val_ccc: float, config: TrainConfig) -
             state.lr = dropped
             state.counter = 0
     state.epoch += 1
-    return lr_for_epoch(state, config)
 
 
 # -- training ----------------------------------------------------------------
@@ -245,26 +244,17 @@ class TrainResult:
 
 
 def _clip_predictions(model: EmotionModel, clips, config: TrainConfig):
-    """One prediction per frame of every clip.
-
-    Clips are cut into non-overlapping windows, forwarded
-    ``config.batch_size`` windows at a time and stitched back per clip.
-    """
-    owners = []
-    windows = []
-    for i, clip in enumerate(clips):
-        for win in window(clip, config.window_len, config.window_len):
-            owners.append(i)
-            windows.append(win)
-    clip_preds = [np.empty(clip.frames) for clip in clips]
+    """One prediction per frame of every clip: the first ``clip.frames``
+    outputs of its non-overlapping windows, which are forwarded in clip
+    order ``config.batch_size`` windows at a time."""
+    per_clip = [window(clip, config.window_len, config.window_len) for clip in clips]
+    windows = [win for wins in per_clip for win in wins]
+    outs = np.empty((len(windows), config.window_len))
     for b in range(0, len(windows), config.batch_size):
         batch = windows[b : b + config.batch_size]
-        outs = model.forward(batch).value.reshape(len(batch), -1)
-        for i, win, out in zip(owners[b : b + config.batch_size], batch, outs):
-            start = win.frame_offset - clips[i].frame_offset
-            real = min(config.window_len, clips[i].frames - start)
-            clip_preds[i][start : start + real] = out[:real]
-    return clip_preds
+        outs[b : b + len(batch)] = model.forward(batch).value.reshape(len(batch), -1)
+    ends = np.cumsum([len(wins) for wins in per_clip])
+    return [rows.reshape(-1)[: clip.frames] for clip, rows in zip(clips, np.split(outs, ends[:-1]))]
 
 
 def _pooled_ccc(model: EmotionModel, clips, config: TrainConfig):
@@ -281,8 +271,8 @@ def _pooled_ccc(model: EmotionModel, clips, config: TrainConfig):
 def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult:
     """Full training run; deterministic given clips and config.
 
-    A :class:`NumericError` raised by a step or a validation pass is
-    raised again with where it happened appended to its message:
+    A :class:`NumericError` or :class:`DimensionError` raised by a step or
+    a validation pass is raised again with where it happened appended:
     ``(fold F, epoch E, batch B)`` or ``(fold F, epoch E, validation)``,
     without the fold when ``fold`` is None.
     """
@@ -297,10 +287,8 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
     adam = AdamState()
     sched = SchedulerState(lr=config.init_lr)
     best_snapshot = model.snapshot()
-    best_ccc = -math.inf
     best_epoch = 0
     best_preds = None
-    stale = 0
     history = []
     where = "" if fold is None else f"fold {fold}, "
 
@@ -310,38 +298,31 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
             np.random.SeedSequence([config.seed, 1000 + epoch])
         ).permutation(len(train_windows))
         batch_losses = []
-        for b in range(0, len(order), config.batch_size):
-            batch = [train_windows[i] for i in order[b : b + config.batch_size]]
-            dropout_rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, 2000 + epoch, b])
-            )
-            try:
+        try:
+            for b in range(0, len(order), config.batch_size):
+                place = f"batch {b // config.batch_size}"
+                batch = [train_windows[i] for i in order[b : b + config.batch_size]]
+                dropout_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2000 + epoch, b]))
                 loss = model.batch_loss(batch, config.target, dropout_rng=dropout_rng)
                 loss.backward()
                 adam_step(model.parameters(), adam, lr, config.weight_decay)
-            except (NumericError, DimensionError) as exc:
-                raise type(exc)(f"{exc} ({where}epoch {epoch}, batch {b // config.batch_size})") from exc
-            batch_losses.append(loss.item())
-        try:
+                batch_losses.append(loss.item())
+            place = "validation"
             val_preds, val_ccc = _pooled_ccc(model, val_clips, config)
         except (NumericError, DimensionError) as exc:
-            raise type(exc)(f"{exc} ({where}epoch {epoch}, validation)") from exc
+            raise type(exc)(f"{exc} ({where}epoch {epoch}, {place})") from exc
         history.append((epoch, lr, float(np.mean(batch_losses)), val_ccc))
-        if val_ccc > best_ccc:
-            best_ccc = val_ccc
+        if val_ccc > sched.best:
             best_epoch = epoch
             best_snapshot = model.snapshot()
             best_preds = val_preds
-            stale = 0
-        else:
-            stale += 1
         scheduler_step(sched, val_ccc, config)
-        if stale >= config.early_stop_patience:
+        if epoch - best_epoch >= config.early_stop_patience:
             break
 
     model.load_snapshot(best_snapshot)
     return TrainResult(
-        model=model, history=history, best_val_ccc=best_ccc, best_epoch=best_epoch, predictions=best_preds
+        model=model, history=history, best_val_ccc=sched.best, best_epoch=best_epoch, predictions=best_preds
     )
 
 
@@ -357,13 +338,6 @@ def evaluate(model: EmotionModel, clips, config: TrainConfig):
 # -- cross-validation --------------------------------------------------------
 
 
-@dataclass
-class FoldOutcome:
-    fold: int
-    result: TrainResult
-    val_indices: list  # positions of the fold's validation clips in the clip list
-
-
 def fold_assignments(num_clips: int, config: TrainConfig):
     """Deterministic clip-level partition into ``folds`` contiguous chunks
     of a seeded permutation."""
@@ -377,17 +351,18 @@ def fold_assignments(num_clips: int, config: TrainConfig):
 
 def cross_validate(clips, config: TrainConfig, workers: int = 1):
     """Train once per fold, in up to ``workers`` processes; every clip
-    validates exactly once."""
+    validates exactly once.  Returns the fold assignment (positions in
+    ``clips``) and one :class:`TrainResult` per fold."""
     folds = fold_assignments(len(clips), config)
 
     def run_fold(fold):
         val_set = set(folds[fold])
         train_clips = [c for i, c in enumerate(clips) if i not in val_set]
         val_clips = [clips[i] for i in folds[fold]]
-        return FoldOutcome(fold, train(train_clips, val_clips, config, fold=fold), folds[fold])
+        return train(train_clips, val_clips, config, fold=fold)
 
-    return map_in_order(run_fold, len(folds), workers)
+    return folds, map_in_order(run_fold, len(folds), workers)
 
 
-def best_fold(outcomes) -> int:
-    return max(range(len(outcomes)), key=lambda i: outcomes[i].result.best_val_ccc)
+def best_fold(results) -> int:
+    return max(range(len(results)), key=lambda i: results[i].best_val_ccc)

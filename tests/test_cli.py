@@ -17,11 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avfusion import autodiff as ad
 from avfusion import cli
 from avfusion.cli import load_params, main, save_params
 from avfusion.config import parse_config
+from avfusion.exceptions import FormatError
 from avfusion.synthdata import generate, read_avfs, write_avfs
 from avfusion.training import TrainConfig, fold_assignments, train
 
@@ -76,6 +79,12 @@ def tree_bytes(root):
         if path.is_file():
             out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
+
+
+def mark_every_frame_invalid(out):
+    for path in (out / "dataset").glob("*_masks.csv"):
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *(row[: row.rindex(",")] + ",0" for row in rows)]) + "\n")
 
 
 class TestGen:
@@ -519,15 +528,91 @@ class TestExitCodes:
     def test_too_few_valid_frames_names_the_batch(self, tmp_path, capsys):
         config, out = write_experiment(tmp_path)
         main(["gen", "--config", str(config)])
-        for path in (out / "dataset").glob("*_masks.csv"):
-            header, *rows = path.read_text().splitlines()
-            path.write_text("\n".join([header, *(row[: row.rindex(",")] + ",0" for row in rows)]) + "\n")
+        mark_every_frame_invalid(out)
         capsys.readouterr()
         assert main(["train", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("verification failure: ccc_loss: need at least 2 valid frames")
         assert err.endswith("(fold 0, epoch 0, batch 0)\n")
+
+    def test_too_few_valid_frames_in_eval_names_the_dataset(self, tmp_path, capsys):
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        main(["train", "--config", str(config)])
+        mark_every_frame_invalid(out)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"verification failure: ccc: need at least 2 samples, got 0 ({out / 'dataset'})\n"
+
+    @pytest.mark.parametrize(
+        "name, at, junk, detail",
+        [
+            ("clip0000_labels.csv", 30, b"\xff\xfe", "not UTF-8 text (byte offset 30)"),
+            ("clip0000_masks.csv", 30, b"\xff\xfe", "not UTF-8 text (byte offset 30)"),
+            ("manifest.csv", 30, b"\xff\xfe", "not UTF-8 text (byte offset 30)"),
+            ("clip0000_labels.csv", 25, b"1" * 200_000, "row 2: field larger than field limit"),
+        ],
+        ids=["labels-utf8", "masks-utf8", "manifest-utf8", "labels-long-cell"],
+    )
+    def test_unreadable_csv_bytes_are_io_error(self, tmp_path, capsys, name, at, junk, detail):
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        path = out / "dataset" / name
+        blob = path.read_bytes()
+        path.write_bytes(blob[:at] + junk + blob[at:])
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"i/o error: {path}: {detail}")
+
+    @pytest.mark.parametrize(
+        "name, value, position",
+        [
+            ("head.layer1.weight", np.inf, (0, 0)),
+            ("head.layer2.bias", np.nan, (0, 0)),
+            ("fusion.round1.attn_audio", np.nan, (1, 2)),
+        ],
+    )
+    def test_non_finite_params_entry_is_io_error(self, tmp_path, capsys, name, value, position):
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        main(["train", "--config", str(config)])
+        snapshot = load_params(out / "params.bin")
+        snapshot[name][position] = value
+        save_params(out / "params.bin", snapshot)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"params.bin: non-finite {name!r} entry [{position[0]}, {position[1]}] (byte offset " in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_is_io_error(self, tmp_path, capsys, value):
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        path = out / "dataset" / "clip0002_visual.avfs"
+        matrix = read_avfs(path)
+        matrix[3, 40] = value
+        write_avfs(path, matrix)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        offset = 16 + 4 * (3 * 96 + 40)  # the header, then rows of 96 float32 frames
+        assert err == f"i/o error: {path}: non-finite feature entry [3, 40] (byte offset {offset})\n"
+
+    def test_features_without_rows_are_io_error(self, tmp_path, capsys):
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        for path in (out / "dataset").glob("*_audio.avfs"):
+            write_avfs(path, np.zeros((0, 96)))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        first = out / "dataset" / "clip0000_audio.avfs"
+        assert err == f"i/o error: {first}: no feature rows (byte offset 12)\n"
 
     @pytest.mark.parametrize(
         "training, key",
@@ -622,6 +707,40 @@ class TestParamsFile:
         (tmp_path / "p.bin").write_bytes(blob)
         with pytest.raises(Exception, match="trailing"):
             load_params(tmp_path / "p.bin")
+
+
+PARAM_SNAPSHOTS = st.dictionaries(
+    st.text(max_size=6),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda shape: st.lists(st.floats(), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+            lambda values: np.array(values, dtype=np.float64).reshape(shape)
+        )
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(snapshot={"fusion.gate_audio": np.array([[0.5, np.nan]])}, at=0, drop=0, junk=b"")
+@example(snapshot={"head.layer1.weight": np.array([[np.inf], [0.5]])}, at=0, drop=0, junk=b"")
+@given(
+    snapshot=PARAM_SNAPSHOTS,
+    at=st.integers(0, 120),
+    drop=st.one_of(st.integers(0, 8), st.just(10**6)),
+    junk=st.binary(max_size=8),
+)
+def test_any_params_bytes_load_or_are_format_error(tmp_path_factory, snapshot, at, drop, junk):
+    # a written file with some bytes replaced, inserted or cut off
+    path = tmp_path_factory.getbasetemp() / "any.bin"
+    save_params(path, snapshot)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:at] + junk + blob[at + drop :])
+    try:
+        loaded = load_params(path)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert all(m.ndim == 2 and np.isfinite(m).all() for m in loaded.values())
 
 
 class TestAblate:

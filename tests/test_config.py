@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from jsonschema import Draft7Validator
 from hypothesis import strategies as st
 
 from avfusion.config import ExperimentConfig, load_config, parse_config, serialize_config
@@ -243,3 +245,20 @@ class TestSchemaFile:
         assert schema["additionalProperties"] is False
         for section in ("generator", "training"):
             assert schema["properties"][section]["additionalProperties"] is False
+
+    def test_schema_is_valid_draft7(self):
+        Draft7Validator.check_schema(self.schema())
+
+    def test_default_config_validates(self):
+        Draft7Validator(self.schema()).validate(json.loads(serialize_config(ExperimentConfig())))
+
+    # NaN is not JSON, so no schema can reject it; parse_config does
+    @pytest.mark.parametrize(
+        "text",
+        [one_key(*case) for case in BAD_TYPES if not (isinstance(case[2], float) and math.isnan(case[2]))]
+        + ["[1, 2]", '{"generator": 5}', '{"out_dir": 3}'],
+    )
+    def test_schema_rejects_every_wrong_type_parse_rejects(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+        assert not Draft7Validator(self.schema()).is_valid(json.loads(text))

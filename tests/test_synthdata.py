@@ -10,6 +10,7 @@ from avfusion.exceptions import ConfigError, FormatError
 from avfusion.metrics import ccc, ccc_loss
 from avfusion.synthdata import (
     HEADER,
+    LABELS_HEADER,
     MAGIC,
     VERSION,
     GenConfig,
@@ -320,6 +321,9 @@ AVFS_BYTES = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @example(blob=HEADER.pack(MAGIC, VERSION, 2**32 - 1, 2**32 - 1))
+@example(blob=HEADER.pack(MAGIC, VERSION, 2, 1) + np.array([0.5, np.nan], dtype="<f4").tobytes())
+@example(blob=HEADER.pack(MAGIC, VERSION, 1, 2) + np.array([np.inf, 0.5], dtype="<f4").tobytes())
+@example(blob=HEADER.pack(MAGIC, VERSION, 3, 0))
 @given(blob=AVFS_BYTES)
 def test_any_avfs_bytes_parse_or_are_format_error(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "any.avfs"
@@ -328,6 +332,39 @@ def test_any_avfs_bytes_parse_or_are_format_error(tmp_path_factory, blob):
         matrix = read_avfs(path)
     except FormatError:
         return
-    # what parses is exactly what write_avfs would have written
+    # what parses has a feature row, is finite, and is exactly what
+    # write_avfs would have written
+    assert matrix.shape[0] >= 1 and np.isfinite(matrix).all()
     write_avfs(path, matrix)
     assert path.read_bytes() == blob
+
+
+CSV_CLIP = generate(GenConfig(num_videos=1, frames=6, seed=31))[0]
+# the first label cell: after the header line and frame 0's number
+LABEL_CELL = len(",".join(LABELS_HEADER) + "\r\n0,")
+CSV_JUNK = st.one_of(
+    st.binary(max_size=8),
+    st.text(alphabet="0123456789,.-+_ einfa\r\n\"", max_size=8).map(str.encode),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(which="labels", at=30, drop=0, junk=b"\xff\xfe")
+@example(which="masks", at=30, drop=0, junk=b"\xff\xfe")
+@example(which="labels", at=LABEL_CELL, drop=0, junk=b"1" * 200_000)
+@given(
+    which=st.sampled_from(["labels", "masks"]),
+    at=st.integers(0, 160),
+    drop=st.one_of(st.integers(0, 8), st.just(10**6)),
+    junk=CSV_JUNK,
+)
+def test_any_label_or_mask_bytes_parse_or_are_format_error(tmp_path_factory, which, at, drop, junk):
+    directory = tmp_path_factory.getbasetemp() / "any_csv"
+    write_features(directory, CSV_CLIP)
+    path = directory / f"{CSV_CLIP.clip_id}_{which}.csv"
+    blob = path.read_bytes()
+    path.write_bytes(blob[:at] + junk + blob[at + drop :])
+    try:
+        read_features(directory, CSV_CLIP.clip_id)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{directory / CSV_CLIP.clip_id}_")

@@ -340,16 +340,16 @@ class TestCrossValidate:
     def test_cross_validate_reports(self):
         clips = make_clips(4, seed=11)
         config = small_config(folds=2, max_epochs=1)
-        outcomes = cross_validate(clips, config)
-        assert [o.fold for o in outcomes] == [0, 1]
-        assert [o.val_indices for o in outcomes] == fold_assignments(len(clips), config)
-        assert sorted(i for o in outcomes for i in o.val_indices) == list(range(len(clips)))
+        folds, results = cross_validate(clips, config)
+        assert len(results) == 2
+        assert folds == fold_assignments(len(clips), config)
+        assert sorted(i for fold in folds for i in fold) == list(range(len(clips)))
         # each fold's report is its best validation pass
-        for o in outcomes:
-            val_clips = [clips[i] for i in o.val_indices]
-            assert evaluate(o.result.model, val_clips, config)[1] == o.result.best_val_ccc
-        best = best_fold(outcomes)
-        assert outcomes[best].result.best_val_ccc == max(o.result.best_val_ccc for o in outcomes)
+        for fold, result in zip(folds, results):
+            val_clips = [clips[i] for i in fold]
+            assert evaluate(result.model, val_clips, config)[1] == result.best_val_ccc
+        best = best_fold(results)
+        assert results[best].best_val_ccc == max(r.best_val_ccc for r in results)
 
     def test_one_forward_per_batch_and_no_reevaluation(self, monkeypatch):
         # 5 train clips of 2 windows at batch 4 make 3 train batches; 2 val
@@ -373,8 +373,8 @@ class TestCrossValidate:
 
         monkeypatch.setattr(EmotionModel, "forward", counted)
         monkeypatch.setattr(training, "train", marked)
-        outcomes = cross_validate(clips, config)
-        assert [len(o.result.history) for o in outcomes] == [config.max_epochs] * 2
+        _, results = cross_validate(clips, config)
+        assert [len(r.history) for r in results] == [config.max_epochs] * 2
         counted_per_fold = np.diff(starts + [len(calls)]).tolist()
         expected = []
         for fold in fold_assignments(len(clips), config):
