@@ -14,13 +14,15 @@ and every node still empty after the walk gets zeros.  Each node
 reaches itself from its backward closure only through a weak reference,
 so graphs hold no reference cycles and a dropped graph is freed at once.
 
-The op set is what the model uses and no more: matrix product,
+The op set is what the model and its tests use: matrix product,
 elementwise tanh/relu/add/mul, scaling by a float, product with a
 constant array, a bias column added to every column, the sum of all
 entries, transpose, row stacking, reshape, a dilated causal convolution,
-a gated sum of candidates, and a temperature-scaled softmax.  A fused op
-outside this module (the CCC loss) is one node built with
-:meth:`Tensor._make` that pushes its gradient with :func:`accumulate`.
+a gated sum of candidates, and a temperature-scaled softmax.  Each fused
+op outside this module (the CCC loss in ``metrics``, the fusion rounds'
+tanh correlation ``tanh(X^T W J * s)`` in ``fusion``) is one node built
+with :meth:`Tensor._make` that pushes its gradient with
+:func:`accumulate`.
 Ops act on the last two axes.  The only
 broadcasting is of a matrix across a batch, in a matrix product (a
 weight applied to every member) or as a bias column; its gradient is

@@ -26,7 +26,16 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .exceptions import ConfigError, DimensionError, FormatError, NumericError, ParameterError
 from .fusion import MODALITIES
-from .synthdata import _check_finite, _read_csv, _write_csv, clip_seed, generate, read_features, write_features
+from .synthdata import (
+    _check_finite,
+    _plain_int,
+    _read_csv,
+    _write_csv,
+    clip_seed,
+    generate,
+    read_features,
+    write_features,
+)
 from .training import (
     best_fold,
     cross_validate,
@@ -102,6 +111,8 @@ def load_params(path) -> dict:
             name = blob[pos : pos + name_len].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: entry name is not valid UTF-8", offset=pos) from None
+        if name in out:
+            raise FormatError(f"{path}: duplicate entry {name!r}", offset=pos)
         pos += name_len
         if pos + _ENTRY_SHAPE.size > len(blob):
             raise FormatError(f"{path}: truncated shape for {name!r}", offset=pos)
@@ -128,7 +139,7 @@ def _load_dataset(out: Path):
     manifest = _dataset_dir(out) / "manifest.csv"
     if not manifest.exists():
         raise ConfigError(f"no dataset at {manifest.parent}; run the gen command first")
-    clip_ids = _read_csv(manifest, MANIFEST_HEADER, (str,) + (int,) * (len(MANIFEST_HEADER) - 1))[0]
+    clip_ids = _read_csv(manifest, MANIFEST_HEADER, (str,) + (_plain_int,) * (len(MANIFEST_HEADER) - 1))[0]
     if not clip_ids:
         raise ConfigError(f"{manifest}: dataset lists no clips")
     clips = [read_features(manifest.parent, clip_id) for clip_id in clip_ids]

@@ -23,6 +23,8 @@ modality m in :data:`MODALITIES`:
     att_m  = amap_m W_out,m + X_m                  (residual)
 
 Every step is written once and applied to each modality in turn.  The
+correlation is one graph node (:func:`correlation`) that keeps only its
+L x L tanh output, which its closed-form backward reads.  The
 modes differ only in the gate, and all three gates are :func:`_gate`:
 logits ``source^T W_gate`` (L x K), a temperature softmax over the K
 candidates per time step (so every row sums to 1), then the relu of the
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DimensionError
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -159,16 +161,48 @@ def joint_representation(current: dict, params: FusionParams, round_index: int =
     return joint
 
 
+def correlation(x: Tensor, wj: Tensor, scale: float) -> Tensor:
+    """``tanh(x^T wj * scale)`` as one node: ``x`` and ``wj`` are d_m x L
+    (or B x d_m x L), the output L x L.
+
+    The product is scaled and squashed in place, and the node keeps only
+    the tanh output y, which its backward needs: with
+    ``dz = g * (1 - y^2) * scale``, x receives ``(dz wj^T)^T`` and wj
+    receives ``x dz``.  The products are the ones a transpose, a matrix
+    product, a scaling and a tanh node would make, operand layouts
+    included, so value and gradients equal that composite bit for bit.
+    """
+    if x.value.shape != wj.value.shape:
+        raise DimensionError(f"correlation: shapes {x.value.shape} and {wj.value.shape} differ")
+    xt = np.ascontiguousarray(np.swapaxes(x.value, -1, -2))
+    y = xt @ wj.value
+    y *= scale
+    np.tanh(y, out=y)
+
+    def backward(g):
+        dz = y * y
+        np.subtract(1.0, dz, out=dz)
+        dz *= g
+        dz *= scale
+        # a view of a fresh array: copied if it becomes x's grad, as a
+        # transpose node's would be
+        ad.accumulate(x, np.swapaxes(dz @ np.swapaxes(wj.value, -1, -2), -1, -2), shared=True)
+        ad.accumulate(wj, np.swapaxes(xt, -1, -2) @ dz)
+
+    return Tensor._make(y, (x, wj), backward)
+
+
 def joint_correlation(current: dict, joint: Tensor, params: FusionParams, round_index: int = 1) -> dict:
     """tanh-bounded correlation of each modality against the joint features.
 
-    Scaled by 1/sqrt(d) inside the tanh; outputs are L x L in [-1, 1].
-    ``X^T (W_corr joint)`` is grouped so that the L x L product's inner
-    dimension is the modality's, not the joint one.
+    Scaled by 1/sqrt(d) inside the tanh; outputs are L x L in [-1, 1],
+    one :func:`correlation` node each.  ``X^T (W_corr joint)`` is grouped
+    so that the L x L product's inner dimension is the modality's, not
+    the joint one.
     """
     inv_sqrt_d = 1.0 / math.sqrt(params.config.dim_joint)
     return {
-        m: ad.tanh((current[m].T @ (params.weights[f"round{round_index}.corr_{m}"] @ joint)) * inv_sqrt_d)
+        m: correlation(current[m], params.weights[f"round{round_index}.corr_{m}"] @ joint, inv_sqrt_d)
         for m in MODALITIES
     }
 

@@ -18,6 +18,8 @@ Feature files use a small binary container (magic ``AVFS``): header of
 magic, version u32, frame count u32, feature dim u32, all little-endian,
 then the row-major float32 payload; one file per modality.  Labels and
 masks (0/1 cells) live in sidecar CSVs keyed by absolute frame index.
+A CSV cell is read only in the form the writer gives it: plain digits
+for a count, a float as ``repr`` writes it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import csv
 import io
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -336,7 +339,21 @@ def _read_csv(path, header, parsers):
     return columns
 
 
+# what the csv writer makes of an int and of a float's repr: no padding,
+# no digit separators, no leading plus sign, no nan or inf
+_PLAIN_INT = re.compile(r"[0-9]+")
+_PLAIN_FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")
+
+
+def _plain_int(cell: str) -> int:
+    if not _PLAIN_INT.fullmatch(cell):
+        raise ValueError(cell)
+    return int(cell)
+
+
 def _finite_float(cell: str) -> float:
+    if not _PLAIN_FLOAT.fullmatch(cell):
+        raise ValueError(cell)
     value = float(cell)
     if not math.isfinite(value):
         raise ValueError(cell)
@@ -379,7 +396,7 @@ def read_features(directory, clip_id: str) -> LabeledClip:
     count up by one from the labels' first, is a FormatError naming it."""
     directory = Path(directory)
     path = directory / f"{clip_id}_labels.csv"
-    frames, valence, arousal = _read_csv(path, LABELS_HEADER, (int, _finite_float, _finite_float))
+    frames, valence, arousal = _read_csv(path, LABELS_HEADER, (_plain_int, _finite_float, _finite_float))
     first = frames[0] if frames else 0
     _check_frames(path, frames, first)
     fields = {"valence": np.array(valence), "arousal": np.array(arousal)}
@@ -389,7 +406,7 @@ def read_features(directory, clip_id: str) -> LabeledClip:
         if fields[m].shape[1] != len(frames):
             raise FormatError(f"{path}: {fields[m].shape[1]} frames but {len(frames)} label rows")
     path = directory / f"{clip_id}_masks.csv"
-    mask_frames, *masks = _read_csv(path, MASKS_HEADER, (int,) + (_flag,) * len(MASK_FIELDS))
+    mask_frames, *masks = _read_csv(path, MASKS_HEADER, (_plain_int,) + (_flag,) * len(MASK_FIELDS))
     if len(masks[0]) != len(frames):
         raise FormatError(f"{path}: {len(masks[0])} rows but {len(frames)} label rows")
     _check_frames(path, mask_frames, first)

@@ -307,6 +307,8 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
                 loss.backward()
                 adam_step(model.parameters(), adam, lr, config.weight_decay)
                 batch_losses.append(loss.item())
+                # free this batch's graph and grads before the next one is built
+                del loss
             place = "validation"
             val_preds, val_ccc = _pooled_ccc(model, val_clips, config)
         except (NumericError, DimensionError) as exc:

@@ -464,6 +464,25 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "not valid UTF-8" in err and f"byte offset {name_at}" in err
 
+    def test_duplicate_param_name_is_io_error(self, tmp_path, capsys):
+        # two entries of one name: the later one used to win without a word
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        path = out / "params.bin"
+        save_params(path, {"a": np.zeros((1, 1)), "b": np.ones((1, 1))})
+        blob = bytearray(path.read_bytes())
+        second_at = cli._PARAMS_HEAD.size + 2 * cli._ENTRY_HEAD.size + 1 + cli._ENTRY_SHAPE.size + 8
+        assert blob[second_at : second_at + 1] == b"b"
+        blob[second_at] = ord("a")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=rf"duplicate entry 'a' \(byte offset {second_at}\)"):
+            load_params(path)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{path}: duplicate entry 'a' (byte offset {second_at})" in err
+
     @pytest.mark.parametrize(
         "name, row, text",
         [
@@ -480,6 +499,9 @@ class TestExitCodes:
             ("clip0001_masks.csv", 6, "5,0,0,1"),
             ("manifest.csv", 3, ""),
             ("manifest.csv", 2, "clip0000,7,ninety,0,0"),
+            # padding and digit separators that int and float would accept
+            ("clip0000_labels.csv", 2, " 0 ,0.5,0.1"),
+            ("clip0000_labels.csv", 2, "0,1_0.5,0.1"),
         ],
     )
     def test_bad_csv_row_is_io_error(self, tmp_path, capsys, name, row, text):

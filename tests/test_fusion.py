@@ -15,7 +15,7 @@ import pytest
 from avfusion import autodiff as ad
 from avfusion.autodiff import Tensor, gradcheck
 from avfusion.exceptions import ConfigError, DimensionError, NumericError
-from avfusion.fusion import FusionParams, fusion_forward, grjca_gate, rjca_forward
+from avfusion.fusion import FusionParams, correlation, fusion_forward, grjca_gate, rjca_forward
 from avfusion.metrics import ccc_loss
 from avfusion.model import ModelConfig
 
@@ -226,6 +226,41 @@ class TestRoundPieces:
         state = run_modular(np.zeros((2, 4)), visual, params)
         assert np.array_equal(state.joint[0].value[:2], np.zeros((2, 4)))
         assert np.array_equal(state.joint[0].value[2:], visual)
+
+
+class TestCorrelationNode:
+    """``correlation`` is a round's transpose, product, scaling and tanh
+    as one node."""
+
+    def test_equals_the_four_node_composite_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        x_val = rng.standard_normal((3, 5, 7))
+        wj_val = rng.standard_normal((3, 5, 7))
+        seed = rng.standard_normal((3, 7, 7))
+        scale = 1.0 / math.sqrt(10)
+        x, wj = Tensor(x_val), Tensor(wj_val)
+        fused = correlation(x, wj, scale)
+        assert fused._parents == (x, wj)
+        x_ref, wj_ref = Tensor(x_val), Tensor(wj_val)
+        composite = ad.tanh((x_ref.T @ wj_ref) * scale)
+        assert np.array_equal(fused.value, composite.value)
+        fused.backward(seed)
+        composite.backward(seed)
+        assert np.array_equal(x.grad, x_ref.grad)
+        assert np.array_equal(wj.grad, wj_ref.grad)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.standard_normal((4, 6)))
+        wj = Tensor(rng.standard_normal((4, 6)))
+        mix = Tensor(rng.standard_normal((6, 6)))
+        report = gradcheck(lambda: (correlation(x, wj, 0.4) * mix).sum(), {"x": x, "wj": wj})
+        assert report.checked == 48
+        assert report.worst < 1e-7, report.format_lines()
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(DimensionError, match="correlation: shapes"):
+            correlation(Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 6))), 1.0)
 
 
 class TestIdentities:

@@ -340,8 +340,9 @@ def test_any_avfs_bytes_parse_or_are_format_error(tmp_path_factory, blob):
 
 
 CSV_CLIP = generate(GenConfig(num_videos=1, frames=6, seed=31))[0]
-# the first label cell: after the header line and frame 0's number
-LABEL_CELL = len(",".join(LABELS_HEADER) + "\r\n0,")
+# the first frame cell, after the header line, and the first label cell
+FRAME_CELL = len(",".join(LABELS_HEADER) + "\r\n")
+LABEL_CELL = FRAME_CELL + len("0,")
 CSV_JUNK = st.one_of(
     st.binary(max_size=8),
     st.text(alphabet="0123456789,.-+_ einfa\r\n\"", max_size=8).map(str.encode),
@@ -352,6 +353,8 @@ CSV_JUNK = st.one_of(
 @example(which="labels", at=30, drop=0, junk=b"\xff\xfe")
 @example(which="masks", at=30, drop=0, junk=b"\xff\xfe")
 @example(which="labels", at=LABEL_CELL, drop=0, junk=b"1" * 200_000)
+@example(which="labels", at=FRAME_CELL, drop=1, junk=b" 0 ")  # frame " 0 "
+@example(which="labels", at=LABEL_CELL, drop=1, junk=b"1_")  # valence "1_0.22..." for -0.22...
 @given(
     which=st.sampled_from(["labels", "masks"]),
     at=st.integers(0, 160),

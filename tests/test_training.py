@@ -1,8 +1,10 @@
 """Optimizer, scheduler, and training-loop tests."""
 
+import gc
 import math
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -251,6 +253,42 @@ class TestTrainLoop:
         assert loss.item() == loss2.item()
         for k, p in model_a.parameters().items():
             assert np.array_equal(grads[k], p.grad)
+
+    def test_one_graph_alive_at_a_time(self, monkeypatch):
+        # each batch's loss (and the graph behind it) is dead before the
+        # next batch's forward and before validation; with the cyclic
+        # collector off, only dropped references can free it
+        clips = make_clips(3, seed=8)
+        losses = []
+        checks = []
+        real_batch_loss = EmotionModel.batch_loss
+        real_pooled = training._pooled_ccc
+
+        def check_dead(where):
+            checks.append(where)
+            assert all(ref() is None for ref in losses), where
+
+        def batch_loss(self, *args, **kwargs):
+            check_dead("batch_loss")
+            loss = real_batch_loss(self, *args, **kwargs)
+            losses.append(weakref.ref(loss))
+            return loss
+
+        def pooled(*args):
+            check_dead("validation")
+            return real_pooled(*args)
+
+        monkeypatch.setattr(EmotionModel, "batch_loss", batch_loss)
+        monkeypatch.setattr(training, "_pooled_ccc", pooled)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(clips[:2], clips[2:], small_config(max_epochs=2, batch_size=1))
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(losses) == 4
+        assert checks == ["batch_loss", "batch_loss", "validation"] * 2
 
     def test_overfit_single_clip(self):
         # capacity sanity: one clip, shallow model, enough epochs

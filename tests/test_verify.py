@@ -2,13 +2,14 @@
 reference, and the suite against a deliberately broken backward rule."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from avfusion import autodiff as ad
-from avfusion import verify
+from avfusion import fusion, verify
 from avfusion.exceptions import NumericError
 from avfusion.metrics import ccc_flagged
 from avfusion.model import EmotionModel, ModelConfig
@@ -152,3 +153,26 @@ def test_suite_catches_a_typo_sized_backward_bug(monkeypatch):
     result = verify.run_gradcheck_suite()
     assert not result.passed
     assert result.failures()
+
+
+def test_suite_catches_a_correlation_backward_bug(monkeypatch):
+    original = fusion.correlation
+
+    def broken_correlation(x, wj, scale):
+        # the right forward, with the node's gradient to x scaled by 1%
+        out = original(x, wj, scale)
+        real_backward = out._backward
+
+        def backward():
+            before = 0.0 if x.grad is None else x.grad.copy()
+            real_backward()
+            x.grad = before + 1.01 * (x.grad - before)
+
+        out._backward = backward
+        return out
+
+    monkeypatch.setattr(fusion, "correlation", broken_correlation)
+    result = verify.run_gradcheck_suite()
+    assert not result.passed
+    names = [name for name, _ in result.failures()]
+    assert any(re.fullmatch(r"\w+/M\d/fusion\.round\d\.corr_(audio|visual)", name) for name in names), names
