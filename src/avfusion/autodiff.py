@@ -14,18 +14,16 @@ and every node still empty after the walk gets zeros.  Each node
 reaches itself from its backward closure only through a weak reference,
 so graphs hold no reference cycles and a dropped graph is freed at once.
 
-The op set is what the model and its tests use: matrix product,
-elementwise tanh/relu/add/mul, scaling by a float, product with a
-constant array, a bias column added to every column, the sum of all
-entries, transpose, row stacking, reshape, a dilated causal convolution,
-a gated sum of candidates, and a temperature-scaled softmax.  Each fused
-op outside this module (the CCC loss in ``metrics``, the fusion rounds'
-tanh correlation ``tanh(X^T W J * s)`` in ``fusion``) is one node built
-with :meth:`Tensor._make` that pushes its gradient with
-:func:`accumulate`.
-Ops act on the last two axes.  The only
-broadcasting is of a matrix across a batch, in a matrix product (a
-weight applied to every member) or as a bias column; its gradient is
+The op set is what the model uses: matrix product, elementwise
+tanh/relu/add, product with a constant array, a bias column added to
+every column, transpose, row stacking, reshape, a dilated causal
+convolution, a gated sum of candidates, and a temperature-scaled
+softmax.  Each fused op outside this module (the CCC loss in
+``metrics``, the fusion rounds' tanh correlation ``tanh(X^T W J * s)``
+in ``fusion``) is one node built with :meth:`Tensor._make` that pushes
+its gradient with :func:`accumulate`.  Ops act on the last two axes.
+The only broadcasting is of a matrix across a batch, in a matrix product
+(a weight applied to every member) or as a bias column; its gradient is
 summed over the batch.  There is no rank above 3.
 
 :func:`gradcheck` verifies any scalar-valued function of named parameters
@@ -209,13 +207,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -223,44 +214,19 @@ class Tensor:
     def T(self):
         return transpose(self)
 
-    def sum(self):
-        return sum_all(self)
-
-
-def _binary_shape_check(op, a, b):
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
-
 
 # -- elementwise -------------------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check("add", a, b)
+    if a.value.shape != b.value.shape:
+        raise DimensionError(f"add: shapes {a.value.shape} and {b.value.shape} differ")
 
     def backward(g):
         accumulate(a, g, shared=True)
         accumulate(b, g, shared=True)
 
     return Tensor._make(a.value + b.value, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product."""
-    _binary_shape_check("mul", a, b)
-
-    def backward(g):
-        accumulate(a, g * b.value)
-        accumulate(b, g * a.value)
-
-    return Tensor._make(a.value * b.value, (a, b), backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    def backward(g):
-        accumulate(a, g * c)
-
-    return Tensor._make(a.value * c, (a,), backward)
 
 
 def mul_const(a: Tensor, arr: np.ndarray) -> Tensor:
@@ -435,14 +401,7 @@ def add_colvec(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(a.value + b.value, (a, b), backward)
 
 
-# -- reductions and softmax --------------------------------------------------
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def backward(g):
-        accumulate(a, np.full_like(a.value, g[0, 0]))
-
-    return Tensor._make(a.value.sum(keepdims=True).reshape(1, 1), (a,), backward)
+# -- softmax -----------------------------------------------------------------
 
 
 def softmax_temp(logits: Tensor, temperature: float) -> Tensor:
@@ -479,13 +438,6 @@ class GradcheckReport:
     @property
     def worst(self) -> float:
         return max(self.per_param.values(), default=0.0)
-
-    def format_lines(self):
-        width = max((len(n) for n in self.per_param), default=0)
-        return [
-            f"{name.ljust(width)}  {err:.3e}"
-            for name, err in sorted(self.per_param.items())
-        ]
 
 
 def gradcheck(

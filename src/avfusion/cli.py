@@ -133,16 +133,43 @@ def _dataset_dir(out: Path) -> Path:
     return out / "dataset"
 
 
+def _clip_id(cell: str) -> str:
+    """A manifest clip id: one plain path component."""
+    if cell in ("", ".", "..") or any(c in cell for c in "/\\\0"):
+        raise ValueError(cell)
+    return cell
+
+
 def _load_dataset(out: Path):
     """Clips in manifest order; no manifest or an empty one is a config problem
-    (run gen first), a missing clip or mismatched feature rows an I/O one."""
+    (run gen first).  A clip id that is repeated, missing or not one plain
+    path component, or a frame or corrupt count that differs from the clip's
+    files, is an I/O one naming the manifest row, and so is a clip whose
+    feature rows differ from the first clip's; the seed is not checked."""
     manifest = _dataset_dir(out) / "manifest.csv"
     if not manifest.exists():
         raise ConfigError(f"no dataset at {manifest.parent}; run the gen command first")
-    clip_ids = _read_csv(manifest, MANIFEST_HEADER, (str,) + (_plain_int,) * (len(MANIFEST_HEADER) - 1))[0]
+    clip_ids, _, frames, *corrupt = _read_csv(
+        manifest, MANIFEST_HEADER, (_clip_id,) + (_plain_int,) * (len(MANIFEST_HEADER) - 1)
+    )
     if not clip_ids:
         raise ConfigError(f"{manifest}: dataset lists no clips")
-    clips = [read_features(manifest.parent, clip_id) for clip_id in clip_ids]
+    clips, first_row = [], {}
+    for number, (clip_id, count, *listed) in enumerate(zip(clip_ids, frames, *corrupt), start=2):
+        place, files = f"{manifest}: row {number}", manifest.parent / clip_id
+        if first_row.setdefault(clip_id, number) != number:
+            raise FormatError(f"{place} repeats clip {clip_id!r} of row {first_row[clip_id]}")
+        try:
+            clip = read_features(manifest.parent, clip_id)
+        except FileNotFoundError as exc:
+            raise FormatError(f"{place} lists clip {clip_id!r}, but {exc.filename} is missing") from None
+        if clip.frames != count:
+            raise FormatError(f"{place} lists {count} frames but {files}_labels.csv has {clip.frames}")
+        for m, want in zip(MODALITIES, listed):
+            marked = int(getattr(clip, f"corrupt_{m}").sum())
+            if marked != want:
+                raise FormatError(f"{place} lists {want} {m} corrupt frames but {files}_masks.csv marks {marked}")
+        clips.append(clip)
     for clip in clips[1:]:
         for m in MODALITIES:
             rows, first = getattr(clip, m).shape[0], getattr(clips[0], m).shape[0]

@@ -9,9 +9,11 @@ on arrays for evaluation; :func:`ccc_loss` is the training loss 1 - ccc as
 a single graph node, optionally restricted to valid frames by a 0/1 mask.
 Both take their moments from one helper, so a loss value equals 1 minus
 the evaluation score of the same frames bit for bit, and the loss's
-backward is the closed-form derivative of ccc.  Validation, the fold
-reports and ``eval`` score with ``training._pooled_ccc``: this ccc of the
-clips' predictions pooled over their valid frames.
+backward is the closed-form derivative of ccc.  Both inputs constant
+make the denominator zero: ccc is then 0.0, and the loss 1.0 with no
+gradient.  Validation, the fold reports and ``eval`` score with
+``training._pooled_ccc``: this ccc of the clips' predictions pooled over
+their valid frames.
 """
 
 from __future__ import annotations
@@ -33,20 +35,12 @@ def _flatten_pair(pred, truth):
 
 
 def ccc(pred, truth) -> float:
-    """Concordance between two equal-length vectors, in [-1, 1].
-
-    Degenerate input (both vectors constant) yields 0.0; use
-    :func:`ccc_flagged` to detect that case explicitly.
-    """
-    return ccc_flagged(pred, truth)[0]
-
-
-def ccc_flagged(pred, truth):
-    """CCC value plus a flag marking a zero denominator (both inputs constant)."""
+    """Concordance between two equal-length vectors, in [-1, 1]; 0.0 when
+    the denominator is zero (both vectors constant)."""
     _, cov, denom = _moments(*_flatten_pair(pred, truth))
     if denom == 0.0:
-        return 0.0, True
-    return float(2.0 * cov / denom), False
+        return 0.0
+    return float(2.0 * cov / denom)
 
 
 def _moments(pred, truth):
@@ -67,8 +61,8 @@ def ccc_loss(pred: ad.Tensor, truth, valid=None) -> ad.Tensor:
     differentiable 1 x 1 node.
 
     Frames where ``valid`` is 0 are excluded from every moment and receive
-    exactly zero gradient.  The value equals ``1 - ccc_flagged`` over the
-    valid frames bit for bit; over those N frames the gradient is
+    exactly zero gradient.  The value equals ``1 - ccc`` over the valid
+    frames bit for bit; over those N frames the gradient is
 
         d(1 - ccc)/dp_i = -2 / (N * denom) * ((t_i - mean_t) - ccc * (p_i - mean_t))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DimensionError, NumericError, ParameterError
 from .fusion import MODALITIES
-from .metrics import ccc_flagged
+from .metrics import ccc
 from .model import EmotionModel, ModelConfig, ModelSettings
 from .synthdata import window
 from .temporal import check_tcn_fits
@@ -264,8 +264,7 @@ def _pooled_ccc(model: EmotionModel, clips, config: TrainConfig):
     clip_preds = _clip_predictions(model, clips, config)
     valid = np.concatenate([clip.valid for clip in clips])
     truth = np.concatenate([getattr(clip, config.target) for clip in clips])
-    value, _ = ccc_flagged(np.concatenate(clip_preds)[valid], truth[valid])
-    return clip_preds, value
+    return clip_preds, ccc(np.concatenate(clip_preds)[valid], truth[valid])
 
 
 def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult:

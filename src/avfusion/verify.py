@@ -114,11 +114,11 @@ def stacked_probe(model: EmotionModel, win: LabeledClip, drop_seed: int):
     parameter in one forward of ``win`` repeated along the batch axis.
 
     All 2n members are scored at once.  One set of row-wise moments over
-    the valid frames (:func:`metrics._moments`, the helper ``ccc_flagged``
-    and ``ccc_loss`` use) gives every member's loss ``1 - ccc``, bit for
-    bit the one-window loss; a member with a zero denominator scores 1.0,
-    as ``ccc_flagged`` does.  One comparison per recorded ReLU pattern
-    flags the members k whose sign or kink-band state differs from member
+    the valid frames (:func:`metrics._moments`, the helper ``ccc`` and
+    ``ccc_loss`` use) gives every member's loss ``1 - ccc``, bit for bit
+    the one-window loss; a member with a zero denominator scores 1.0, as
+    ``ccc_loss`` does.  One comparison per recorded ReLU pattern flags
+    the members k whose sign or kink-band state differs from member
     n+k's.
     """
     truth = win.valence[win.valid]

@@ -24,7 +24,7 @@ from avfusion import autodiff as ad
 from avfusion import cli
 from avfusion.cli import load_params, main, save_params
 from avfusion.config import parse_config
-from avfusion.exceptions import FormatError
+from avfusion.exceptions import ConfigError, FormatError
 from avfusion.synthdata import generate, read_avfs, write_avfs
 from avfusion.training import TrainConfig, fold_assignments, train
 
@@ -517,6 +517,35 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert f"{name}: row {row} " in err
 
+    @pytest.mark.parametrize(
+        "row, text, detail",
+        [
+            # clip0000's row renamed to clip0001: clip0001 would be read twice
+            (2, "clip0001,7,96,0,0", "row 3 repeats clip 'clip0001' of row 2"),
+            # ids that are not one plain path component
+            (2, "../x/y,7,96,0,0", "row 2 has a bad clip '../x/y'"),
+            (3, "..,7,96,0,0", "row 3 has a bad clip '..'"),
+            (2, "clip\\0000,7,96,0,0", "row 2 has a bad clip 'clip\\\\0000'"),
+            (4, ",7,96,0,0", "row 4 has a bad clip ''"),
+            (2, "clip9999,7,96,0,0", "row 2 lists clip 'clip9999', but {dataset}/clip9999_labels.csv is missing"),
+            # counts that differ from the clip's files; the seed is not checked
+            (2, "clip0000,7,95,0,0", "row 2 lists 95 frames but {dataset}/clip0000_labels.csv has 96"),
+            (3, "clip0001,7,96,0,2", "row 3 lists 2 visual corrupt frames but {dataset}/clip0001_masks.csv marks 0"),
+        ],
+        ids=["repeated", "path", "dot-dot", "backslash", "empty", "missing", "frames", "corrupt"],
+    )
+    def test_bad_manifest_row_is_io_error(self, tmp_path, capsys, row, text, detail):
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        manifest = out / "dataset" / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[row - 1] = text
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"i/o error: {manifest}: {detail.format(dataset=manifest.parent)}\n"
+
     @pytest.mark.parametrize("name", ["clip0001_audio.avfs", "clip0001_visual.avfs", "clip0001_masks.csv"])
     def test_frame_count_mismatch_is_io_error(self, tmp_path, capsys, name):
         # a file with fewer frames than the labels CSV has rows is named
@@ -763,6 +792,46 @@ def test_any_params_bytes_load_or_are_format_error(tmp_path_factory, snapshot, a
         assert str(exc).startswith(f"{path}: ")
         return
     assert all(m.ndim == 2 and np.isfinite(m).all() for m in loaded.values())
+
+
+# the first byte of the manifest's first clip row
+MANIFEST_ROW = len(",".join(cli.MANIFEST_HEADER) + "\r\n")
+MANIFEST_JUNK = st.one_of(
+    st.binary(max_size=8),
+    st.text(alphabet="clip0123456789,./\\\r\n\"", max_size=8).map(str.encode),
+)
+
+
+@pytest.fixture(scope="module")
+def manifest_dataset(tmp_path_factory):
+    """A generated dataset of three 4-frame clips with corrupt frames, and
+    the bytes of its manifest."""
+    config, out = write_experiment(
+        tmp_path_factory.mktemp("manifest"), generator={"num_videos": 3, "frames": 4, "corruption_prob": 0.5}
+    )
+    assert main(["gen", "--config", str(config)]) == 0
+    return out, (out / "dataset" / "manifest.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@example(at=MANIFEST_ROW + 7, drop=1, junk=b"1")  # clip0000's row renamed to clip0001
+@example(at=MANIFEST_ROW, drop=8, junk=b"../x/y")
+@given(
+    at=st.integers(0, 160),
+    drop=st.one_of(st.integers(0, 8), st.just(10**6)),
+    junk=MANIFEST_JUNK,
+)
+def test_any_manifest_bytes_load_or_are_format_or_config_error(manifest_dataset, at, drop, junk):
+    # a written manifest with some bytes replaced, inserted or cut off
+    out, blob = manifest_dataset
+    (out / "dataset" / "manifest.csv").write_bytes(blob[:at] + junk + blob[at + drop :])
+    try:
+        clips = cli._load_dataset(out)
+    except (FormatError, ConfigError):
+        return
+    ids = [clip.clip_id for clip in clips]
+    assert len(set(ids)) == len(ids)
+    assert set(ids) <= {"clip0000", "clip0001", "clip0002"}
 
 
 class TestAblate:

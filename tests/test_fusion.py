@@ -242,7 +242,7 @@ class TestCorrelationNode:
         fused = correlation(x, wj, scale)
         assert fused._parents == (x, wj)
         x_ref, wj_ref = Tensor(x_val), Tensor(wj_val)
-        composite = ad.tanh((x_ref.T @ wj_ref) * scale)
+        composite = ad.tanh(ad.mul_const(x_ref.T @ wj_ref, np.full((3, 7, 7), scale)))
         assert np.array_equal(fused.value, composite.value)
         fused.backward(seed)
         composite.backward(seed)
@@ -253,10 +253,10 @@ class TestCorrelationNode:
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((4, 6)))
         wj = Tensor(rng.standard_normal((4, 6)))
-        mix = Tensor(rng.standard_normal((6, 6)))
-        report = gradcheck(lambda: (correlation(x, wj, 0.4) * mix).sum(), {"x": x, "wj": wj})
+        mix = Tensor(rng.standard_normal((6, 6)).reshape(-1, 1))
+        report = gradcheck(lambda: ad.reshape(correlation(x, wj, 0.4), (1, -1)) @ mix, {"x": x, "wj": wj})
         assert report.checked == 48
-        assert report.worst < 1e-7, report.format_lines()
+        assert report.worst < 1e-7, report.per_param
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError, match="correlation: shapes"):
@@ -437,7 +437,8 @@ class TestGradients:
 
         def loss():
             state = run_modular(audio, visual, params)
-            return (state.fused * state.fused).sum()
+            row = ad.reshape(state.fused, (1, -1))
+            return row @ row.T
 
         report = gradcheck(
             loss,
@@ -446,7 +447,7 @@ class TestGradients:
             max_entries_per_param=6,
             rng=np.random.default_rng(123),
         )
-        assert report.worst < 1e-5, report.format_lines()
+        assert report.worst < 1e-5, report.per_param
 
     def test_gradcheck_ccc_loss_through_grjca(self):
         config = ModelConfig("GRJCA", dim_audio=3, dim_visual=3, seq_len=6, depth=2)
@@ -470,4 +471,4 @@ class TestGradients:
             max_entries_per_param=6,
             rng=np.random.default_rng(133),
         )
-        assert report.worst < 1e-5, report.format_lines()
+        assert report.worst < 1e-5, report.per_param

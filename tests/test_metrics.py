@@ -1,5 +1,7 @@
 """CCC metric and loss: closed-form oracles, properties, gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,14 +32,14 @@ class TestCccValues:
 
     def test_constant_prediction_scores_zero(self, rng):
         truth = rng.standard_normal(30)
-        value, degenerate = metrics.ccc_flagged(np.full(30, 0.3), truth)
-        assert abs(value) < 1e-15  # covariance is zero up to roundoff
-        assert not degenerate
+        # covariance is zero up to roundoff
+        assert abs(metrics.ccc(np.full(30, 0.3), truth)) < 1e-15
 
     def test_both_constant_is_degenerate(self):
-        value, degenerate = metrics.ccc_flagged(np.full(10, 1.5), np.full(10, 1.5))
-        assert value == 0.0
-        assert degenerate
+        # a zero denominator scores 0.0 without dividing 0 by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert metrics.ccc(np.full(10, 1.5), np.full(10, 1.5)) == 0.0
 
     def test_shift_closed_form(self, rng):
         # ccc(y + c, y) = 2 var / (2 var + c^2)
@@ -121,7 +123,7 @@ class TestCccLoss:
         # both inputs constant: ccc is 0 and no frame gets a gradient
         pred = ad.Tensor(np.zeros((1, 8)))
         truth = np.zeros(8)
-        assert metrics.ccc_flagged(pred.value, truth) == (0.0, True)
+        assert metrics.ccc(pred.value, truth) == 0.0
         loss = metrics.ccc_loss(pred, truth)
         assert loss.item() == 1.0  # 1 - 0
         loss.backward()
@@ -136,7 +138,7 @@ class TestCccLoss:
             valid = rng.uniform(size=n) > 0.25
             valid[:2] = True
             loss = metrics.ccc_loss(ad.Tensor(pred), truth, valid=valid).item()
-            score, _ = metrics.ccc_flagged(pred[0, valid], truth[valid])
+            score = metrics.ccc(pred[0, valid], truth[valid])
             assert loss == 1.0 - score
 
     def test_mask_and_shape_checked(self):

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from avfusion.autodiff import gradcheck
+from avfusion.autodiff import Tensor, gradcheck
 from avfusion.fusion import MODALITIES, MODES
 from avfusion.model import EmotionModel, ModelConfig
 from avfusion.synthdata import GenConfig, generate, window
@@ -117,6 +117,22 @@ class TestGraphMemory:
 
     def test_forward_only_graph_freed(self):
         self.check_freed(backward=False)
+
+
+class TestGraphSize:
+    @pytest.mark.parametrize(
+        "mode, depth, nodes", [("JCA", 1, 41), ("RJCA", 3, 73), ("GRJCA", 3, 83), ("HGRJCA", 3, 117)]
+    )
+    def test_nodes_per_batch_loss(self, monkeypatch, mode, depth, nodes):
+        # the graph a training step builds at dropout 0.0: the forward and
+        # the loss, in nodes made with Tensor._make
+        model = make_model(mode, depth=depth, dropout=0.0)
+        wins = make_windows([16, 16])
+        made = []
+        make = Tensor._make
+        monkeypatch.setattr(Tensor, "_make", staticmethod(lambda *args: made.append(1) or make(*args)))
+        model.batch_loss(wins, "valence", dropout_rng=np.random.default_rng(0))
+        assert len(made) == nodes
 
 
 TCN_NAMES = [

@@ -318,7 +318,7 @@ class TestEvaluate:
         clip_preds, value = evaluate(result.model, clips[2:], config)
         assert [preds.shape for preds in clip_preds] == [(64,)]
         assert -1.0 <= value <= 1.0
-        assert value == training.ccc_flagged(clip_preds[0], clips[2].valence)[0]
+        assert value == training.ccc(clip_preds[0], clips[2].valence)
 
     def test_best_validation_pass_is_the_fold_report(self):
         # the fold report is the best epoch's validation pass; it equals a
@@ -343,7 +343,7 @@ class TestEvaluate:
         clip_preds, value = evaluate(result.model, clips[2:], config)
         assert np.array_equal(clip_preds[0], forward)
         valid = clips[2].valid
-        assert result.best_val_ccc == training.ccc_flagged(forward[valid], clips[2].valence[valid])[0]
+        assert result.best_val_ccc == training.ccc(forward[valid], clips[2].valence[valid])
         assert value == result.best_val_ccc
 
     def test_no_clips_rejected(self):

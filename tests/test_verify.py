@@ -11,7 +11,7 @@ import pytest
 from avfusion import autodiff as ad
 from avfusion import fusion, verify
 from avfusion.exceptions import NumericError
-from avfusion.metrics import ccc_flagged
+from avfusion.metrics import ccc
 from avfusion.model import EmotionModel, ModelConfig
 
 
@@ -110,7 +110,8 @@ def test_constant_prediction_member_scores_one_without_warning():
     model.head.weights["layer2.bias"].value[...] = 0.0
     win = dataclasses.replace(win, valence=np.zeros_like(win.valence))
     pred = model.forward([win], dropout_rng=verify.SharedMask(drop_seed)).value
-    assert ccc_flagged(pred[0, win.valid], win.valence[win.valid]) == (0.0, True)
+    assert not pred[0, win.valid].any()
+    assert ccc(pred[0, win.valid], win.valence[win.valid]) == 0.0
     probe = verify.stacked_probe(model, win, drop_seed)
     coords = [(0, 0), (1, 2), (3, 1)]
     with warnings.catch_warnings():
