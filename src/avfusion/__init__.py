@@ -9,7 +9,7 @@ Built on a small self-verifying reverse-mode differentiation core.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, gradcheck, softmax_temp
+from .autodiff import Tensor, gradcheck
 from .exceptions import (
     ConfigError,
     DimensionError,

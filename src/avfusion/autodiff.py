@@ -16,11 +16,11 @@ so graphs hold no reference cycles and a dropped graph is freed at once.
 
 The op set is what the model uses: matrix product, elementwise
 tanh/relu/add, product with a constant array, a bias column added to
-every column, transpose, row stacking, reshape, a dilated causal
-convolution, a gated sum of candidates, and a temperature-scaled
-softmax.  Each fused op outside this module (the CCC loss in
-``metrics``, the fusion rounds' tanh correlation ``tanh(X^T W J * s)``
-in ``fusion``) is one node built with :meth:`Tensor._make` that pushes
+every column, transpose, row stacking, reshape and a dilated causal
+convolution.  Each fused op outside this module (the CCC loss in
+``metrics``; in ``fusion``, the rounds' tanh correlation
+``tanh(X^T W J * s)`` and the gate, a softmax-weighted sum of candidates
+under a relu) is one node built with :meth:`Tensor._make` that pushes
 its gradient with :func:`accumulate`.  Ops act on the last two axes.
 The only broadcasting is of a matrix across a batch, in a matrix product
 (a weight applied to every member) or as a bias column; its gradient is
@@ -46,7 +46,7 @@ from .exceptions import DimensionError, NumericError, ParameterError
 # sitting on the kink (its subgradient is taken as 0 and gradcheck skips it).
 KINK_TOL = 1e-6
 
-# Active kink recorders; relu() appends its sign pattern to each.
+# Active kink recorders; relu_pattern() appends to each.
 _kink_recorders: list[list] = []
 
 
@@ -254,12 +254,19 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor._make(y, (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    positive = a.value > 0.0
+def relu_pattern(x: np.ndarray) -> np.ndarray:
+    """The (x > 0) pattern of a relu's input, recorded in every open
+    :func:`record_kinks` scope together with the entries in the kink band."""
+    positive = x > 0.0
     if _kink_recorders:
-        in_band = np.abs(a.value) < KINK_TOL
+        in_band = np.abs(x) < KINK_TOL
         for rec in _kink_recorders:
             rec.append((positive, in_band))
+    return positive
+
+
+def relu(a: Tensor) -> Tensor:
+    positive = relu_pattern(a.value)
 
     def backward(g):
         # Subgradient at exactly 0 is taken as 0.
@@ -358,32 +365,6 @@ def causal_conv(x: Tensor, taps, dilation: int) -> Tensor:
     return Tensor._make(acc, (x, *taps), backward)
 
 
-def gated_sum(candidates, gates: Tensor) -> Tensor:
-    """Sum over k of candidate k (d x L) times gate column k (L x K),
-    that column weighting every row of its candidate."""
-    shape = candidates[0].value.shape
-    want = shape[:-2] + (shape[-1], len(candidates))
-    if gates.value.shape != want or any(c.value.shape != shape for c in candidates):
-        raise DimensionError(
-            f"gated_sum: {len(candidates)} candidates of shape {shape} need gates {want}, "
-            f"got {[c.value.shape for c in candidates]} and {gates.value.shape}"
-        )
-    rows = np.swapaxes(gates.value, -1, -2)  # row k weights candidate k
-    total = None
-    for k, cand in enumerate(candidates):
-        term = cand.value * rows[..., k : k + 1, :]
-        total = term if total is None else total + term
-
-    def backward(g):
-        grad_rows = np.empty_like(rows)
-        for k, cand in enumerate(candidates):
-            accumulate(cand, g * rows[..., k : k + 1, :])
-            grad_rows[..., k, :] = (g * cand.value).sum(axis=-2)
-        accumulate(gates, np.swapaxes(grad_rows, -1, -2))
-
-    return Tensor._make(total, (*candidates, gates), backward)
-
-
 # -- bias column -------------------------------------------------------------
 
 
@@ -399,29 +380,6 @@ def add_colvec(a: Tensor, b: Tensor) -> Tensor:
         accumulate(b, g.sum(axis=-1, keepdims=True))
 
     return Tensor._make(a.value + b.value, (a, b), backward)
-
-
-# -- softmax -----------------------------------------------------------------
-
-
-def softmax_temp(logits: Tensor, temperature: float) -> Tensor:
-    """Temperature-scaled softmax over each row.
-
-    Computed with max-subtraction; each normalized row sums to 1.  Small
-    temperatures sharpen the distribution toward the per-row argmax.
-    """
-    if temperature <= 0.0:
-        raise ParameterError(f"softmax_temp: temperature must be > 0, got {temperature}")
-    z = logits.value / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        accumulate(logits, y * (g - inner) / temperature)
-
-    return Tensor._make(y, (logits,), backward)
 
 
 # -- verification ------------------------------------------------------------

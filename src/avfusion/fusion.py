@@ -25,10 +25,10 @@ modality m in :data:`MODALITIES`:
 Every step is written once and applied to each modality in turn.  The
 correlation is one graph node (:func:`correlation`) that keeps only its
 L x L tanh output, which its closed-form backward reads.  The
-modes differ only in the gate, and all three gates are :func:`_gate`:
-logits ``source^T W_gate`` (L x K), a temperature softmax over the K
-candidates per time step (so every row sums to 1), then the relu of the
-gated sum of the candidates.
+modes differ only in the gate, and each gate is one :func:`gate` node
+on the logits ``source^T W_gate`` (L x K): a temperature softmax over
+the K candidates per time step (so every row sums to 1), then the relu
+of the gated sum of the candidates.
 
 Every feature matrix may carry a leading batch axis (B x d_m x L, and
 B x L x L correlations); the weights are shared across it.
@@ -240,11 +240,43 @@ def rjca_forward(audio: Tensor, visual: Tensor, params: FusionParams) -> FusionS
 # -- gating ------------------------------------------------------------------
 
 
-def _gate(source: Tensor, candidates: list, weight: Tensor, temperature: float):
-    """Per-time-step softmax gate over ``candidates``, with logits from
-    ``source``; returns the L x K gate matrix and the relu of the gated sum."""
-    gates = ad.softmax_temp(source.T @ weight, temperature)
-    return gates, ad.relu(ad.gated_sum(candidates, gates))
+def gate(logits: Tensor, candidates: list, temperature: float):
+    """Per-time-step gate over ``candidates`` (each d_m x L) as one node:
+    the row softmax y of ``logits`` (L x K) at ``temperature``, then
+    ``relu(sum_k candidate_k * y[:, k])``.  Returns y as a constant and
+    the node.  The backward masks by the relu pattern (which the kink
+    recorders see) and makes the products a softmax, a gated-sum and a
+    relu node would, so value and gradients equal theirs bit for bit.
+    """
+    shape = candidates[0].value.shape
+    want = shape[:-2] + (shape[-1], len(candidates))
+    if logits.value.shape != want or any(c.value.shape != shape for c in candidates):
+        raise DimensionError(
+            f"gate: {len(candidates)} candidates of shape {shape} need logits {want}, "
+            f"got {[c.value.shape for c in candidates]} and {logits.value.shape}"
+        )
+    z = logits.value / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+    rows = np.swapaxes(y, -1, -2)  # row k weights candidate k
+    total = None
+    for k, cand in enumerate(candidates):
+        term = cand.value * rows[..., k : k + 1, :]
+        total = term if total is None else total + term
+    positive = ad.relu_pattern(total)
+
+    def backward(g):
+        g = g * positive
+        grad_rows = np.empty_like(rows)
+        for k, cand in enumerate(candidates):
+            ad.accumulate(cand, g * rows[..., k : k + 1, :])
+            grad_rows[..., k, :] = (g * cand.value).sum(axis=-2)
+        dy = np.swapaxes(grad_rows, -1, -2)
+        inner = (dy * y).sum(axis=-1, keepdims=True)
+        ad.accumulate(logits, y * (dy - inner) / temperature)
+
+    return Tensor(y), Tensor._make(np.where(positive, total, 0.0), (*candidates, logits), backward)
 
 
 def grjca_gate(state: FusionState, params: FusionParams):
@@ -257,7 +289,7 @@ def grjca_gate(state: FusionState, params: FusionParams):
     for m in MODALITIES:
         attended = state.attended[m]
         weight = params.gate_weight(f"gate_{m}")
-        state.gates[m], state.final[m] = _gate(attended[-1], attended, weight, params.config.temperature)
+        state.gates[m], state.final[m] = gate(attended[-1].T @ weight, attended, params.config.temperature)
 
 
 def hgrjca_iteration_gate(state: FusionState, params: FusionParams, round_index: int):
@@ -270,7 +302,7 @@ def hgrjca_iteration_gate(state: FusionState, params: FusionParams, round_index:
     for m in MODALITIES:
         prev, cur = state.attended[m][round_index - 1 : round_index + 1]
         weight = params.gate_weight(f"round{round_index}.iter_gate_{m}")
-        gates, gated = _gate(cur, [prev, cur], weight, params.config.temperature)
+        gates, gated = gate(cur.T @ weight, [prev, cur], params.config.temperature)
         state.iter_gates[m].append(gates)
         state.iter_gated[m].append(gated)
 
@@ -289,7 +321,7 @@ def hgrjca_final_gate(state: FusionState, params: FusionParams):
         for g in gated[1:]:
             pooled = pooled + g
         weight = params.gate_weight(f"final_gate_{m}")
-        state.gates[m], state.final[m] = _gate(pooled, gated, weight, params.config.temperature)
+        state.gates[m], state.final[m] = gate(pooled.T @ weight, gated, params.config.temperature)
 
 
 # -- dispatch ----------------------------------------------------------------

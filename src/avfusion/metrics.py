@@ -37,23 +37,22 @@ def _flatten_pair(pred, truth):
 def ccc(pred, truth) -> float:
     """Concordance between two equal-length vectors, in [-1, 1]; 0.0 when
     the denominator is zero (both vectors constant)."""
-    _, cov, denom = _moments(*_flatten_pair(pred, truth))
-    if denom == 0.0:
-        return 0.0
-    return float(2.0 * cov / denom)
+    return float(_moments(*_flatten_pair(pred, truth))[-1])
 
 
 def _moments(pred, truth):
-    """Target mean, covariance and CCC denominator of two flat vectors, or
-    of every row of a stack of predictions against one target vector (the
-    moments run over the last axis)."""
+    """Target mean, CCC denominator and CCC of two flat vectors, or of
+    every row of a stack of predictions against one target vector (the
+    moments run over the last axis); the CCC is 0.0 where the denominator
+    is zero."""
     mean_p = pred.mean(axis=-1, keepdims=True)
     mean_t = truth.mean(axis=-1, keepdims=True)
     var_p = pred.var(axis=-1)
     var_t = truth.var(axis=-1)
     cov = ((pred - mean_p) * (truth - mean_t)).mean(axis=-1)
     denom = var_p + var_t + (mean_p[..., 0] - mean_t[..., 0]) ** 2
-    return mean_t[..., 0], cov, denom
+    score = np.divide(2.0 * cov, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    return mean_t[..., 0], denom, score
 
 
 def ccc_loss(pred: ad.Tensor, truth, valid=None) -> ad.Tensor:
@@ -87,10 +86,9 @@ def ccc_loss(pred: ad.Tensor, truth, valid=None) -> ad.Tensor:
         raise DimensionError(f"ccc_loss: need at least 2 valid frames, got {count}")
     p = pred.value[0, keep]
     t = truth[keep]
-    mean_t, cov, denom = _moments(p, t)
+    mean_t, denom, value = _moments(p, t)
     if denom == 0.0:
         return ad.Tensor._make(np.array([[1.0]]), (pred,), lambda g: None)
-    value = float(2.0 * cov / denom)
 
     def backward(g):
         coef = -2.0 * g[0, 0] / (count * denom)

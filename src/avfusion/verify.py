@@ -136,8 +136,7 @@ def stacked_probe(model: EmotionModel, win: LabeledClip, drop_seed: int):
                 pred = model.forward([win] * (2 * n), dropout_rng=SharedMask(drop_seed))
         finally:
             p.value = base
-        _, cov, denom = _moments(pred.value.reshape(2 * n, -1)[:, win.valid], truth)
-        ccc = np.divide(2.0 * cov, denom, out=np.zeros_like(denom), where=denom != 0.0)
+        *_, ccc = _moments(pred.value.reshape(2 * n, -1)[:, win.valid], truth)
         losses = (1.0 - ccc).tolist()
         crossed = np.zeros(n, dtype=bool)
         for sign, band in patterns:

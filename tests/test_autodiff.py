@@ -1,13 +1,16 @@
 """Tests for the reverse-mode core: forward oracles, then gradient rules."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from avfusion import autodiff as ad
 from avfusion.exceptions import DimensionError, NumericError, ParameterError
+from avfusion.fusion import gate
 from avfusion.model import EmotionModel, ModelConfig
 from avfusion.synthdata import GenConfig, generate, window
 from avfusion.training import AdamState, adam_step
@@ -92,49 +95,45 @@ class TestElementwise:
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
 
+def gate_matrix(logits, temperature):
+    """The L x K gate matrix ``fusion.gate`` returns for ``logits`` (L x K)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    candidates = [ad.Tensor(np.zeros((1, logits.shape[0]))) for _ in range(logits.shape[1])]
+    return gate(ad.Tensor(logits), candidates, temperature)[0].value
+
+
 class TestSoftmax:
     def test_symmetric_pair(self):
         for temp in (0.01, 0.1, 1.0, 10.0):
-            y = ad.softmax_temp(ad.Tensor([[0.0, 0.0]]), temp).value
+            y = gate_matrix([[0.0, 0.0]], temp)
             np.testing.assert_allclose(y, [[0.5, 0.5]], atol=1e-15)
 
     def test_sharp_pair_direct_evaluation(self):
         # softmax([1, 0] / 0.1) = [e^10, 1] / (e^10 + 1)
-        y = ad.softmax_temp(ad.Tensor([[1.0, 0.0]]), 0.1).value
+        y = gate_matrix([[1.0, 0.0]], 0.1)
         expect = math.exp(10.0) / (math.exp(10.0) + 1.0)
         np.testing.assert_allclose(y, [[expect, 1.0 - expect]], rtol=1e-12)
 
     def test_uniform_triple(self):
-        y = ad.softmax_temp(ad.Tensor([[3.7, 3.7, 3.7]]), 0.1).value
+        y = gate_matrix([[3.7, 3.7, 3.7]], 0.1)
         np.testing.assert_allclose(y, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_rows_and_cols_sum_to_one(self):
         rng = np.random.default_rng(13)
         for temp in (0.01, 0.1, 1.0):
-            logits = ad.Tensor(rng.uniform(-5, 5, (6, 4)))
-            rows = ad.softmax_temp(logits, temp).value
-            cols = ad.softmax_temp(logits.T, temp).value.T
+            rows = gate_matrix(rng.uniform(-5, 5, (6, 4)), temp)
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
-            np.testing.assert_allclose(cols.sum(axis=0), 1.0, atol=1e-12)
             # Extreme sharpness may underflow losing entries to exact zero.
-            assert (rows >= 0).all() and (cols >= 0).all()
+            assert (rows >= 0).all()
             if temp == 1.0:
-                assert (rows > 0).all() and (cols > 0).all()
+                assert (rows > 0).all()
 
     def test_temperature_folding_identity(self):
-        # softmax_temp(x, T) == softmax_temp(x / T, 1) bit for bit.
+        # the gate at (x, T) equals the gate at (x / T, 1) bit for bit.
         rng = np.random.default_rng(17)
         x = rng.uniform(-2, 2, (3, 5))
         for temp in (0.01, 0.1, 1.0, 3.0):
-            a = ad.softmax_temp(ad.Tensor(x), temp).value
-            b = ad.softmax_temp(ad.Tensor(x / temp), 1.0).value
-            np.testing.assert_array_equal(a, b)
-
-    def test_rejects_bad_temperature(self):
-        with pytest.raises(ParameterError):
-            ad.softmax_temp(ad.Tensor([[1.0]]), 0.0)
-        with pytest.raises(ParameterError):
-            ad.softmax_temp(ad.Tensor([[1.0]]), -1.0)
+            np.testing.assert_array_equal(gate_matrix(x, temp), gate_matrix(x / temp, 1.0))
 
 
 class TestConcat:
@@ -198,27 +197,31 @@ class TestCausalConv:
 
 class TestGatedSum:
     def test_gate_column_gradient(self):
-        # the gradient of gate column k is the column sums of candidate k
+        # every gated entry is positive, so column k of the gradient the
+        # gate receives is the column sums of candidate k, and the logits
+        # get it through the softmax's Jacobian
         a = ad.Tensor(np.arange(8.0).reshape(2, 4))
         b = ad.Tensor(np.ones((2, 4)))
-        gates = ad.Tensor(np.full((4, 2), 0.5))
-        ad.gated_sum([a, b], gates).backward(seed=np.ones((2, 4)))
-        np.testing.assert_array_equal(gates.grad[:, 0], a.value.sum(axis=0))
-        np.testing.assert_array_equal(gates.grad[:, 1], [2.0, 2.0, 2.0, 2.0])
+        logits = ad.Tensor(np.zeros((4, 2)))
+        y, out = gate(logits, [a, b], 0.5)
+        out.backward(seed=np.ones((2, 4)))
+        dy = np.stack([a.value.sum(axis=0), [2.0, 2.0, 2.0, 2.0]], axis=1)
+        inner = (dy * y.value).sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(logits.grad, y.value * (dy - inner) / 0.5)
         np.testing.assert_array_equal(a.grad, np.full((2, 4), 0.5))
 
     def test_weights_each_frame(self):
-        a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = ad.Tensor([[10.0, 20.0], [30.0, 40.0]])
-        gates = ad.Tensor([[1.0, 0.0], [0.25, 0.75]])
-        np.testing.assert_array_equal(
-            ad.gated_sum([a, b], gates).value, [[1.0, 0.5 + 15.0], [3.0, 1.0 + 30.0]]
-        )
+        a = ad.Tensor([[1.0, -2.0], [3.0, 4.0]])
+        b = ad.Tensor([[10.0, 20.0], [-300.0, 40.0]])
+        y, out = gate(ad.Tensor([[2.0, 0.0], [0.0, 1.0]]), [a, b], 0.5)
+        expected = np.maximum(a.value * y.value[:, 0] + b.value * y.value[:, 1], 0.0)
+        np.testing.assert_array_equal(out.value, expected)
+        assert (out.value == 0.0).any() and (out.value > 0.0).any()
 
     def test_gate_shape_checked(self):
         a = ad.Tensor(np.zeros((2, 4)))
-        with pytest.raises(DimensionError, match="gated_sum"):
-            ad.gated_sum([a, a], ad.Tensor(np.zeros((4, 3))))
+        with pytest.raises(DimensionError, match="gate"):
+            gate(ad.Tensor(np.zeros((4, 3))), [a, a], 1.0)
 
 
 class TestReshape:
@@ -308,10 +311,8 @@ def quadratic_cases(rng):
         h = ad.add_colvec(h, b)
         h = ad.tanh(h)
         conv = ad.causal_conv(h, taps, 2)
-        gates = ad.softmax_temp(h.T @ g, 0.5)
-        mixed = ad.gated_sum([h, conv], gates)
-        norm = ad.softmax_temp(mixed.T, 0.7).T
-        row = ad.reshape(ad.concat_rows(norm, h), (1, -1))
+        _, mixed = gate(h.T @ g, [h, conv], 0.5)
+        row = ad.reshape(ad.concat_rows(mixed, h), (1, -1))
         spread = ad.mul_const(row, weights) + ad.mul_const(row, np.full(row.shape, 0.5))
         total = spread @ spread.T
         return total @ total
@@ -541,3 +542,33 @@ class TestLazyGrads:
         adam_step(params, AdamState(), 1e-3)
         for name, p in params.items():
             np.testing.assert_array_equal(p.value, before[name])
+
+
+def test_every_op_has_a_model_caller():
+    # the op set is what the model uses: each public function of autodiff
+    # is named in another module of the package, or, for an op behind one
+    # of Tensor's operators, that operator is used there
+    tree = ast.parse(Path(ad.__file__).read_text())
+    ops = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    tensor = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Tensor")
+    forwards = {}  # Tensor member -> the op it returns, e.g. __add__ -> add, T -> transpose
+    for member in tensor.body:
+        last = member.body[-1] if isinstance(member, ast.FunctionDef) else None
+        if isinstance(last, ast.Return) and isinstance(last.value, ast.Call) and isinstance(last.value.func, ast.Name):
+            forwards[member.name] = last.value.func.id
+    operators = {ast.Add: "__add__", ast.MatMult: "__matmul__"}
+    named = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.BinOp) and type(node.op) in operators:
+                named.add(operators[type(node.op)])
+    named |= {op for member, op in forwards.items() if member in named}
+    assert sorted(ops - named) == []

@@ -15,7 +15,7 @@ import pytest
 from avfusion import autodiff as ad
 from avfusion.autodiff import Tensor, gradcheck
 from avfusion.exceptions import ConfigError, DimensionError, NumericError
-from avfusion.fusion import FusionParams, correlation, fusion_forward, grjca_gate, rjca_forward
+from avfusion.fusion import FusionParams, correlation, fusion_forward, gate, grjca_gate, rjca_forward
 from avfusion.metrics import ccc_loss
 from avfusion.model import ModelConfig
 
@@ -263,6 +263,48 @@ class TestCorrelationNode:
             correlation(Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 6))), 1.0)
 
 
+class TestGateNode:
+    """``gate`` is a gate's softmax, gated sum and relu as one node."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_gradcheck(self, k):
+        # a 2-D and a batched gate, each with logits from its last
+        # candidate, so the logits' gradient reaches a candidate too
+        rng = np.random.default_rng(50 + k)
+        flat = [Tensor(rng.standard_normal((3, 5))) for _ in range(k)]
+        stacked = [Tensor(rng.standard_normal((2 * 3, 5))) for _ in range(k)]
+        w = Tensor(rng.standard_normal((3, k)))
+        mix_flat = Tensor(rng.standard_normal((15, 1)))
+        mix_stacked = Tensor(rng.standard_normal((30, 1)))
+
+        def loss():
+            _, out = gate(flat[-1].T @ w, flat, 0.7)
+            batch = [ad.reshape(c, (2, 3, 5)) for c in stacked]
+            _, out_batch = gate(batch[-1].T @ w, batch, 0.7)
+            return ad.reshape(out, (1, -1)) @ mix_flat + ad.reshape(out_batch, (1, -1)) @ mix_stacked
+
+        params = {"w": w} | {f"flat{i}": c for i, c in enumerate(flat)} | {f"stacked{i}": c for i, c in enumerate(stacked)}
+        report = gradcheck(loss, params)
+        assert report.checked == 3 * k + k * 15 + k * 30
+        assert report.worst < 1e-7, report.per_param
+
+    def test_records_one_kink_pattern_per_gate(self):
+        rng = np.random.default_rng(57)
+        cands = [Tensor(rng.standard_normal((3, 5))) for _ in range(3)]
+        with ad.record_kinks([]) as patterns:
+            _, out = gate(Tensor(rng.standard_normal((5, 3))), cands, 0.5)
+        assert len(patterns) == 1
+        assert np.array_equal(patterns[0][0], out.value > 0.0)
+        # every relu of a fusion pass: one attention map per modality and
+        # round, then one per gate (HGRJCA: two per round and two final)
+        for mode, relus in (("RJCA", 4), ("GRJCA", 6), ("HGRJCA", 10)):
+            config = ModelConfig(mode, dim_audio=3, dim_visual=3, seq_len=5, depth=2)
+            params = FusionParams(config, rng=np.random.default_rng(58))
+            with ad.record_kinks([]) as patterns:
+                run_modular(rng.standard_normal((3, 5)), rng.standard_normal((3, 5)), params)
+            assert len(patterns) == relus, mode
+
+
 class TestIdentities:
     def test_residual_identity_zero_weights(self):
         # zeroed attention and joint weights telescope to the inputs exactly
@@ -395,7 +437,7 @@ class TestGates:
     def test_gate_column_mismatch_raises(self):
         audio, visual, params = self.grjca_state(depth=2)
         params.weights["gate_audio"] = Tensor(np.zeros((6, 2)))
-        with pytest.raises(DimensionError, match="gated_sum"):
+        with pytest.raises(DimensionError, match="gate"):
             run_modular(audio, visual, params)
 
     def test_grjca_gate_requires_grjca_params(self):

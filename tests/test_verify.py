@@ -177,3 +177,27 @@ def test_suite_catches_a_correlation_backward_bug(monkeypatch):
     assert not result.passed
     names = [name for name, _ in result.failures()]
     assert any(re.fullmatch(r"\w+/M\d/fusion\.round\d\.corr_(audio|visual)", name) for name in names), names
+
+
+def test_suite_catches_a_gate_backward_bug(monkeypatch):
+    original = fusion.gate
+
+    def broken_gate(logits, candidates, temperature):
+        # the right forward, with the node's gradient to the logits scaled by 1%
+        gates, out = original(logits, candidates, temperature)
+        real_backward = out._backward
+
+        def backward():
+            before = 0.0 if logits.grad is None else logits.grad.copy()
+            real_backward()
+            logits.grad = before + 1.01 * (logits.grad - before)
+
+        out._backward = backward
+        return gates, out
+
+    monkeypatch.setattr(fusion, "gate", broken_gate)
+    result = verify.run_gradcheck_suite()
+    assert not result.passed
+    names = [name for name, _ in result.failures()]
+    pattern = r"\w+/M\d/fusion\.(gate|final_gate|round\d\.iter_gate)_(audio|visual)"
+    assert any(re.fullmatch(pattern, name) for name in names), names
