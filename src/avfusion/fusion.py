@@ -40,6 +40,7 @@ sizes, ``depth``, ``temperature`` and ``joint_projection`` from it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -247,6 +248,8 @@ def gate(logits: Tensor, candidates: list, temperature: float):
     the node.  The backward masks by the relu pattern (which the kink
     recorders see) and makes the products a softmax, a gated-sum and a
     relu node would, so value and gradients equal theirs bit for bit.
+    Row maxima and sums over the K <= depth + 1 columns run column by
+    column, the sums left to right from +0.0 as numpy sums a short axis.
     """
     shape = candidates[0].value.shape
     want = shape[:-2] + (shape[-1], len(candidates))
@@ -255,28 +258,34 @@ def gate(logits: Tensor, candidates: list, temperature: float):
             f"gate: {len(candidates)} candidates of shape {shape} need logits {want}, "
             f"got {[c.value.shape for c in candidates]} and {logits.value.shape}"
         )
-    z = logits.value / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    rows = np.swapaxes(y, -1, -2)  # row k weights candidate k
-    total = None
-    for k, cand in enumerate(candidates):
-        term = cand.value * rows[..., k : k + 1, :]
-        total = term if total is None else total + term
+    y = logits.value / temperature
+    y -= functools.reduce(np.maximum, _columns(y))[..., None]
+    np.exp(y, out=y)
+    y /= _row_sum(y)
+    rows = np.ascontiguousarray(np.swapaxes(y, -1, -2))  # row k weights candidate k
+    total = candidates[0].value * rows[..., 0:1, :]
+    for k, cand in enumerate(candidates[1:], start=1):
+        total += cand.value * rows[..., k : k + 1, :]
     positive = ad.relu_pattern(total)
 
     def backward(g):
         g = g * positive
-        grad_rows = np.empty_like(rows)
+        dy = np.empty_like(y)
         for k, cand in enumerate(candidates):
             ad.accumulate(cand, g * rows[..., k : k + 1, :])
-            grad_rows[..., k, :] = (g * cand.value).sum(axis=-2)
-        dy = np.swapaxes(grad_rows, -1, -2)
-        inner = (dy * y).sum(axis=-1, keepdims=True)
-        ad.accumulate(logits, y * (dy - inner) / temperature)
+            dy[..., k] = (g * cand.value).sum(axis=-2)
+        ad.accumulate(logits, y * (dy - _row_sum(dy * y)) / temperature)
 
-    return Tensor(y), Tensor._make(np.where(positive, total, 0.0), (*candidates, logits), backward)
+    return Tensor(y), Tensor._make(ad.relu_values(total), (*candidates, logits), backward)
+
+
+def _columns(x):
+    return [x[..., k] for k in range(x.shape[-1])]
+
+
+def _row_sum(x):
+    """``x.sum(axis=-1, keepdims=True)`` for a short last axis, summed the same way."""
+    return sum(_columns(x), 0.0)[..., None]
 
 
 def grjca_gate(state: FusionState, params: FusionParams):

@@ -153,16 +153,19 @@ def clip_seed(config: GenConfig, index: int) -> int:
     return int(np.random.SeedSequence([config.seed, 0, index]).generate_state(1, np.uint64)[0])
 
 
-def _smooth_latent(rng, config: GenConfig):
-    raw = rng.standard_normal((config.latent_dim, config.frames))
+def _smooth_latents(rngs, config: GenConfig) -> np.ndarray:
+    """Each clip's latent (clips x latent_dim x frames): a raw draw from its
+    feature rng, smoothed by one recursion over frames for every clip at
+    once, then standardised and squashed per clip."""
+    smooth = np.stack([rng.standard_normal((config.latent_dim, config.frames)) for rng in rngs])
     alpha = math.exp(-1.0 / config.smoothness)
-    smooth = np.empty_like(raw)
-    smooth[:, 0] = raw[:, 0]
     for t in range(1, config.frames):
-        smooth[:, t] = alpha * smooth[:, t - 1] + (1.0 - alpha) * raw[:, t]
-    mean = smooth.mean(axis=1, keepdims=True)
-    std = smooth.std(axis=1) + 1e-12
-    return np.tanh((smooth - mean) / std[:, None])
+        smooth[..., t] = alpha * smooth[..., t - 1] + (1.0 - alpha) * smooth[..., t]
+    for latent in smooth:
+        mean = latent.mean(axis=1, keepdims=True)
+        std = latent.std(axis=1) + 1e-12
+        latent[...] = np.tanh((latent - mean) / std[:, None])
+    return smooth
 
 
 def _corruption_mask(rng, config: GenConfig):
@@ -185,13 +188,14 @@ def _corruption_mask(rng, config: GenConfig):
     return mask
 
 
-def _generate_clip(index: int, config: GenConfig, weights) -> LabeledClip:
-    w_val, w_aro, views = weights
+def _clip_rngs(config: GenConfig, index: int):
+    """The feature and corruption generators of clip ``index``."""
     base = clip_seed(config, index)
-    feature_rng = np.random.default_rng(np.random.SeedSequence([base, 0]))
-    corrupt_rng = np.random.default_rng(np.random.SeedSequence([base, 1]))
+    return tuple(np.random.default_rng(np.random.SeedSequence([base, stream])) for stream in (0, 1))
 
-    latent = _smooth_latent(feature_rng, config)
+
+def _generate_clip(index: int, config: GenConfig, weights, latent, feature_rng, corrupt_rng) -> LabeledClip:
+    w_val, w_aro, views = weights
     mask = _corruption_mask(corrupt_rng, config)
     fields = {"valence": w_val @ latent, "arousal": w_aro @ latent}
     for m, (seen, mixing) in views.items():
@@ -213,7 +217,9 @@ def generate(config: GenConfig) -> list:
     """All clips for one dataset, in clip order; pure function of the
     config (seed included)."""
     weights = _dataset_weights(config)
-    return [_generate_clip(i, config, weights) for i in range(config.num_videos)]
+    rngs = [_clip_rngs(config, i) for i in range(config.num_videos)]
+    latents = _smooth_latents([feature_rng for feature_rng, _ in rngs], config)
+    return [_generate_clip(i, config, weights, latents[i], *rngs[i]) for i in range(config.num_videos)]
 
 
 # -- windowing ---------------------------------------------------------------
@@ -391,13 +397,16 @@ def _check_frames(path, column, first: int):
 
 
 def read_features(directory, clip_id: str) -> LabeledClip:
-    """The clip :func:`write_features` wrote.  A feature file or mask CSV
-    whose frame count differs from the label rows, or frames that do not
-    count up by one from the labels' first, is a FormatError naming it."""
+    """The clip :func:`write_features` wrote.  A labels CSV without rows,
+    a feature file or mask CSV whose frame count differs from the label
+    rows, or frames that do not count up by one from the labels' first,
+    is a FormatError naming it."""
     directory = Path(directory)
     path = directory / f"{clip_id}_labels.csv"
     frames, valence, arousal = _read_csv(path, LABELS_HEADER, (_plain_int, _finite_float, _finite_float))
-    first = frames[0] if frames else 0
+    if not frames:
+        raise FormatError(f"{path}: no label rows")
+    first = frames[0]
     _check_frames(path, frames, first)
     fields = {"valence": np.array(valence), "arousal": np.array(arousal)}
     for m in MODALITIES:

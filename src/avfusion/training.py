@@ -14,7 +14,7 @@ import ctypes
 import functools
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def retain_freed_heap():
 
     A batch's graph frees tens of MB at once.  Under glibc's adaptive
     thresholds the top of the heap then goes back to the OS, and the next
-    batch faults it in again: about 66k page faults per 60-clip eval at
+    batch faults it in again: about 20k page faults per 60-clip eval at
     window 192.  Fixed thresholds (mmap above 32 MB, trim above 256 MB)
     keep it.  Runs once per process; elsewhere this does nothing.
     """
@@ -155,37 +155,43 @@ def map_in_order(fn, count: int, workers: int) -> list:
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    # the moments, flat over the same parameters every step, in dict order
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
 
 
 def adam_step(params: dict, state: AdamState, lr: float, weight_decay: float = 0.0):
     """One Adam update with bias correction; decay enters the gradient
-    (classic L2 form)."""
+    (classic L2 form).  It runs once on the concatenated grads, with the
+    per-parameter arithmetic, so values match a loop over the parameters
+    bit for bit; the first parameter in dict order whose grad is missing
+    or not finite is named."""
+    names = list(params)
+    have = next((i for i, name in enumerate(names) if params[name].grad is None), len(names))
+    grad = np.concatenate([params[name].grad.reshape(-1) for name in names[:have]] + [np.empty(0)])
+    if not np.isfinite(grad).all():
+        bad = next(name for name in names[:have] if not np.isfinite(params[name].grad).all())
+        raise NumericError(f"adam_step: non-finite gradient for {bad!r}")
+    if have < len(names):
+        raise ParameterError(f"adam_step: no gradient for {names[have]!r}; run backward first")
+    if weight_decay:
+        grad += weight_decay * np.concatenate([p.value.reshape(-1) for p in params.values()])
+    if state.m is None:
+        state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
     state.step += 1
-    t = state.step
-    for name, p in params.items():
-        grad = p.grad
-        if grad is None:
-            raise ParameterError(f"adam_step: no gradient for {name!r}; run backward first")
-        if not np.isfinite(grad).all():
-            raise NumericError(f"adam_step: non-finite gradient for {name!r}")
-        if weight_decay:
-            grad = grad + weight_decay * p.value
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.value)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.value)
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**state.step)
+    v_hat = v / (1.0 - ADAM_BETA2**state.step)
+    update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    start = 0
+    for p in params.values():
+        p.value -= update[start : start + p.value.size].reshape(p.value.shape)
+        start += p.value.size
 
 
 # -- scheduler ---------------------------------------------------------------
@@ -304,10 +310,10 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
                 dropout_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2000 + epoch, b]))
                 loss = model.batch_loss(batch, config.target, dropout_rng=dropout_rng)
                 loss.backward()
-                adam_step(model.parameters(), adam, lr, config.weight_decay)
                 batch_losses.append(loss.item())
-                # free this batch's graph and grads before the next one is built
+                # free this batch's graph before Adam makes its flat copies
                 del loss
+                adam_step(model.parameters(), adam, lr, config.weight_decay)
             place = "validation"
             val_preds, val_ccc = _pooled_ccc(model, val_clips, config)
         except (NumericError, DimensionError) as exc:

@@ -81,6 +81,17 @@ class TestElementwise:
             ad.relu(ad.Tensor([[-1.0, 2.0]])).value, [[0.0, 2.0]]
         )
 
+    def test_relu_values_equal_where_bit_for_bit(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 1e-310, -1e-310, 2.0, -2.0]
+        rng = np.random.default_rng(3)
+        # numpy's fmax keeps -0.0 on short arrays and passes +0.0 on long ones
+        cases = (np.array([-0.0]), np.array([[-0.0, 1.0, -0.0]]), np.array(special), rng.standard_normal((12, 16, 64)))
+        for x in (*cases, np.asfortranarray(rng.standard_normal((5, 7)))):
+            want = np.where(x > 0, x, 0.0)
+            assert np.array_equal(ad.relu_values(x).view(np.int64), want.view(np.int64))
+            assert np.array_equal(ad.relu(ad.Tensor(x)).value.view(np.int64), np.atleast_2d(want).view(np.int64))
+
     def test_tanh_zero(self):
         assert ad.tanh(ad.Tensor([[0.0]])).value[0, 0] == 0.0
 

@@ -563,6 +563,29 @@ class TestExitCodes:
         assert err.startswith(f"i/o error: {path}: ") and "but 96 label rows" in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_zero_frame_clip_is_io_error(self, tmp_path, capsys, command):
+        # a clip cut to no frames, its files and manifest row consistent,
+        # is named rather than left out of the score and the predictions
+        config, out = write_experiment(tmp_path, generator={"num_videos": 3}, training={"folds": 2})
+        main(["gen", "--config", str(config)])
+        if command == "eval":
+            assert main(["train", "--config", str(config)]) == 0
+        dataset = out / "dataset"
+        for name in ("clip0001_labels.csv", "clip0001_masks.csv"):
+            path = dataset / name
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        for m in ("audio", "visual"):
+            write_avfs(dataset / f"clip0001_{m}.avfs", np.zeros((6, 0)))
+        manifest = dataset / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:2] + ["0", "0", "0"])
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"i/o error: {dataset / 'clip0001_labels.csv'}: no label rows\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
     def test_feature_row_mismatch_is_io_error(self, tmp_path, capsys, command):
         # one clip's features have fewer rows than the first clip's; the
         # clips could not be stacked into one batch

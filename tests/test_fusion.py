@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from avfusion import autodiff as ad
+from avfusion import fusion
 from avfusion.autodiff import Tensor, gradcheck
 from avfusion.exceptions import ConfigError, DimensionError, NumericError
 from avfusion.fusion import FusionParams, correlation, fusion_forward, gate, grjca_gate, rjca_forward
@@ -303,6 +304,81 @@ class TestGateNode:
             with ad.record_kinks([]) as patterns:
                 run_modular(rng.standard_normal((3, 5)), rng.standard_normal((3, 5)), params)
             assert len(patterns) == relus, mode
+
+
+def bits(arr):
+    """The raw bits of a float64 array: -0.0 and +0.0 differ, NaNs compare."""
+    return np.ascontiguousarray(arr).view(np.int64)
+
+
+def gate_with_separate_nodes(logits, cands, temperature, g):
+    """The gate as a softmax, a gated-sum and a relu node computed it, with
+    numpy's row reductions: (y, value, candidate grads, logits grad) for
+    upstream grad ``g``."""
+    z = logits / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+    rows = np.swapaxes(y, -1, -2)
+    total = None
+    for k, cand in enumerate(cands):
+        term = cand * rows[..., k : k + 1, :]
+        total = term if total is None else total + term
+    positive = total > 0
+    g = g * positive
+    grad_rows = np.empty_like(rows)
+    cand_grads = []
+    for k, cand in enumerate(cands):
+        cand_grads.append(g * rows[..., k : k + 1, :])
+        grad_rows[..., k, :] = (g * cand).sum(axis=-2)
+    dy = np.swapaxes(grad_rows, -1, -2)
+    inner = (dy * y).sum(axis=-1, keepdims=True)
+    return y, np.where(positive, total, 0.0), cand_grads, y * (dy - inner) / temperature
+
+
+class TestGateKernel:
+    """``gate``'s column-wise softmax, in-place gated sum and ``relu_values``
+    equal the separate-node formulas bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("batch", [(), (12,)])
+    def test_equals_separate_nodes(self, k, batch):
+        rng = np.random.default_rng(60 + k)
+        L = 64
+        cands = [rng.standard_normal((*batch, 16, L)) for _ in range(k)]
+        logits = rng.standard_normal((*batch, L, k)) * 3.0
+        g = rng.standard_normal((*batch, 16, L))
+        # time step 5: every candidate negative, so the relu is off and the
+        # masked upstream grads are signed zeros; time step 6: one logit
+        # far above the rest, so at temperature 0.1 the other weights
+        # underflow to +0.0 and their dy * y products are signed zeros
+        for cand in cands:
+            cand[..., 5] = -np.abs(cand[..., 5]) - 0.1
+        logits[..., 6, :] = -100.0
+        logits[..., 6, 0] = 100.0
+        for temperature in (0.1, 1.0):
+            cand_t = [Tensor(c) for c in cands]
+            logits_t = Tensor(logits)
+            y, out = gate(logits_t, cand_t, temperature)
+            out.backward(seed=g)
+            want_y, want_out, want_cand, want_logits = gate_with_separate_nodes(logits, cands, temperature, g)
+            assert np.array_equal(bits(y.value), bits(want_y))
+            assert np.array_equal(bits(out.value), bits(want_out))
+            for got, want in zip(cand_t, want_cand):
+                assert np.array_equal(bits(got.grad), bits(want))
+            assert np.array_equal(bits(logits_t.grad), bits(want_logits))
+            assert logits_t.grad.flags.c_contiguous
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_row_sum_equals_numpy_sum(self, k):
+        # left to right from +0.0, as numpy sums a short last axis: a row
+        # of -0.0 sums to +0.0 (an HGRJCA final gate at depth 1 has k == 1)
+        rng = np.random.default_rng(70 + k)
+        x = rng.standard_normal((12, 64, k)) * 10.0 ** rng.integers(-8, 9, size=(12, 64, k))
+        x[:, 3, :] = -0.0
+        x[:, 4, :] = np.where(np.arange(k) % 2, -0.0, 0.0)
+        assert np.array_equal(bits(fusion._row_sum(x)), bits(x.sum(axis=-1, keepdims=True)))
+        assert np.array_equal(bits(fusion._row_sum(x[0])), bits(x[0].sum(axis=-1, keepdims=True)))
 
 
 class TestIdentities:

@@ -1,5 +1,7 @@
 """Generator, windowing, and feature-file tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from avfusion.autodiff import Tensor
 from avfusion.exceptions import ConfigError, FormatError
+from avfusion import synthdata
 from avfusion.metrics import ccc, ccc_loss
 from avfusion.synthdata import (
     HEADER,
@@ -33,7 +36,40 @@ def linear_probe_ccc(features, labels):
     return ccc(design @ coef, y)
 
 
+def smooth_latent_of_one_clip(rng, config):
+    """One clip's latent by its own recursion over frames: the reference
+    the stacked recursion in ``generate`` must equal bit for bit."""
+    raw = rng.standard_normal((config.latent_dim, config.frames))
+    alpha = math.exp(-1.0 / config.smoothness)
+    smooth = np.empty_like(raw)
+    smooth[:, 0] = raw[:, 0]
+    for t in range(1, config.frames):
+        smooth[:, t] = alpha * smooth[:, t - 1] + (1.0 - alpha) * raw[:, t]
+    mean = smooth.mean(axis=1, keepdims=True)
+    std = smooth.std(axis=1) + 1e-12
+    return np.tanh((smooth - mean) / std[:, None])
+
+
 class TestGenerate:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GenConfig(num_videos=5, frames=70, latent_dim=6, smoothness=3.0, seed=9),
+            GenConfig(num_videos=3, frames=1, latent_dim=2, seed=4),
+            GenConfig(num_videos=1, frames=33, smoothness=0.5, seed=2),
+        ],
+    )
+    def test_latents_equal_the_per_clip_recursion(self, config):
+        stacked_rngs = [synthdata._clip_rngs(config, i)[0] for i in range(config.num_videos)]
+        stacked = synthdata._smooth_latents(stacked_rngs, config)
+        assert stacked.shape == (config.num_videos, config.latent_dim, config.frames)
+        for i, rng in enumerate(stacked_rngs):
+            own_rng = synthdata._clip_rngs(config, i)[0]
+            want = smooth_latent_of_one_clip(own_rng, config)
+            assert np.array_equal(stacked[i].view(np.int64), want.view(np.int64)), i
+            # each clip's feature stream continues where its own draw left it
+            assert rng.bit_generator.state == own_rng.bit_generator.state, i
+
     def test_deterministic(self):
         config = GenConfig(num_videos=3, frames=40, seed=123, corruption_prob=0.4)
         a = generate(config)

@@ -96,6 +96,88 @@ class TestAdam:
             adam_step({"mat": p}, AdamState(), lr=0.1)
 
 
+def adam_loop(params, state, lr, weight_decay):
+    """Adam one parameter at a time, the moments in name-keyed dicts; the
+    reference the flat update must equal bit for bit."""
+    state["step"] += 1
+    t = state["step"]
+    for name, p in params.items():
+        grad = p.grad
+        if grad is None:
+            raise ParameterError(f"adam_step: no gradient for {name!r}; run backward first")
+        if not np.isfinite(grad).all():
+            raise NumericError(f"adam_step: non-finite gradient for {name!r}")
+        if weight_decay:
+            grad = grad + weight_decay * p.value
+        m = state["m"].setdefault(name, np.zeros_like(p.value))
+        v = state["v"].setdefault(name, np.zeros_like(p.value))
+        m *= training.ADAM_BETA1
+        m += (1.0 - training.ADAM_BETA1) * grad
+        v *= training.ADAM_BETA2
+        v += (1.0 - training.ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - training.ADAM_BETA1**t)
+        v_hat = v / (1.0 - training.ADAM_BETA2**t)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+
+
+class TestFlatAdam:
+    SHAPES = {"w": (3, 4), "b": (3, 1), "s": (1, 1), "row": (1, 7), "stack": (2, 3, 5)}
+
+    def params(self, rng):
+        return {name: Tensor(rng.standard_normal(shape)) for name, shape in self.SHAPES.items()}
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4, 0.1])
+    def test_equals_the_per_parameter_loop(self, weight_decay):
+        rng = np.random.default_rng(11)
+        flat = self.params(rng)
+        loop = {name: Tensor(p.value.copy()) for name, p in flat.items()}
+        flat_state, loop_state = AdamState(), {"m": {}, "v": {}, "step": 0}
+        for step in range(5):
+            for name, p in flat.items():
+                # magnitudes across many decades, a zero grad at step 2
+                g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3, size=p.shape)
+                p.grad = g * (step != 2)
+                loop[name].grad = p.grad.copy()
+            lr = 1e-3 * (step + 1)
+            adam_step(flat, flat_state, lr, weight_decay)
+            adam_loop(loop, loop_state, lr, weight_decay)
+            for name, p in flat.items():
+                assert np.array_equal(p.value.view(np.int64), loop[name].value.view(np.int64)), (step, name)
+            for moment in ("m", "v"):
+                want = np.concatenate([loop_state[moment][name].reshape(-1) for name in flat])
+                assert np.array_equal(getattr(flat_state, moment).view(np.int64), want.view(np.int64)), (step, moment)
+        assert flat_state.step == 5
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            {"b": np.nan, "row": None},
+            {"b": None, "row": np.inf},
+            {"w": -np.inf},
+            {"w": None},
+            {"stack": None},
+            {"s": np.nan, "stack": np.nan},
+        ],
+    )
+    def test_names_the_first_bad_parameter(self, broken):
+        # the first parameter in dict order whose grad is missing
+        # (ParameterError) or not finite (NumericError), as the loop finds it
+        rng = np.random.default_rng(12)
+        params = self.params(rng)
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape)
+        for name, bad in broken.items():
+            if bad is None:
+                params[name].grad = None
+            else:
+                params[name].grad.flat[-1] = bad
+        with pytest.raises((ParameterError, NumericError)) as want:
+            adam_loop(params, {"m": {}, "v": {}, "step": 0}, 0.1, 0.0)
+        with pytest.raises(want.type) as got:
+            adam_step(params, AdamState(), 0.1)
+        assert str(got.value) == str(want.value)
+
+
 class TestScheduler:
     def config(self, **overrides):
         base = dict(init_lr=1e-4, min_lr=1e-8, warmup_epochs=5, plateau_patience=5)
@@ -255,9 +337,10 @@ class TestTrainLoop:
             assert np.array_equal(grads[k], p.grad)
 
     def test_one_graph_alive_at_a_time(self, monkeypatch):
-        # each batch's loss (and the graph behind it) is dead before the
-        # next batch's forward and before validation; with the cyclic
-        # collector off, only dropped references can free it
+        # each batch's loss (and the graph behind it) is dead before Adam
+        # makes its flat copies, before the next batch's forward and before
+        # validation; with the cyclic collector off, only dropped
+        # references can free it
         clips = make_clips(3, seed=8)
         losses = []
         checks = []
@@ -278,8 +361,13 @@ class TestTrainLoop:
             check_dead("validation")
             return real_pooled(*args)
 
+        def step(*args, **kwargs):
+            check_dead("adam_step")
+            return adam_step(*args, **kwargs)
+
         monkeypatch.setattr(EmotionModel, "batch_loss", batch_loss)
         monkeypatch.setattr(training, "_pooled_ccc", pooled)
+        monkeypatch.setattr(training, "adam_step", step)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -288,7 +376,7 @@ class TestTrainLoop:
             if was_enabled:
                 gc.enable()
         assert len(losses) == 4
-        assert checks == ["batch_loss", "batch_loss", "validation"] * 2
+        assert checks == ["batch_loss", "adam_step", "batch_loss", "adam_step", "validation"] * 2
 
     def test_overfit_single_clip(self):
         # capacity sanity: one clip, shallow model, enough epochs
