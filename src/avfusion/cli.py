@@ -27,8 +27,8 @@ from .config import ExperimentConfig, load_config
 from .exceptions import ConfigError, DimensionError, FormatError, NumericError, ParameterError
 from .fusion import MODALITIES
 from .synthdata import (
+    COUNT,
     _check_finite,
-    _plain_int,
     _read_csv,
     _write_csv,
     clip_seed,
@@ -53,6 +53,11 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 MANIFEST_HEADER = ["clip", "seed", "frames", *(f"{m}_corrupt_frames" for m in MODALITIES)]
+# a clip id is one plain path component that needs no quoting: not empty,
+# "." or "..", and without /, \, NUL, a comma, ", CR or LF
+CLIP_ID = (r'\.*[^./\\\0,"\r\n][^/\\\0,"\r\n]*|\.{3,}', str)
+# the seed is never read back and may not fit an int64, so it stays a str
+MANIFEST_KINDS = (CLIP_ID, (r"[0-9]+", str), *(COUNT,) * (len(MANIFEST_HEADER) - 2))
 PREDICTIONS_HEADER = ["clip", "frame", "pred", "truth"]
 HISTORY_HEADER = ["epoch", "lr", "train_loss", "val_ccc"]
 REPORT_HEADER = ["fold", "mode", "M", "T", "ccc_v", "ccc_a"]
@@ -133,13 +138,6 @@ def _dataset_dir(out: Path) -> Path:
     return out / "dataset"
 
 
-def _clip_id(cell: str) -> str:
-    """A manifest clip id: one plain path component."""
-    if cell in ("", ".", "..") or any(c in cell for c in "/\\\0"):
-        raise ValueError(cell)
-    return cell
-
-
 def _load_dataset(out: Path):
     """Clips in manifest order; no manifest or an empty one is a config problem
     (run gen first).  A clip id that is repeated, missing or not one plain
@@ -149,9 +147,7 @@ def _load_dataset(out: Path):
     manifest = _dataset_dir(out) / "manifest.csv"
     if not manifest.exists():
         raise ConfigError(f"no dataset at {manifest.parent}; run the gen command first")
-    clip_ids, _, frames, *corrupt = _read_csv(
-        manifest, MANIFEST_HEADER, (_clip_id,) + (_plain_int,) * (len(MANIFEST_HEADER) - 1)
-    )
+    clip_ids, _, frames, *corrupt = _read_csv(manifest, MANIFEST_HEADER, MANIFEST_KINDS)
     if not clip_ids:
         raise ConfigError(f"{manifest}: dataset lists no clips")
     clips, first_row = [], {}
@@ -182,9 +178,9 @@ def _load_dataset(out: Path):
 def _prediction_rows(clips, clip_preds, target: str):
     """One (clip, frame, pred, truth) row per frame of every clip."""
     return [
-        [clip.clip_id, str(clip.frame_offset + j), repr(float(pred)), repr(float(truth))]
+        (clip.clip_id, clip.frame_offset + j, pred, truth)
         for clip, preds in zip(clips, clip_preds)
-        for j, (pred, truth) in enumerate(zip(preds, getattr(clip, target)))
+        for j, (pred, truth) in enumerate(zip(preds.tolist(), getattr(clip, target).tolist()))
     ]
 
 
@@ -255,7 +251,10 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> int:
         raise FileNotFoundError(f"no saved parameters at {params_path}; run the train command first")
     tc = config.training
     model = tc.new_model(clips[0])
-    model.load_snapshot(load_params(params_path))
+    try:
+        model.load_snapshot(load_params(params_path))
+    except ParameterError as exc:
+        raise ParameterError(f"{params_path}: {exc}") from None
     try:
         clip_preds, pooled = evaluate(model, clips, tc)
     except (NumericError, DimensionError) as exc:

@@ -18,14 +18,14 @@ Feature files use a small binary container (magic ``AVFS``): header of
 magic, version u32, frame count u32, feature dim u32, all little-endian,
 then the row-major float32 payload; one file per modality.  Labels and
 masks (0/1 cells) live in sidecar CSVs keyed by absolute frame index.
-A CSV cell is read only in the form the writer gives it: plain digits
-for a count, a float as ``repr`` writes it.
+Every CSV the program writes or reads has one grammar, the one
+:func:`_write_csv` writes: UTF-8 lines of cells joined by ``,`` and
+ended in CRLF (LF is read too), no cell quoted, a count in plain digits
+and a float as ``repr`` writes it.  :func:`_read_csv` reads only that.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 import re
@@ -300,76 +300,72 @@ def _check_finite(path, name: str, matrix: np.ndarray, offset: int):
         raise FormatError(f"{path}: non-finite {name} entry [{row}, {col}]", offset=at)
 
 
+# -- CSV codec ---------------------------------------------------------------
+
+# A column kind: the regex of the cells the writer makes in that column,
+# and the dtype a column of them converts to (str keeps the cells).  A
+# count is plain digits, at most 18 so that it fits an int64; a float is
+# its repr, without padding, `_`, a leading `+`, nan or inf; a flag is 0/1.
+COUNT = (r"[0-9]{1,18}", np.int64)
+FLOAT = (r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?", np.float64)
+FLAG = (r"[01]", np.int8)
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """``header`` and ``rows`` as lines of cells joined by ``,``, each line
+    ended in CRLF.  A cell is a Python int, float or str, so ``str`` gives
+    a float's repr: values come through ``.tolist()``, never as numpy
+    scalars.  No cell holds ``,``, ``"``, CR or LF, so none is quoted."""
+    lines = [",".join(map(str, row)) for row in (header, *rows)]
+    Path(path).write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
-def _read_csv(path, header, parsers):
-    """Columns of the rows below ``header``, each cell converted by its
-    column's parser.
+def _read_csv(path, header, kinds):
+    """The columns below ``header``, one per column kind: a numpy array of
+    the kind's dtype, or a list of str.
 
-    Bytes that are not UTF-8 are a FormatError naming the file and the byte
-    offset; a row the csv module rejects (a field past its size limit), a
-    row with the wrong cell count, or a cell its parser rejects, one naming
-    the file and the 1-based row (the header is row 1).
+    The file is read only in the grammar :func:`_write_csv` writes, with
+    lines ended in CRLF or LF.  Bytes that are not UTF-8 are a FormatError
+    naming the file and the byte offset; a wrong header, one naming the
+    file; otherwise the first row, top to bottom, with the wrong cell count
+    or a cell not of its kind (a float that is not finite included), one
+    naming the file and the 1-based row (the header is row 1).
     """
     try:
-        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
-        rows = list(reader)
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
-    except csv.Error as exc:
-        raise FormatError(f"{path}: row {reader.line_num}: {exc}") from None
-    if not rows:
+    if not text:
         raise FormatError(f"{path}: empty file", offset=0)
-    first, *rows = rows
-    if first != header:
+    first, _, body = text.replace("\r\n", "\n").partition("\n")
+    if first != ",".join(header):
         raise FormatError(f"{path}: expected header {','.join(header)}", offset=0)
-    for number, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: row {number} has {len(row)} cells, expected {len(header)}")
-    columns = []
-    for index, (name, parse) in enumerate(zip(header, parsers)):
-        column = []
-        try:
-            for row in rows:
-                column.append(parse(row[index]))
-        except ValueError:
-            # the cell that failed is the first one not yet in the column
-            bad = rows[len(column)][index]
-            raise FormatError(f"{path}: row {len(column) + 2} has a bad {name} {bad!r}") from None
-        columns.append(column)
-    return columns
+    if body and not body.endswith("\n"):
+        body += "\n"
+    row = ",".join(f"(?:{pattern})" for pattern, _ in kinds)
+    if re.fullmatch(f"(?:{row}\n)*", body):
+        # every line ends in "\n", so the last cell is an empty one
+        cells = body.replace("\n", ",").split(",")
+        n = len(kinds)
+        columns = [
+            cells[i:-1:n] if dtype is str else np.array(cells[i:-1:n], dtype=dtype)
+            for i, (_, dtype) in enumerate(kinds)
+        ]
+        if all(np.isfinite(column).all() for column, (_, dtype) in zip(columns, kinds) if dtype is np.float64):
+            return columns
+    raise _first_bad_row(path, header, kinds, body)
 
 
-# what the csv writer makes of an int and of a float's repr: no padding,
-# no digit separators, no leading plus sign, no nan or inf
-_PLAIN_INT = re.compile(r"[0-9]+")
-_PLAIN_FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")
-
-
-def _plain_int(cell: str) -> int:
-    if not _PLAIN_INT.fullmatch(cell):
-        raise ValueError(cell)
-    return int(cell)
-
-
-def _finite_float(cell: str) -> float:
-    if not _PLAIN_FLOAT.fullmatch(cell):
-        raise ValueError(cell)
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(cell)
-    return value
-
-
-def _flag(cell: str) -> bool:
-    if cell not in ("0", "1"):
-        raise ValueError(cell)
-    return cell == "1"
+def _first_bad_row(path, header, kinds, body: str) -> FormatError:
+    """The error naming the first line of ``body`` (each one ended in
+    "\\n") with the wrong cell count or a cell not of its column's kind."""
+    for number, line in enumerate(body.split("\n")[:-1], start=2):
+        cells = line.split(",") if line else []
+        if len(cells) != len(kinds):
+            return FormatError(f"{path}: row {number} has {len(cells)} cells, expected {len(kinds)}")
+        for name, (pattern, dtype), cell in zip(header, kinds, cells):
+            if not re.fullmatch(pattern, cell) or (dtype is np.float64 and not math.isfinite(float(cell))):
+                return FormatError(f"{path}: row {number} has a bad {name} {cell!r}")
 
 
 def write_features(directory, clip: LabeledClip):
@@ -379,45 +375,44 @@ def write_features(directory, clip: LabeledClip):
     for m in MODALITIES:
         write_avfs(directory / f"{clip.clip_id}_{m}.avfs", getattr(clip, m))
     frames = range(clip.frame_offset, clip.frame_offset + clip.frames)
-    _write_csv(
-        directory / f"{clip.clip_id}_labels.csv",
-        LABELS_HEADER,
-        [[f, repr(float(v)), repr(float(a))] for f, v, a in zip(frames, clip.valence, clip.arousal)],
-    )
-    masks = zip(frames, *(getattr(clip, name) for name in MASK_FIELDS))
-    _write_csv(directory / f"{clip.clip_id}_masks.csv", MASKS_HEADER, [[f, *map(int, row)] for f, *row in masks])
+    labels = zip(frames, clip.valence.tolist(), clip.arousal.tolist())
+    _write_csv(directory / f"{clip.clip_id}_labels.csv", LABELS_HEADER, labels)
+    masks = zip(frames, *(getattr(clip, name).astype(int).tolist() for name in MASK_FIELDS))
+    _write_csv(directory / f"{clip.clip_id}_masks.csv", MASKS_HEADER, masks)
 
 
 def _check_frames(path, column, first: int):
     """Frame numbers must count up by one from ``first``; the 1-based
     row of the first one that does not is named (the header is row 1)."""
-    for number, frame in enumerate(column, start=2):
-        if frame != first + number - 2:
-            raise FormatError(f"{path}: row {number} has frame {frame}, expected {first + number - 2}")
+    expected = np.arange(first, first + len(column))
+    wrong = np.flatnonzero(column != expected)
+    if wrong.size:
+        at = wrong[0]
+        raise FormatError(f"{path}: row {at + 2} has frame {column[at]}, expected {expected[at]}")
 
 
 def read_features(directory, clip_id: str) -> LabeledClip:
     """The clip :func:`write_features` wrote.  A labels CSV without rows,
     a feature file or mask CSV whose frame count differs from the label
-    rows, or frames that do not count up by one from the labels' first,
-    is a FormatError naming it."""
+    rows (named with the labels CSV), or frames that do not count up by
+    one from the labels' first, is a FormatError naming it."""
     directory = Path(directory)
-    path = directory / f"{clip_id}_labels.csv"
-    frames, valence, arousal = _read_csv(path, LABELS_HEADER, (_plain_int, _finite_float, _finite_float))
-    if not frames:
-        raise FormatError(f"{path}: no label rows")
-    first = frames[0]
-    _check_frames(path, frames, first)
-    fields = {"valence": np.array(valence), "arousal": np.array(arousal)}
+    labels = directory / f"{clip_id}_labels.csv"
+    frames, valence, arousal = _read_csv(labels, LABELS_HEADER, (COUNT, FLOAT, FLOAT))
+    if not len(frames):
+        raise FormatError(f"{labels}: no label rows")
+    first = int(frames[0])
+    _check_frames(labels, frames, first)
+    fields = {"valence": valence, "arousal": arousal}
     for m in MODALITIES:
         path = directory / f"{clip_id}_{m}.avfs"
         fields[m] = read_avfs(path)
         if fields[m].shape[1] != len(frames):
-            raise FormatError(f"{path}: {fields[m].shape[1]} frames but {len(frames)} label rows")
+            raise FormatError(f"{path}: {fields[m].shape[1]} frames but {len(frames)} label rows in {labels}")
     path = directory / f"{clip_id}_masks.csv"
-    mask_frames, *masks = _read_csv(path, MASKS_HEADER, (_plain_int,) + (_flag,) * len(MASK_FIELDS))
-    if len(masks[0]) != len(frames):
-        raise FormatError(f"{path}: {len(masks[0])} rows but {len(frames)} label rows")
+    mask_frames, *masks = _read_csv(path, MASKS_HEADER, (COUNT, *(FLAG,) * len(MASK_FIELDS)))
+    if len(mask_frames) != len(frames):
+        raise FormatError(f"{path}: {len(mask_frames)} rows but {len(frames)} label rows in {labels}")
     _check_frames(path, mask_frames, first)
-    fields.update((name, np.array(column, dtype=bool)) for name, column in zip(MASK_FIELDS, masks))
+    fields.update((name, column.astype(bool)) for name, column in zip(MASK_FIELDS, masks))
     return LabeledClip(clip_id=clip_id, **fields, frame_offset=first)

@@ -8,8 +8,10 @@ epochs) so the whole file stays fast; the CLI is exercised in-process via
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -269,6 +271,20 @@ class TestTrainEval:
             os.chmod(dataset, 0o755)
         assert tree_bytes(dataset) == before
 
+    def test_lf_dataset_evaluates_like_crlf(self, tmp_path):
+        # every dataset CSV rewritten with LF line ends reads the same
+        config, out = self.run_pipeline(tmp_path)
+        crlf = tree_bytes(out / "eval")
+        rewritten = sorted((out / "dataset").glob("*.csv"))
+        assert len(rewritten) == 1 + 2 * 6
+        for path in rewritten:
+            blob = path.read_bytes()
+            assert b"\r\n" in blob
+            path.write_bytes(blob.replace(b"\r\n", b"\n"))
+        shutil.rmtree(out / "eval")
+        assert main(["eval", "--config", str(config)]) == 0
+        assert tree_bytes(out / "eval") == crlf
+
     def test_eval_threads_match_serial(self, tmp_path):
         config, out = self.run_pipeline(tmp_path)
         serial = tree_bytes(out / "eval")
@@ -436,8 +452,32 @@ class TestExitCodes:
         main(["gen", "--config", str(config)])
         main(["train", "--config", str(config)])
         wrong, _ = write_experiment(tmp_path, name="wrong.json", training={"depth": 2, "mode": "GRJCA"})
+        capsys.readouterr()
         assert main(["eval", "--config", str(wrong)]) == 1
-        assert "do not match" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"verification failure: {out / 'params.bin'}: saved parameters do not match")
+        assert err.count("\n") == 1
+
+    def test_params_entry_name_with_a_flipped_byte_is_verification_failure(self, tmp_path, capsys):
+        # the name still decodes and is unique, but names no model weight
+        config, out = write_experiment(tmp_path)
+        main(["gen", "--config", str(config)])
+        main(["train", "--config", str(config)])
+        path = out / "params.bin"
+        blob = bytearray(path.read_bytes())
+        name_at = cli._PARAMS_HEAD.size + cli._ENTRY_HEAD.size
+        first = sorted(load_params(path))[0]
+        assert blob[name_at : name_at + len(first)] == first.encode()
+        blob[name_at] ^= 0x01
+        path.write_bytes(bytes(blob))
+        flipped = chr(ord(first[0]) ^ 0x01) + first[1:]
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"verification failure: {path}: saved parameters do not match the model: "
+            f"missing [{first!r}], extra [{flipped!r}]\n"
+        )
 
     def test_eval_with_other_window_len_is_verification_failure(self, tmp_path, capsys):
         config, out = write_experiment(tmp_path)
@@ -502,6 +542,10 @@ class TestExitCodes:
             # padding and digit separators that int and float would accept
             ("clip0000_labels.csv", 2, " 0 ,0.5,0.1"),
             ("clip0000_labels.csv", 2, "0,1_0.5,0.1"),
+            # a float past the float range, and a quoted cell the csv module would unquote
+            ("clip0001_labels.csv", 3, "1,1e999,0.1"),
+            ("clip0000_labels.csv", 2, '"0",0.5,0.1'),
+            ("clip0000_masks.csv", 3, '1,0,0,"1"'),
         ],
     )
     def test_bad_csv_row_is_io_error(self, tmp_path, capsys, name, row, text):
@@ -527,12 +571,28 @@ class TestExitCodes:
             (3, "..,7,96,0,0", "row 3 has a bad clip '..'"),
             (2, "clip\\0000,7,96,0,0", "row 2 has a bad clip 'clip\\\\0000'"),
             (4, ",7,96,0,0", "row 4 has a bad clip ''"),
+            # ids that would need quoting: a comma splits the row, a quote is a bad id
+            (3, '"clip,0001",7,96,0,0', "row 3 has 6 cells, expected 5"),
+            (2, 'clip"0000,7,96,0,0', "row 2 has a bad clip 'clip\"0000'"),
+            (2, '"clip0000",7,96,0,0', "row 2 has a bad clip '\"clip0000\"'"),
             (2, "clip9999,7,96,0,0", "row 2 lists clip 'clip9999', but {dataset}/clip9999_labels.csv is missing"),
             # counts that differ from the clip's files; the seed is not checked
             (2, "clip0000,7,95,0,0", "row 2 lists 95 frames but {dataset}/clip0000_labels.csv has 96"),
             (3, "clip0001,7,96,0,2", "row 3 lists 2 visual corrupt frames but {dataset}/clip0001_masks.csv marks 0"),
         ],
-        ids=["repeated", "path", "dot-dot", "backslash", "empty", "missing", "frames", "corrupt"],
+        ids=[
+            "repeated",
+            "path",
+            "dot-dot",
+            "backslash",
+            "empty",
+            "comma",
+            "quote",
+            "quoted",
+            "missing",
+            "frames",
+            "corrupt",
+        ],
     )
     def test_bad_manifest_row_is_io_error(self, tmp_path, capsys, row, text, detail):
         config, out = write_experiment(tmp_path)
@@ -561,6 +621,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"i/o error: {path}: ") and "but 96 label rows" in err
+        assert f"label rows in {out / 'dataset' / 'clip0001_labels.csv'}\n" in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_zero_frame_clip_is_io_error(self, tmp_path, capsys, command):
@@ -626,7 +687,8 @@ class TestExitCodes:
             ("clip0000_labels.csv", 30, b"\xff\xfe", "not UTF-8 text (byte offset 30)"),
             ("clip0000_masks.csv", 30, b"\xff\xfe", "not UTF-8 text (byte offset 30)"),
             ("manifest.csv", 30, b"\xff\xfe", "not UTF-8 text (byte offset 30)"),
-            ("clip0000_labels.csv", 25, b"1" * 200_000, "row 2: field larger than field limit"),
+            # a 200,000-digit valence: no csv module field limit, but not finite
+            ("clip0000_labels.csv", 25, b"1" * 200_000, "row 2 has a bad valence '111111"),
         ],
         ids=["labels-utf8", "masks-utf8", "manifest-utf8", "labels-long-cell"],
     )
@@ -836,9 +898,24 @@ def manifest_dataset(tmp_path_factory):
     return out, (out / "dataset" / "manifest.csv").read_bytes()
 
 
+def reference_manifest(path):
+    """The manifest's columns as the csv module and one rule per cell read
+    them: the reader may accept less than this reference, never other
+    values."""
+    rows = list(csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline="")))
+    assert rows[0] == cli.MANIFEST_HEADER and all(len(row) == len(rows[0]) for row in rows[1:])
+    ids, *counts = (list(column) for column in zip(*rows[1:]))
+    assert all(cell not in ("", ".", "..") and not any(c in cell for c in "/\\\0") for cell in ids)
+    assert all(re.fullmatch(r"[0-9]+", cell) for column in counts for cell in column)
+    return [ids, *([int(cell) for cell in column] for column in counts)]
+
+
 @settings(max_examples=300, deadline=None)
 @example(at=MANIFEST_ROW + 7, drop=1, junk=b"1")  # clip0000's row renamed to clip0001
 @example(at=MANIFEST_ROW, drop=8, junk=b"../x/y")
+@example(at=MANIFEST_ROW + 4, drop=0, junk=b",")  # clip,0000: one cell too many
+@example(at=MANIFEST_ROW, drop=8, junk=b'"clip0000"')  # a quoted id
+@example(at=MANIFEST_ROW - 2, drop=1, junk=b"")  # the header ends in LF
 @given(
     at=st.integers(0, 160),
     drop=st.one_of(st.integers(0, 8), st.just(10**6)),
@@ -852,7 +929,10 @@ def test_any_manifest_bytes_load_or_are_format_or_config_error(manifest_dataset,
         clips = cli._load_dataset(out)
     except (FormatError, ConfigError):
         return
-    ids = [clip.clip_id for clip in clips]
+    manifest = out / "dataset" / "manifest.csv"
+    ids, seeds, *counts = cli._read_csv(manifest, cli.MANIFEST_HEADER, cli.MANIFEST_KINDS)
+    assert [ids, [int(seed) for seed in seeds], *(c.tolist() for c in counts)] == reference_manifest(manifest)
+    assert ids == [clip.clip_id for clip in clips]
     assert len(set(ids)) == len(ids)
     assert set(ids) <= {"clip0000", "clip0001", "clip0002"}
 

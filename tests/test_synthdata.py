@@ -1,6 +1,9 @@
 """Generator, windowing, and feature-file tests."""
 
+import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from avfusion.synthdata import (
     HEADER,
     LABELS_HEADER,
     MAGIC,
+    MASK_FIELDS,
+    MASKS_HEADER,
     VERSION,
     GenConfig,
     LabeledClip,
@@ -385,12 +390,41 @@ CSV_JUNK = st.one_of(
 )
 
 
+def reference_columns(path, header, rules):
+    """A CSV's columns as the csv module and one rule per cell read them:
+    the reader may accept less than this reference, never other values."""
+    rows = list(csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline="")))
+    assert rows[0] == header and all(len(row) == len(header) for row in rows[1:])
+    return [[rule(row[i]) for row in rows[1:]] for i, rule in enumerate(rules)]
+
+
+def reference_count(cell):
+    assert re.fullmatch(r"[0-9]+", cell)
+    return int(cell)
+
+
+def reference_float(cell):
+    assert re.fullmatch(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?", cell)
+    value = float(cell)
+    assert math.isfinite(value)
+    return value
+
+
+def reference_flag(cell):
+    assert cell in ("0", "1")
+    return cell == "1"
+
+
 @settings(max_examples=300, deadline=None)
 @example(which="labels", at=30, drop=0, junk=b"\xff\xfe")
 @example(which="masks", at=30, drop=0, junk=b"\xff\xfe")
 @example(which="labels", at=LABEL_CELL, drop=0, junk=b"1" * 200_000)
 @example(which="labels", at=FRAME_CELL, drop=1, junk=b" 0 ")  # frame " 0 "
 @example(which="labels", at=LABEL_CELL, drop=1, junk=b"1_")  # valence "1_0.22..." for -0.22...
+@example(which="labels", at=FRAME_CELL, drop=1, junk=b'"0"')  # a quoted frame
+@example(which="labels", at=FRAME_CELL, drop=0, junk=b"00")  # frame "000"
+@example(which="labels", at=FRAME_CELL - 2, drop=1, junk=b"")  # the header ends in LF
+@example(which="masks", at=10**6, drop=0, junk=b"\n")  # a blank last line
 @given(
     which=st.sampled_from(["labels", "masks"]),
     at=st.integers(0, 160),
@@ -404,6 +438,15 @@ def test_any_label_or_mask_bytes_parse_or_are_format_error(tmp_path_factory, whi
     blob = path.read_bytes()
     path.write_bytes(blob[:at] + junk + blob[at + drop :])
     try:
-        read_features(directory, CSV_CLIP.clip_id)
+        clip = read_features(directory, CSV_CLIP.clip_id)
     except FormatError as exc:
         assert str(exc).startswith(f"{directory / CSV_CLIP.clip_id}_")
+        return
+    labels, masks = (directory / f"{CSV_CLIP.clip_id}_{kind}.csv" for kind in ("labels", "masks"))
+    frames, valence, arousal = reference_columns(labels, LABELS_HEADER, (reference_count, *(reference_float,) * 2))
+    flag_rules = (reference_flag,) * len(MASK_FIELDS)
+    mask_frames, *flags = reference_columns(masks, MASKS_HEADER, (reference_count, *flag_rules))
+    assert frames == mask_frames == list(range(clip.frame_offset, clip.frame_offset + clip.frames))
+    for values, name in ((valence, "valence"), (arousal, "arousal")):
+        assert np.array_equal(np.array(values).view(np.int64), getattr(clip, name).view(np.int64))
+    assert flags == [getattr(clip, name).tolist() for name in MASK_FIELDS]
