@@ -244,7 +244,7 @@ def cmd_train(config: ExperimentConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_eval(config: ExperimentConfig, out: Path) -> int:
+def cmd_eval(config: ExperimentConfig, out: Path, threads: int) -> int:
     clips = _load_dataset(out)
     params_path = out / "params.bin"
     if not params_path.exists():
@@ -256,7 +256,7 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> int:
     except ParameterError as exc:
         raise ParameterError(f"{params_path}: {exc}") from None
     try:
-        clip_preds, pooled = evaluate(model, clips, tc)
+        clip_preds, pooled = evaluate(model, clips, tc, workers=threads)
     except (NumericError, DimensionError) as exc:
         raise type(exc)(f"{exc} ({_dataset_dir(out)})") from exc
     eval_dir = out / "eval"
@@ -340,13 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help="run train folds, ablate cells and gradcheck cases in up to "
-            "min(N, tasks, CPUs) processes; gen and eval run serially",
+            "min(N, tasks, CPUs) processes, and eval's forward batches on up to "
+            "min(N, batches, CPUs) threads; gen runs serially",
         )
     return parser
 
 
 # a numeric failure ends in one NumericError line; numpy's floating-point
-# warnings would print ahead of it, once per process under --threads
+# warnings would print ahead of it, once per process or thread under --threads
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(config, out, args.threads)
         if args.command == "eval":
-            return cmd_eval(config, out)
+            return cmd_eval(config, out, args.threads)
         if args.command == "ablate":
             return cmd_ablate(config, out, args.threads)
         return cmd_gradcheck(args.threads)

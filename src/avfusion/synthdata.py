@@ -358,14 +358,16 @@ def _read_csv(path, header, kinds):
 
 def _first_bad_row(path, header, kinds, body: str) -> FormatError:
     """The error naming the first line of ``body`` (each one ended in
-    "\\n") with the wrong cell count or a cell not of its column's kind."""
+    "\\n") with the wrong cell count or a cell not of its column's kind.
+    A bad cell is quoted up to its first 40 characters, then ``...``."""
     for number, line in enumerate(body.split("\n")[:-1], start=2):
         cells = line.split(",") if line else []
         if len(cells) != len(kinds):
             return FormatError(f"{path}: row {number} has {len(cells)} cells, expected {len(kinds)}")
         for name, (pattern, dtype), cell in zip(header, kinds, cells):
             if not re.fullmatch(pattern, cell) or (dtype is np.float64 and not math.isfinite(float(cell))):
-                return FormatError(f"{path}: row {number} has a bad {name} {cell!r}")
+                shown = f"{cell[:40]!r}..." if len(cell) > 40 else repr(cell)
+                return FormatError(f"{path}: row {number} has a bad {name} {shown}")
 
 
 def write_features(directory, clip: LabeledClip):

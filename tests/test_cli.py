@@ -285,11 +285,18 @@ class TestTrainEval:
         assert main(["eval", "--config", str(config)]) == 0
         assert tree_bytes(out / "eval") == crlf
 
-    def test_eval_threads_match_serial(self, tmp_path):
-        config, out = self.run_pipeline(tmp_path)
-        serial = tree_bytes(out / "eval")
-        assert main(["eval", "--config", str(config), "--threads", "3"]) == 0
-        assert tree_bytes(out / "eval") == serial
+    def test_eval_threads_match_serial(self, tmp_path, capsys):
+        # 12 windows at batch 5: three batches, the last one partial
+        config, out = write_experiment(tmp_path, training={"batch_size": 5})
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        outputs = {}
+        for threads in ("1", "2", "3"):
+            shutil.rmtree(out / "eval", ignore_errors=True)
+            capsys.readouterr()
+            assert main(["eval", "--config", str(config), "--threads", threads]) == 0
+            outputs[threads] = (capsys.readouterr().out, tree_bytes(out / "eval"))
+        assert outputs["1"] == outputs["2"] == outputs["3"]
 
 
 # the criterion-6 ablation config (tests/test_acceptance.py)
@@ -316,13 +323,22 @@ TRAIN_ARTIFACTS = (
 
 class TestThreads:
     """``--threads N`` runs train folds, ablate cells and gradcheck cases in
-    forked processes; every output must match the serial run's bytes."""
+    forked processes, and eval's forward batches on threads; every output
+    must match the serial run's bytes."""
 
     def run(self, capsys, *argv):
         capsys.readouterr()
         code = main(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
+
+    def run_in_shell(self, *argv):
+        """``python -m avfusion *argv`` in a new process, as from a shell."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-m", "avfusion", *argv], capture_output=True, text=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
 
     def test_train_matches_serial(self, tmp_path, capsys):
         config, out = write_experiment(tmp_path)
@@ -358,21 +374,29 @@ class TestThreads:
         # none of numpy's floating-point warnings, from any process
         config, _ = write_experiment(tmp_path, training={"init_lr": 1e300, "warmup_epochs": 0})
         assert main(["gen", "--config", str(config)]) == 0
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "avfusion", "train", "--config", str(config), "--threads", threads],
-                capture_output=True, text=True, env=env,
-            )
-            for threads in ("1", "2")
-        ]
-        serial, pooled = [(proc.returncode, proc.stdout, proc.stderr) for proc in runs]
+        serial, pooled = [self.run_in_shell("train", "--config", str(config), "--threads", t) for t in "12"]
         assert serial == pooled
         code, _, err = serial
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("verification failure: non-finite")
+
+    def test_eval_worker_failure_matches_serial(self, tmp_path):
+        # attention weights this large overflow every eval batch; the
+        # threads must keep main's errstate, or numpy's overflow warning
+        # prints ahead of the one failure line
+        config, out = write_experiment(tmp_path, training={"batch_size": 5})
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        snapshot = load_params(out / "params.bin")
+        for name in snapshot:
+            if ".attn_" in name or ".out_" in name:
+                snapshot[name][:] = 1e200
+        save_params(out / "params.bin", snapshot)
+        serial, pooled = [self.run_in_shell("eval", "--config", str(config), "--threads", t) for t in "12"]
+        assert serial == pooled
+        dataset = out / "dataset"
+        expected = f"verification failure: non-finite values in attended audio features, round 1 ({dataset})\n"
+        assert serial == (1, "", expected)
 
     def test_worker_failure_names_fold_and_epoch(self, tmp_path, capsys):
         # each fold trains on one batch here, so the first forward to
@@ -404,6 +428,29 @@ class TestThreads:
         assert main(["train", "--config", str(config), "--threads", "64"]) == 0
         cpus = len(os.sched_getaffinity(0))
         assert asked == ([min(3, cpus)] if cpus > 1 else [])
+
+    def test_eval_thread_pool_is_capped_at_batches_and_cpus(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers, **kwargs):
+            asked.append(max_workers)
+            return real(max_workers, **kwargs)
+
+        # 12 windows: one batch at the default batch size, three at 5
+        one_batch, _ = write_experiment(tmp_path, name="one.json")
+        three_batches, _ = write_experiment(tmp_path, name="three.json", training={"batch_size": 5})
+        assert main(["gen", "--config", str(one_batch)]) == 0
+        assert main(["train", "--config", str(one_batch)]) == 0
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        assert main(["eval", "--config", str(three_batches), "--threads", "1"]) == 0
+        assert main(["eval", "--config", str(one_batch), "--threads", "64"]) == 0
+        assert asked == []
+        assert main(["eval", "--config", str(three_batches), "--threads", "64"]) == 0
+        threads = min(64, 3, len(os.sched_getaffinity(0)))
+        assert asked == ([threads] if threads > 1 else [])
 
 
 class TestExitCodes:
@@ -701,7 +748,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["eval", "--config", str(config)]) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and len(err) < 300
         assert err.startswith(f"i/o error: {path}: {detail}")
 
     @pytest.mark.parametrize(

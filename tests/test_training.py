@@ -3,6 +3,7 @@
 import gc
 import math
 import os
+import threading
 import time
 import weakref
 
@@ -26,6 +27,7 @@ from avfusion.training import (
     fold_assignments,
     lr_for_epoch,
     map_in_order,
+    map_in_threads,
     scheduler_step,
     train,
 )
@@ -546,3 +548,34 @@ class TestMapInOrder:
         for workers in (1, 2):
             with pytest.raises(NumericError, match="^task 1$"):
                 map_in_order(task, 5, workers)
+
+
+class TestMapInThreads:
+    def test_one_worker_runs_inline(self):
+        main = threading.get_ident()
+        results = map_in_threads(lambda i: (i * i, threading.get_ident()), range(4), 1)
+        assert results == [(i * i, main) for i in range(4)]
+
+    def test_results_in_index_order(self):
+        results = map_in_threads(lambda i: (i * i, threading.get_ident()), range(7), 2)
+        assert [value for value, _ in results] == [i * i for i in range(7)]
+        if len(os.sched_getaffinity(0)) > 1:
+            assert threading.get_ident() not in {ident for _, ident in results}
+
+    def test_first_failing_index_is_raised(self):
+        def task(i):
+            if i == 1:
+                time.sleep(0.2)  # finishes after index 3 has failed
+                raise NumericError("task 1")
+            if i == 3:
+                raise ParameterError("task 3")
+            return i
+
+        for workers in (1, 2):
+            with pytest.raises(NumericError, match="^task 1$"):
+                map_in_threads(task, range(5), workers)
+
+    def test_tasks_keep_the_callers_errstate(self):
+        with np.errstate(over="raise"):
+            settings = map_in_threads(lambda i: np.geterr()["over"], range(4), 2)
+        assert settings == ["raise"] * 4
