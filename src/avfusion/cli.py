@@ -35,6 +35,7 @@ from .synthdata import (
     generate,
     read_features,
     write_features,
+    write_file,
 )
 from .training import (
     best_fold,
@@ -91,8 +92,7 @@ def save_params(path, snapshot: dict):
         chunks.append(encoded)
         chunks.append(_ENTRY_SHAPE.pack(matrix.shape[0], matrix.shape[1]))
         chunks.append(matrix.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_file(path, b"".join(chunks))
 
 
 def load_params(path) -> dict:
@@ -234,9 +234,7 @@ def cmd_train(config: ExperimentConfig, out: Path, threads: int) -> int:
         "per_fold_val_ccc": [float(r.best_val_ccc) for r in results],
         "best_fold_val_clips": [clip.clip_id for clip in val_clips],
     }
-    with open(out / "train_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_file(out / "train_summary.json", (json.dumps(summary, indent=2) + "\n").encode("utf-8"))
     for fold, r in enumerate(results):
         marker = " *" if fold == b else ""
         print(f"fold {fold}: best val ccc {r.best_val_ccc:.4f} at epoch {r.best_epoch}{marker}")

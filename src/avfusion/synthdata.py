@@ -22,6 +22,7 @@ Every CSV the program writes or reads has one grammar, the one
 :func:`_write_csv` writes: UTF-8 lines of cells joined by ``,`` and
 ended in CRLF (LF is read too), no cell quoted, a count in plain digits
 and a float as ``repr`` writes it.  :func:`_read_csv` reads only that.
+Every file the program writes goes through :func:`write_file`, in place.
 """
 
 from __future__ import annotations
@@ -253,13 +254,21 @@ def window(clip: LabeledClip, length: int, stride: int) -> list:
 # -- feature file I/O --------------------------------------------------------
 
 
+def write_file(path, data: bytes):
+    """Make ``data`` the whole file at ``path``: every artifact's writer.  An
+    existing file is written over in place, then cut, as truncating it to zero
+    costs a journalled block free and writeback at close on ext4.  Nothing is
+    fsynced, so a crash can mix old and new bytes, as with ``open(path, "wb")``."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
 def write_avfs(path, matrix: np.ndarray):
     """Binary feature container: magic, version, frames, dim, f32 payload."""
     data = np.ascontiguousarray(matrix, dtype="<f4")
     dim, frames = data.shape
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, VERSION, frames, dim))
-        fh.write(data.tobytes())
+    write_file(path, HEADER.pack(MAGIC, VERSION, frames, dim) + data.tobytes())
 
 
 def read_avfs(path) -> np.ndarray:
@@ -317,7 +326,7 @@ def _write_csv(path, header, rows):
     a float's repr: values come through ``.tolist()``, never as numpy
     scalars.  No cell holds ``,``, ``"``, CR or LF, so none is quoted."""
     lines = [",".join(map(str, row)) for row in (header, *rows)]
-    Path(path).write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    write_file(path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
 def _read_csv(path, header, kinds):

@@ -174,7 +174,8 @@ def map_in_threads(fn, items, workers: int) -> list:
     variable that a new thread would not see.  Results return in item
     order, and the exception of the first failing item is raised here.
     With one thread the tasks run inline and no pool starts; a pool's
-    threads share one heap arena (:func:`retain_freed_heap`).
+    threads share one heap arena (:func:`retain_freed_heap`); equal tasks
+    end together only when their count is a multiple of the threads.
     """
     threads = min(workers, len(items), usable_cpus())
     if threads <= 1:
@@ -289,18 +290,25 @@ class TrainResult:
 def _clip_predictions(model: EmotionModel, clips, config: TrainConfig, workers: int = 1):
     """One prediction per frame of every clip: the first ``clip.frames``
     outputs of its non-overlapping windows, which are forwarded in clip
-    order ``config.batch_size`` windows at a time.  The batches run on up
-    to ``min(workers, batches, CPUs)`` threads, each writing its own rows,
-    so the outputs are the bytes of a serial pass."""
+    order ``config.batch_size`` windows at a time.  On ``min(workers,
+    batches, CPUs)`` threads, if more than one, the windows are cut into a
+    multiple of the threads of near-equal batches, none larger.  Each batch
+    writes its own rows, so the outputs are the bytes of a serial pass."""
     per_clip = [window(clip, config.window_len, config.window_len) for clip in clips]
     windows = [win for wins in per_clip for win in wins]
-    outs = np.empty((len(windows), config.window_len))
+    n = len(windows)
+    outs = np.empty((n, config.window_len))
+    starts = range(0, n, config.batch_size)
+    threads = min(workers, len(starts), usable_cpus())
+    if threads > 1:  # the batch count rounded up to a multiple of the threads
+        batches = min(n, -(-len(starts) // threads) * threads)
+        starts = [n * b // batches for b in range(batches)]
 
-    def forward(b):
-        batch = windows[b : b + config.batch_size]
-        outs[b : b + len(batch)] = model.forward(batch).value.reshape(len(batch), -1)
+    def forward(span):
+        batch = windows[slice(*span)]
+        outs[slice(*span)] = model.forward(batch).value.reshape(len(batch), -1)
 
-    map_in_threads(forward, range(0, len(windows), config.batch_size), workers)
+    map_in_threads(forward, list(zip(starts, [*starts[1:], n])), workers)
     ends = np.cumsum([len(wins) for wins in per_clip])
     return [rows.reshape(-1)[: clip.frames] for clip, rows in zip(clips, np.split(outs, ends[:-1]))]
 

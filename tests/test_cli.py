@@ -27,8 +27,9 @@ from avfusion import cli
 from avfusion.cli import load_params, main, save_params
 from avfusion.config import parse_config
 from avfusion.exceptions import ConfigError, FormatError
+from avfusion.model import EmotionModel
 from avfusion.synthdata import generate, read_avfs, write_avfs
-from avfusion.training import TrainConfig, fold_assignments, train
+from avfusion.training import TrainConfig, fold_assignments, train, usable_cpus
 
 
 def experiment_json(out_dir, **overrides):
@@ -128,6 +129,15 @@ class TestGen:
         main(["gen", "--config", str(config), "--out", str(tmp_path / "serial")])
         main(["gen", "--config", str(config), "--out", str(tmp_path / "pooled"), "--threads", "4"])
         assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "pooled")
+
+    def test_shorter_gen_over_longer_matches_fresh(self, tmp_path):
+        # files are written over in place: each one must be cut to its new length
+        config, _ = write_experiment(tmp_path)
+        short, _ = write_experiment(tmp_path, name="short.json", generator={"frames": 48})
+        main(["gen", "--config", str(config), "--out", str(tmp_path / "over")])
+        main(["gen", "--config", str(short), "--out", str(tmp_path / "over")])
+        main(["gen", "--config", str(short), "--out", str(tmp_path / "fresh")])
+        assert tree_bytes(tmp_path / "over") == tree_bytes(tmp_path / "fresh")
 
     def test_seed_override_changes_data(self, tmp_path):
         config, out = write_experiment(tmp_path)
@@ -285,6 +295,16 @@ class TestTrainEval:
         assert main(["eval", "--config", str(config)]) == 0
         assert tree_bytes(out / "eval") == crlf
 
+    def test_shallower_train_over_deeper_matches_fresh(self, tmp_path):
+        deep, _ = write_experiment(tmp_path, name="deep.json", training={"depth": 3})
+        shallow, _ = write_experiment(tmp_path, name="shallow.json")  # depth 1
+        for out, configs in (("over", (deep, shallow)), ("fresh", (shallow,))):
+            assert main(["gen", "--config", str(shallow), "--out", str(tmp_path / out)]) == 0
+            for config in configs:
+                assert main(["train", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        for name in TRAIN_ARTIFACTS:
+            assert (tmp_path / "over" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
     def test_eval_threads_match_serial(self, tmp_path, capsys):
         # 12 windows at batch 5: three batches, the last one partial
         config, out = write_experiment(tmp_path, training={"batch_size": 5})
@@ -429,6 +449,28 @@ class TestThreads:
         cpus = len(os.sched_getaffinity(0))
         assert asked == ([min(3, cpus)] if cpus > 1 else [])
 
+    def test_eval_batches_are_balanced_over_threads(self, tmp_path, monkeypatch):
+        # 12 windows at batch 5: the serial pass forwards batch_size slices;
+        # on 2 threads the 3 batches become 4 near-equal ones, none larger
+        config, _ = write_experiment(tmp_path, training={"batch_size": 5})
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        sizes = []
+        real = EmotionModel.forward
+
+        def recording(self, windows, *args, **kwargs):
+            sizes.append(len(windows))
+            return real(self, windows, *args, **kwargs)
+
+        monkeypatch.setattr(EmotionModel, "forward", recording)
+        assert main(["eval", "--config", str(config), "--threads", "1"]) == 0
+        assert sizes == [5, 5, 2]
+        if usable_cpus() < 2:
+            pytest.skip("--threads 2 runs serially on one CPU")
+        sizes.clear()
+        assert main(["eval", "--config", str(config), "--threads", "2"]) == 0
+        assert sizes == [3, 3, 3, 3]
+
     def test_eval_thread_pool_is_capped_at_batches_and_cpus(self, tmp_path, monkeypatch):
         import concurrent.futures
 
@@ -454,6 +496,24 @@ class TestThreads:
 
 
 class TestExitCodes:
+    def test_directory_at_artifact_path_is_io_error(self, tmp_path, capsys):
+        config, out = write_experiment(tmp_path)
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        for command, artifact in (
+            ("train", "params.bin"),
+            ("train", "train_summary.json"),
+            ("gen", "dataset/clip0002_audio.avfs"),
+            ("gen", "dataset/manifest.csv"),
+        ):
+            path = out / artifact
+            path.unlink()
+            (path / "inside").mkdir(parents=True)
+            capsys.readouterr()
+            assert main([command, "--config", str(config)]) == 3
+            assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{path}'\n"
+            shutil.rmtree(path)
+
     def test_missing_dataset_is_config_error(self, tmp_path, capsys):
         config, _ = write_experiment(tmp_path)
         assert main(["train", "--config", str(config)]) == 2

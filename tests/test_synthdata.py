@@ -1,9 +1,11 @@
 """Generator, windowing, and feature-file tests."""
 
+import ast
 import csv
 import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from avfusion.synthdata import (
     window,
     write_avfs,
     write_features,
+    write_file,
 )
 
 
@@ -296,6 +299,20 @@ class TestFeatureFiles:
             fb = (tmp_path / "b" / f"{clip.clip_id}{suffix}").read_bytes()
             assert fa == fb
 
+    def test_write_file_leaves_exactly_the_last_bytes(self, tmp_path):
+        # a new path is created; over an existing file the bytes are
+        # written in place, so a shorter write must cut the old tail off
+        path = tmp_path / "artifact"
+        for data in (b"long " * 40, b"short", b"", b"longer again " * 30):
+            write_file(path, data)
+            assert path.read_bytes() == data
+
+    def test_write_file_creates_with_the_mode_of_open(self, tmp_path):
+        write_file(tmp_path / "new", b"x")
+        with open(tmp_path / "reference", "wb") as fh:
+            fh.write(b"x")
+        assert (tmp_path / "new").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.avfs"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
@@ -344,6 +361,31 @@ class TestFeatureFiles:
         label_path.write_text(text)
         with pytest.raises(FormatError, match="header"):
             read_features(tmp_path, clip.clip_id)
+
+
+def _opens_for_writing(node) -> bool:
+    """A call of ``open`` with a writing mode, of ``write_bytes`` or
+    ``write_text``, or a use of ``O_TRUNC``."""
+    if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC":
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+    args = [*node.args, *(keyword.value for keyword in node.keywords)]
+    modes = [set(arg.value) for arg in args if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    writing = any(mode <= set("rwxabt+") and mode & set("wxa+") for mode in modes)
+    return name in ("write_bytes", "write_text") or (name == "open" and writing)
+
+
+def test_only_write_file_opens_a_file_for_writing():
+    # every file the program writes goes through synthdata.write_file, so
+    # no new artifact can go back to truncating its file to zero first
+    found = []
+    for path in sorted(Path(synthdata.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writer = {id(n) for f in ast.walk(tree) if getattr(f, "name", None) == "write_file" for n in ast.walk(f)}
+        found += [(path.name, id(node) in writer) for node in ast.walk(tree) if _opens_for_writing(node)]
+    assert found == [("synthdata.py", True)]
 
 
 # small sizes reach the payload checks; any 32-bit size may appear
