@@ -1,10 +1,13 @@
-"""Gating earns its keep when one modality intermittently fails.
+"""Gated and plain recursive fusion when one modality intermittently fails.
 
 Generates a synthetic benchmark where audio features are replaced by
 matched-variance noise in random bursts, inspects the corruption masks,
-then trains the plain recursive fusion against its gated variant on the
-same data and seeds.  The gate can down-weight attention rounds
-dominated by corrupted audio; the plain model cannot.  Takes about 15
+then trains the plain recursive fusion against its gated variants on the
+same data and seeds.  On the acceptance test's corrupted data, the
+learned GRJCA gate loses to a uniform average of the same rounds on 3 of
+5 seeds, and no learned gate treats corrupted frames differently from
+clean ones: the gap is at most 0.023.  So this comparison cannot
+separate the learned gate from the pooling it applies.  Takes about 15
 seconds on one core.
 """
 
@@ -74,8 +77,9 @@ def main():
     for seed in (0, 1, 2):
         row = {}
         for mode in ("RJCA", "GRJCA", "HGRJCA"):
-            # identical weights at a fixed seed except for the gates, so
-            # the comparison isolates the gating mechanism
+            # identical weights at a fixed seed except for the gates; a
+            # gated mode also pools the rounds, so a gap between modes
+            # mixes the learned gate with that pooling
             row[mode] = train(train_clips, val_clips, config(mode, seed)).best_val_ccc
             means.setdefault(mode, []).append(row[mode])
         print(f"{seed:<6}{row['RJCA']:>8.4f}{row['GRJCA']:>8.4f}{row['HGRJCA']:>8.4f}")

@@ -8,13 +8,12 @@ A run is described by one JSON object with three optional sections::
       "training":  { ... training.TrainConfig fields ... }
     }
 
-Every field has a default, unknown keys and values of the wrong JSON type
-are rejected with the offending line number, and parse -> serialize ->
-parse is the identity.  Float fields take integers too and keep them as
-given; the model settings among the training fields are checked by
-``model.ModelSettings`` when the training section is built.  The
-machine-readable field list lives in ``config.schema.json`` at the
-repository root.
+Every field has a default, and unknown keys and values of the wrong JSON
+type are rejected with the offending line number.  Float fields take
+integers too and keep them as given; the model settings among the
+training fields are checked by ``model.ModelSettings`` when the training
+section is built.  The machine-readable field list lives in
+``config.schema.json`` at the repository root.
 """
 
 from __future__ import annotations
@@ -131,14 +130,3 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """JSON text that parses back to an equal config."""
-    data = {
-        "out_dir": config.out_dir,
-        "generator": dataclasses.asdict(config.generator),
-        "training": dataclasses.asdict(config.training),
-    }
-    data["training"]["head_hidden"] = list(config.training.head_hidden)
-    return json.dumps(data, indent=2) + "\n"

@@ -103,7 +103,7 @@ def retain_freed_heap(one_arena: bool = False):
     batch faults it in again: about 20k page faults per 60-clip eval at
     window 192.  Fixed thresholds (mmap above 32 MB, trim above 256 MB)
     keep it.  With ``one_arena``, threads started later share the one
-    arena too, so the forward threads of :func:`map_in_threads` reuse the
+    arena too, so the forward threads of :func:`_clip_predictions` reuse the
     heap the process already holds; with an arena per thread, eval's peak
     RSS at window 192 went from 151 to 241 MB.  Only a process that starts
     such threads asks for it: with one arena from the start, a 6-fold
@@ -163,29 +163,6 @@ def map_in_order(fn, count: int, workers: int) -> list:
             ) as pool:
                 return list(pool.map(_run_task, range(count)))
     return [fn(index) for index in range(count)]
-
-
-def map_in_threads(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, on ``min(workers, len(items), CPUs)`` threads.
-
-    For tasks whose time goes to numpy calls that release the interpreter
-    lock.  Each task runs in its own copy of the caller's context, so it
-    keeps the caller's ``np.errstate``, which numpy holds in a context
-    variable that a new thread would not see.  Results return in item
-    order, and the exception of the first failing item is raised here.
-    With one thread the tasks run inline and no pool starts; a pool's
-    threads share one heap arena (:func:`retain_freed_heap`); equal tasks
-    end together only when their count is a multiple of the threads.
-    """
-    threads = min(workers, len(items), usable_cpus())
-    if threads <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    retain_freed_heap(one_arena=True)
-    with ThreadPoolExecutor(threads) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-    return [future.result() for future in futures]
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -289,26 +266,40 @@ class TrainResult:
 
 def _clip_predictions(model: EmotionModel, clips, config: TrainConfig, workers: int = 1):
     """One prediction per frame of every clip: the first ``clip.frames``
-    outputs of its non-overlapping windows, which are forwarded in clip
-    order ``config.batch_size`` windows at a time.  On ``min(workers,
-    batches, CPUs)`` threads, if more than one, the windows are cut into a
-    multiple of the threads of near-equal batches, none larger.  Each batch
-    writes its own rows, so the outputs are the bytes of a serial pass."""
+    outputs of its non-overlapping windows, forwarded in clip order.  The
+    ``n`` windows make ``ceil(n / batch_size)`` batches, run on ``threads =
+    min(workers, batches, CPUs)`` threads; the count is rounded up to a
+    multiple of the threads, never past ``n``, and batch ``b`` starts at
+    window ``n * b // batches``, so no batch is larger than ``batch_size``.
+    Pool threads share one heap arena (:func:`retain_freed_heap`) and run
+    each batch in a copy of the caller's context, keeping its
+    ``np.errstate``.  Each batch writes its own rows, so the outputs are
+    the bytes of a serial pass, and the first failing batch's exception is
+    raised."""
     per_clip = [window(clip, config.window_len, config.window_len) for clip in clips]
     windows = [win for wins in per_clip for win in wins]
     n = len(windows)
     outs = np.empty((n, config.window_len))
-    starts = range(0, n, config.batch_size)
-    threads = min(workers, len(starts), usable_cpus())
-    if threads > 1:  # the batch count rounded up to a multiple of the threads
-        batches = min(n, -(-len(starts) // threads) * threads)
-        starts = [n * b // batches for b in range(batches)]
+    batches = -(-n // config.batch_size)
+    threads = max(1, min(workers, batches, usable_cpus()))  # 1 if there are no windows
+    batches = min(n, -(-batches // threads) * threads)
+    cuts = [n * b // batches for b in range(batches)] + [n]
 
-    def forward(span):
-        batch = windows[slice(*span)]
-        outs[slice(*span)] = model.forward(batch).value.reshape(len(batch), -1)
+    def forward(b):
+        batch = windows[cuts[b] : cuts[b + 1]]
+        outs[cuts[b] : cuts[b + 1]] = model.forward(batch).value.reshape(len(batch), -1)
 
-    map_in_threads(forward, list(zip(starts, [*starts[1:], n])), workers)
+    if threads == 1:
+        for b in range(batches):
+            forward(b)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        retain_freed_heap(one_arena=True)
+        with ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, forward, b) for b in range(batches)]
+        for future in futures:
+            future.result()
     ends = np.cumsum([len(wins) for wins in per_clip])
     return [rows.reshape(-1)[: clip.frames] for clip, rows in zip(clips, np.split(outs, ends[:-1]))]
 

@@ -583,3 +583,30 @@ def test_every_op_has_a_model_caller():
                 named.add(operators[type(node.op)])
     named |= {op for member, op in forwards.items() if member in named}
     assert sorted(ops - named) == []
+
+
+def test_every_public_name_has_a_caller():
+    # no test-only API: each public function, class and method of the
+    # package is named, apart from its own definition, by the package, a
+    # demo or the benchmark (a string counts, as the tracer patches by name)
+    package = Path(ad.__file__).parent
+    root = package.parents[1]
+    defined = {}  # name -> module.name of its first definition
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *members]:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and not item.name.startswith("_"):
+                    defined.setdefault(item.name, f"{path.stem}.{item.name}")
+    named = set()
+    for path in [*package.glob("*.py"), *root.glob("demos/*.py"), *root.glob("bench/**/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    assert sorted(where for name, where in defined.items() if name not in named) == []

@@ -450,8 +450,8 @@ class TestThreads:
         assert asked == ([min(3, cpus)] if cpus > 1 else [])
 
     def test_eval_batches_are_balanced_over_threads(self, tmp_path, monkeypatch):
-        # 12 windows at batch 5: the serial pass forwards batch_size slices;
-        # on 2 threads the 3 batches become 4 near-equal ones, none larger
+        # 12 windows at batch 5 make 3 near-equal batches on one thread; on
+        # 2 threads the count rounds up to 4, none larger than batch_size
         config, _ = write_experiment(tmp_path, training={"batch_size": 5})
         assert main(["gen", "--config", str(config)]) == 0
         assert main(["train", "--config", str(config)]) == 0
@@ -464,7 +464,7 @@ class TestThreads:
 
         monkeypatch.setattr(EmotionModel, "forward", recording)
         assert main(["eval", "--config", str(config), "--threads", "1"]) == 0
-        assert sizes == [5, 5, 2]
+        assert sizes == [4, 4, 4]
         if usable_cpus() < 2:
             pytest.skip("--threads 2 runs serially on one CPU")
         sizes.clear()

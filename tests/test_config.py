@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from jsonschema import Draft7Validator
 from hypothesis import strategies as st
 
-from avfusion.config import ExperimentConfig, load_config, parse_config, serialize_config
+from avfusion.config import ExperimentConfig, load_config, parse_config
 from avfusion.exceptions import ConfigError
 from avfusion.synthdata import GenConfig
 from avfusion.training import TrainConfig
@@ -59,21 +59,6 @@ class TestParsing:
         path = tmp_path / "exp.json"
         path.write_text(SAMPLE, encoding="utf-8")
         assert load_config(path) == parse_config(SAMPLE)
-
-
-class TestRoundTrip:
-    def test_parse_serialize_parse_identity(self):
-        first = parse_config(SAMPLE)
-        assert parse_config(serialize_config(first)) == first
-
-    def test_defaults_round_trip(self):
-        cfg = ExperimentConfig()
-        assert parse_config(serialize_config(cfg)) == cfg
-
-    def test_serialized_is_plain_json(self):
-        data = json.loads(serialize_config(parse_config(SAMPLE)))
-        assert set(data) == {"out_dir", "generator", "training"}
-        assert data["training"]["head_hidden"] == [16, 8]
 
 
 class TestErrors:
@@ -163,7 +148,6 @@ class TestFieldTypes:
     def test_float_fields_keep_integers(self):
         cfg = parse_config('{"training": {"temperature": 1, "init_lr": 1}}')
         assert cfg.training.temperature == 1 and type(cfg.training.temperature) is int
-        assert parse_config(serialize_config(cfg)) == cfg
 
 
 JSON_VALUES = st.recursive(
@@ -250,7 +234,9 @@ class TestSchemaFile:
         Draft7Validator.check_schema(self.schema())
 
     def test_default_config_validates(self):
-        Draft7Validator(self.schema()).validate(json.loads(serialize_config(ExperimentConfig())))
+        config = dataclasses.asdict(ExperimentConfig())
+        config["training"]["head_hidden"] = list(config["training"]["head_hidden"])
+        Draft7Validator(self.schema()).validate(config)
 
     # NaN is not JSON, so no schema can reject it; parse_config does
     @pytest.mark.parametrize(

@@ -3,7 +3,6 @@
 import gc
 import math
 import os
-import threading
 import time
 import weakref
 
@@ -12,10 +11,10 @@ import pytest
 
 import avfusion.training as training
 from avfusion.autodiff import Tensor
-from avfusion.exceptions import ConfigError, NumericError, ParameterError
+from avfusion.exceptions import ConfigError, DimensionError, NumericError, ParameterError
 from avfusion.metrics import ccc
 from avfusion.model import EmotionModel
-from avfusion.synthdata import GenConfig, generate
+from avfusion.synthdata import FRAME_FIELDS, GenConfig, LabeledClip, generate
 from avfusion.training import (
     AdamState,
     SchedulerState,
@@ -27,9 +26,9 @@ from avfusion.training import (
     fold_assignments,
     lr_for_epoch,
     map_in_order,
-    map_in_threads,
     scheduler_step,
     train,
+    usable_cpus,
 )
 
 
@@ -443,6 +442,39 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(result.model, [], config)
 
+    def test_zero_frame_clip_is_dimension_error(self):
+        # no windows, so no batch: the pooled score has no samples
+        clip = make_clips(1)[0]
+        empty = LabeledClip(clip_id="empty", **{name: getattr(clip, name)[..., :0] for name in FRAME_FIELDS})
+        config = small_config()
+        for workers in (1, 2):
+            with pytest.raises(DimensionError, match="got 0$"):
+                evaluate(config.new_model(clip), [empty], config, workers)
+
+    def test_first_failing_batch_is_raised(self, monkeypatch):
+        # one window per clip and per batch; batch 3 fails while batch 1 sleeps
+        clips = make_clips(5, seed=14)
+        config = small_config(batch_size=1)
+        model = config.new_model(clips[0])
+        batch_of = {clip.clip_id: index for index, clip in enumerate(clips)}
+        real = EmotionModel.forward
+
+        def failing(self, windows, *args, **kwargs):
+            batch = batch_of[windows[0].clip_id]
+            if batch == 1:
+                time.sleep(0.2)
+                raise NumericError("batch 1")
+            if batch == 3:
+                raise ParameterError("batch 3")
+            return real(self, windows, *args, **kwargs)
+
+        monkeypatch.setattr(EmotionModel, "forward", failing)
+        for workers in (1, 2):
+            if workers > 1 and usable_cpus() < 2:
+                pytest.skip("2 workers run serially on one CPU")
+            with pytest.raises(NumericError, match="^batch 1$"):
+                evaluate(model, clips, config, workers)
+
 
 class TestCrossValidate:
     def test_fold_partition(self):
@@ -548,34 +580,3 @@ class TestMapInOrder:
         for workers in (1, 2):
             with pytest.raises(NumericError, match="^task 1$"):
                 map_in_order(task, 5, workers)
-
-
-class TestMapInThreads:
-    def test_one_worker_runs_inline(self):
-        main = threading.get_ident()
-        results = map_in_threads(lambda i: (i * i, threading.get_ident()), range(4), 1)
-        assert results == [(i * i, main) for i in range(4)]
-
-    def test_results_in_index_order(self):
-        results = map_in_threads(lambda i: (i * i, threading.get_ident()), range(7), 2)
-        assert [value for value, _ in results] == [i * i for i in range(7)]
-        if len(os.sched_getaffinity(0)) > 1:
-            assert threading.get_ident() not in {ident for _, ident in results}
-
-    def test_first_failing_index_is_raised(self):
-        def task(i):
-            if i == 1:
-                time.sleep(0.2)  # finishes after index 3 has failed
-                raise NumericError("task 1")
-            if i == 3:
-                raise ParameterError("task 3")
-            return i
-
-        for workers in (1, 2):
-            with pytest.raises(NumericError, match="^task 1$"):
-                map_in_threads(task, range(5), workers)
-
-    def test_tasks_keep_the_callers_errstate(self):
-        with np.errstate(over="raise"):
-            settings = map_in_threads(lambda i: np.geterr()["over"], range(4), 2)
-        assert settings == ["raise"] * 4
