@@ -340,22 +340,17 @@ def causal_conv(x: Tensor, taps, dilation: int) -> Tensor:
     """Dilated causal convolution of ``x`` (d_in x L): the sum over taps j
     of ``taps[j] @ x`` shifted right by (k-1-j)*dilation columns.
 
-    The shift zero-fills on the left, so output column i sees only input
-    columns <= i, and the last tap reads the current column.  A shift
-    spanning the whole width contributes nothing.
+    ``x`` is padded once on the left by (k-1)*dilation zero columns and
+    tap j reads the L-column view starting at j*dilation, so output
+    column i sees only input columns <= i, and the last tap reads the
+    current column.  A shift spanning the whole width reads only padding.
     """
     k = len(taps)
     L = x.cols
-    offsets = [(k - 1 - j) * dilation for j in range(k)]
-    inputs = []
-    for offset in offsets:
-        if offset == 0:
-            inputs.append(x.value)
-            continue
-        shifted = np.zeros_like(x.value)
-        if offset < L:
-            shifted[..., offset:] = x.value[..., :-offset]
-        inputs.append(shifted)
+    pad = (k - 1) * dilation
+    padded = np.zeros((*x.value.shape[:-1], pad + L))
+    padded[..., pad:] = x.value
+    inputs = [padded[..., j * dilation : j * dilation + L] for j in range(k)]
     acc = None
     for tap, inp in zip(taps, inputs):
         term = tap.value @ inp
@@ -364,12 +359,13 @@ def causal_conv(x: Tensor, taps, dilation: int) -> Tensor:
     def backward(g):
         for tap, inp in zip(taps, inputs):
             accumulate(tap, g @ np.swapaxes(inp, -1, -2))
-        # the last tap reads the current column, so its term covers every column
-        grad_x = taps[-1].value.T @ g
-        for tap, offset in zip(taps[:-1], offsets[:-1]):
-            if offset < L:
-                grad_x[..., : L - offset] += (tap.value.T @ g)[..., offset:]
-        accumulate(x, grad_x)
+        # the last tap reads the current column, so its term covers every
+        # column of x; the others add into their views, in tap order
+        grad = np.zeros_like(padded)
+        grad[..., pad:] = taps[-1].value.T @ g
+        for j, tap in enumerate(taps[:-1]):
+            grad[..., j * dilation : j * dilation + L] += tap.value.T @ g
+        accumulate(x, grad[..., pad:])
 
     return Tensor._make(acc, (x, *taps), backward)
 
@@ -443,16 +439,14 @@ def gradcheck(
     -------
     GradcheckReport
         Worst relative error per parameter; ``report.worst`` is the max.
-        Relative error is |ga - gn| / max(1e-8, |ga| + |gn|), minimized
-        over a small ladder of step sizes around ``epsilon`` (kept inside
-        [1e-7, 1e-3]) because curvature-limited and roundoff-limited
-        coordinates want opposite steps; an incorrect gradient fails at
-        every step.  Each rung probes, in one ``probe`` call, the
-        coordinates no earlier rung resolved.  Probes whose +/- evaluations
-        disagree on any ReLU sign pattern are skipped at that step (kink
-        crossings make the central difference meaningless), and probes
-        whose disagreement falls below the roundoff noise floor of the
-        difference quotient (~ulp(loss)/2eps) count as agreeing;
+        Relative error is |ga - gn| / max(1e-8, |ga| + |gn|), with gn the
+        central difference at ``epsilon``.  Each parameter's sampled
+        coordinates are probed in one ``probe`` call at that one step: a
+        wrong gradient fails at any step, so no other step is tried.
+        Probes whose +/- evaluations disagree on any ReLU sign pattern are
+        skipped (kink crossings make the central difference meaningless),
+        and probes whose disagreement falls below the roundoff noise floor
+        of the difference quotient (~ulp(loss)/2eps) count as agreeing;
         differences that small are not measurable by this method.
     """
     if not (1e-7 <= epsilon <= 1e-3):
@@ -477,42 +471,25 @@ def gradcheck(
             idx = rng.choice(n, size=max_entries_per_param, replace=False)
         else:
             idx = np.arange(n)
-        # no single step size suits every coordinate: large curvature wants
-        # a small step, derivatives near roundoff want a large one, so
-        # unresolved coordinates escalate through this ladder
-        ladder = [epsilon]
-        for scale in (10.0, 100.0, 0.1):
-            step = epsilon * scale
-            if 1e-7 <= step <= 1e-3 and step not in ladder:
-                ladder.append(step)
-
-        best = dict.fromkeys(idx.tolist())
-        pending = list(best)
-        for step in ladder:
-            if not pending:
-                break
-            coords = [np.unravel_index(i, p.value.shape) for i in pending]
-            hi, lo, crossed = probe(p, coords, step)
-            for i, plus, minus, kink in zip(pending, hi, lo, crossed):
-                if not (np.isfinite(plus) and np.isfinite(minus)):
-                    raise NumericError(f"gradcheck: non-finite loss while perturbing {name!r}")
-                if kink:
-                    continue
-                ga = analytic[name].flat[i]
-                numeric = (plus - minus) / (2.0 * step)
-                # (plus - minus) carries roundoff of order ulp(loss), so the
-                # quotient has an absolute noise floor; a disagreement
-                # below it is not measurable by this method
-                noise = 16.0 * np.finfo(np.float64).eps * max(1.0, abs(plus), abs(minus)) / (2.0 * step)
-                miss = abs(ga - numeric)
-                rel = 0.0 if miss <= noise else miss / max(1e-8, abs(ga) + abs(numeric))
-                best[i] = rel if best[i] is None else min(best[i], rel)
-            pending = [i for i in pending if best[i] is None or best[i] >= 1e-6]
-
-        resolved = [err for err in best.values() if err is not None]
-        report.skipped_kinks += len(best) - len(resolved)
-        report.checked += len(resolved)
-        report.per_param[name] = max(resolved, default=0.0)
+        coords = [np.unravel_index(i, p.value.shape) for i in idx]
+        hi, lo, crossed = probe(p, coords, epsilon)
+        errors = []
+        for i, plus, minus, kink in zip(idx, hi, lo, crossed):
+            if not (np.isfinite(plus) and np.isfinite(minus)):
+                raise NumericError(f"gradcheck: non-finite loss while perturbing {name!r}")
+            if kink:
+                report.skipped_kinks += 1
+                continue
+            ga = analytic[name].flat[i]
+            numeric = (plus - minus) / (2.0 * epsilon)
+            # (plus - minus) carries roundoff of order ulp(loss), so the
+            # quotient has an absolute noise floor; a disagreement
+            # below it is not measurable by this method
+            noise = 16.0 * np.finfo(np.float64).eps * max(1.0, abs(plus), abs(minus)) / (2.0 * epsilon)
+            miss = abs(ga - numeric)
+            errors.append(0.0 if miss <= noise else miss / max(1e-8, abs(ga) + abs(numeric)))
+        report.checked += len(errors)
+        report.per_param[name] = max(errors, default=0.0)
     return report
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .exceptions import ConfigError, DimensionError
+from .exceptions import DimensionError
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -115,12 +115,6 @@ class FusionParams:
                 w[f"gate_{m}"] = Tensor(np.zeros((c.dims[m], c.depth + 1)))
             elif c.mode == "HGRJCA":
                 w[f"final_gate_{m}"] = Tensor(np.zeros((c.dims[m], c.depth)))
-
-    def gate_weight(self, name) -> Tensor:
-        """The gate weight ``name``; params built for a mode without it raise."""
-        if name not in self.weights:
-            raise ConfigError(f"no gate weight {name!r}: the fusion params were built for {self.config.mode}")
-        return self.weights[name]
 
 
 def _per_modality():
@@ -297,8 +291,8 @@ def grjca_gate(state: FusionState, params: FusionParams):
     """
     for m in MODALITIES:
         attended = state.attended[m]
-        weight = params.gate_weight(f"gate_{m}")
-        state.gates[m], state.final[m] = gate(attended[-1].T @ weight, attended, params.config.temperature)
+        logits = attended[-1].T @ params.weights[f"gate_{m}"]
+        state.gates[m], state.final[m] = gate(logits, attended, params.config.temperature)
 
 
 def hgrjca_iteration_gate(state: FusionState, params: FusionParams, round_index: int):
@@ -310,8 +304,8 @@ def hgrjca_iteration_gate(state: FusionState, params: FusionParams, round_index:
     """
     for m in MODALITIES:
         prev, cur = state.attended[m][round_index - 1 : round_index + 1]
-        weight = params.gate_weight(f"round{round_index}.iter_gate_{m}")
-        gates, gated = gate(cur.T @ weight, [prev, cur], params.config.temperature)
+        logits = cur.T @ params.weights[f"round{round_index}.iter_gate_{m}"]
+        gates, gated = gate(logits, [prev, cur], params.config.temperature)
         state.iter_gates[m].append(gates)
         state.iter_gated[m].append(gated)
 
@@ -329,8 +323,8 @@ def hgrjca_final_gate(state: FusionState, params: FusionParams):
         pooled = gated[0]
         for g in gated[1:]:
             pooled = pooled + g
-        weight = params.gate_weight(f"final_gate_{m}")
-        state.gates[m], state.final[m] = gate(pooled.T @ weight, gated, params.config.temperature)
+        logits = pooled.T @ params.weights[f"final_gate_{m}"]
+        state.gates[m], state.final[m] = gate(logits, gated, params.config.temperature)
 
 
 # -- dispatch ----------------------------------------------------------------

@@ -56,15 +56,21 @@ class TrainConfig(ModelSettings):
             raise ConfigError(f"target must be 'valence' or 'arousal', got {self.target!r}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ConfigError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
+        for name in ("min_lr", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.min_lr > self.init_lr:
             raise ConfigError(f"min_lr {self.min_lr} exceeds init_lr {self.init_lr}")
         if self.plateau_patience < 1 or self.early_stop_patience < 1:
             raise ConfigError("patience values must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("batch_size", "max_epochs", "window_stride", "folds"):
+        for name in ("batch_size", "max_epochs", "window_stride"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.folds < 2:
+            # one fold validates, the others train
+            raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.warmup_epochs < 0:
             raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         super().__post_init__()

@@ -7,9 +7,9 @@ concordance loss) and reports the worst relative error per parameter
 matrix.  This is the release gate: everything must come in under the
 tolerance with kink coordinates excluded.
 
-Each rung of gradcheck's step ladder probes the open coordinates of one
-weight matrix in one forward: the weight holds 2n stacked copies, +step
-at the n coordinates in members 0..n-1 and -step in members n..2n-1,
+Gradcheck probes the n sampled coordinates of one weight matrix at its
+one step in one forward: the weight holds 2n stacked copies, +step at
+the n coordinates in members 0..n-1 and -step in members n..2n-1,
 against the probe window repeated 2n times.  Every member's loss,
 ``1 - ccc`` of its valid frames and the one-window loss bit for bit,
 comes from one set of row-wise moments, and members k and n+k compare

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avfusion import autodiff as ad
 from avfusion.exceptions import DimensionError, NumericError, ParameterError
@@ -206,6 +208,63 @@ class TestCausalConv:
             np.testing.assert_allclose(batched[b], single, rtol=0, atol=1e-14)
 
 
+def shifted_copy_conv(x, taps, dilation, g):
+    """Causal convolution as a zero-filled copy of ``x`` per shifted tap:
+    the value, then x's grad and each tap's grad under the seed ``g``,
+    added in the order ``causal_conv`` adds them."""
+    k, L = len(taps), x.shape[-1]
+    offsets = [(k - 1 - j) * dilation for j in range(k)]
+    inputs = []
+    for offset in offsets:
+        shifted = x if offset == 0 else np.zeros_like(x)
+        if 0 < offset < L:
+            shifted[..., offset:] = x[..., :-offset]
+        inputs.append(shifted)
+    value = taps[0] @ inputs[0]
+    for tap, inp in zip(taps[1:], inputs[1:]):
+        value = value + tap @ inp
+    tap_grads = [g @ np.swapaxes(inp, -1, -2) for inp in inputs]
+    if g.ndim == 3:
+        tap_grads = [grad.sum(axis=0) for grad in tap_grads]
+    grad_x = taps[-1].T @ g
+    for tap, offset in zip(taps[:-1], offsets[:-1]):
+        if offset < L:
+            grad_x[..., : L - offset] += (tap.T @ g)[..., offset:]
+    return value, grad_x, tap_grads
+
+
+def same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    dilation=st.integers(1, 4),
+    length=st.integers(1, 9),
+    batch=st.sampled_from([None, 1, 3]),
+    d_in=st.integers(1, 3),
+    d_out=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_causal_conv_matches_shifted_copies_bit_for_bit(k, dilation, length, batch, d_in, d_out, seed):
+    rng = np.random.default_rng(seed)
+    lead = () if batch is None else (batch,)
+    x_val = rng.standard_normal((*lead, d_in, length))
+    tap_vals = [rng.standard_normal((d_out, d_in)) for _ in range(k)]
+    g = rng.standard_normal((*lead, d_out, length))
+    x = ad.Tensor(x_val)
+    taps = [ad.Tensor(t) for t in tap_vals]
+    y = ad.causal_conv(x, taps, dilation)
+    y.backward(seed=g)
+    value, grad_x, tap_grads = shifted_copy_conv(x_val, tap_vals, dilation, g)
+    same_bits(y.value, value)
+    same_bits(x.grad, grad_x)
+    for tap, grad in zip(taps, tap_grads):
+        same_bits(tap.grad, grad)
+
+
 class TestGatedSum:
     def test_gate_column_gradient(self):
         # every gated entry is positive, so column k of the gradient the
@@ -396,6 +455,36 @@ class TestGradcheck:
             lambda: ad.reshape(ad.tanh(w), (1, -1)) @ ones, {"w": w}, max_entries_per_param=7
         )
         assert report.checked == 7
+
+    def test_one_probe_per_parameter_at_epsilon(self):
+        rng = np.random.default_rng(37)
+        w = ad.Tensor(rng.standard_normal((2, 3)))
+        v = ad.Tensor(rng.standard_normal((3, 1)))
+
+        def off_by_one_percent_tanh(a):
+            y = np.tanh(a.value)
+
+            def backward(g):
+                ad.accumulate(a, 1.01 * g * (1.0 - y * y))
+
+            return ad.Tensor._make(y, (a,), backward)
+
+        def f():
+            return ad.reshape(off_by_one_percent_tanh(w) @ v, (1, -1)) @ ad.Tensor(np.ones((2, 1)))
+
+        names = {id(w): "w", id(v): "v"}
+        calls = []
+
+        def probe(p, coords, step):
+            calls.append((names[id(p)], len(coords), step))
+            return ad._serial_probe(f, p, coords, step)
+
+        report = ad.gradcheck(f, {"w": w, "v": v}, epsilon=1e-5, probe=probe)
+        assert calls == [("w", 6, 1e-5), ("v", 3, 1e-5)]
+        # the wrong rule is caught at epsilon; v's product rule is right
+        assert report.per_param["w"] > 1e-5
+        assert report.per_param["v"] < 1e-8
+        assert report.checked == 9
 
 
 class TestDtypes:

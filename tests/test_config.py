@@ -120,6 +120,9 @@ BAD_RANGES = [
     ("training", "tcn_levels", 0),
     ("training", "tcn_kernel", 1),
     ("training", "head_hidden", [0]),
+    ("training", "folds", 1),
+    ("training", "min_lr", -1),
+    ("training", "weight_decay", -1),
 ]
 
 

@@ -16,7 +16,7 @@ from avfusion import autodiff as ad
 from avfusion import fusion
 from avfusion.autodiff import Tensor, gradcheck
 from avfusion.exceptions import ConfigError, DimensionError, NumericError
-from avfusion.fusion import FusionParams, correlation, fusion_forward, gate, grjca_gate, rjca_forward
+from avfusion.fusion import FusionParams, correlation, fusion_forward, gate, rjca_forward
 from avfusion.metrics import ccc_loss
 from avfusion.model import ModelConfig
 
@@ -515,14 +515,6 @@ class TestGates:
         params.weights["gate_audio"] = Tensor(np.zeros((6, 2)))
         with pytest.raises(DimensionError, match="gate"):
             run_modular(audio, visual, params)
-
-    def test_grjca_gate_requires_grjca_params(self):
-        config = ModelConfig("RJCA", dim_audio=2, dim_visual=2, seq_len=3, depth=1)
-        params = FusionParams(config, rng=np.random.default_rng(91))
-        rng = np.random.default_rng(92)
-        state = run_modular(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)), params)
-        with pytest.raises(ConfigError, match="'gate_audio'.*built for RJCA"):
-            grjca_gate(state, params)
 
 
 class TestDispatch:
