@@ -7,12 +7,13 @@ gradient buffer and the links needed to replay the computation
 backwards.  Operations build the graph eagerly; calling
 :meth:`Tensor.backward` on a scalar output visits each node exactly once
 in reverse topological order and accumulates gradients into every
-upstream tensor.  Grads start empty: a node's first contribution is
-assigned (copied only when it is another node's grad or a view of one),
-later ones are added, a node that has received nothing pushes nothing,
-and every node still empty after the walk gets zeros.  Each node
-reaches itself from its backward closure only through a weak reference,
-so graphs hold no reference cycles and a dropped graph is freed at once.
+upstream tensor.  Every node's backward pushes a gradient to each of
+its parents, so every node in the graph ends the walk with one.  Grads
+start empty: a node's first contribution is assigned (copied only when
+it is another node's grad or a view of one) and later ones are added.
+Each node reaches itself from its backward closure only through a weak
+reference, so graphs hold no reference cycles and a dropped graph is
+freed at once.
 
 The op set is what the model uses: matrix product, elementwise
 tanh/relu/add, product with a constant array, a bias column added to
@@ -40,11 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericError, ParameterError
+from .exceptions import DimensionError, NumericError
 
 # Distance from a ReLU kink below which a pre-activation is treated as
 # sitting on the kink (its subgradient is taken as 0 and gradcheck skips it).
 KINK_TOL = 1e-6
+
+# gradcheck's central-difference step: a probe moves one coordinate by +/- this.
+GRADCHECK_STEP = 1e-5
 
 # Active kink recorders; relu_pattern() appends to each.
 _kink_recorders: list[list] = []
@@ -103,9 +107,9 @@ class Tensor:
     -----
     Values are treated as immutable once wrapped; ops never write to an
     operand's ``value``.  ``grad`` is populated by :meth:`backward` and has
-    the same shape and dtype as ``value``: the first contribution a node
-    receives is assigned and later ones are added, and a node that
-    receives no gradient gets zeros.  No two nodes' grads share memory.
+    the same shape and dtype as ``value``: every node pushes a gradient
+    to each of its parents, the first contribution a node receives is
+    assigned and later ones are added.  No two nodes' grads share memory.
     ``rows`` and ``cols`` are the last two axes, the ones every op acts on.
     """
 
@@ -147,7 +151,7 @@ class Tensor:
 
     @staticmethod
     def _make(value, parents, backward):
-        """A node whose ``backward(grad)`` pushes its gradient to ``parents``.
+        """A node whose ``backward(grad)`` pushes a gradient to each of ``parents``.
 
         The stored zero-argument closure reaches the node through a weak
         reference, so a graph holds no reference cycle and is freed as soon
@@ -165,8 +169,7 @@ class Tensor:
         """Accumulate gradients of this (scalar) node into the whole graph.
 
         ``seed`` overrides the initial adjoint (defaults to ones).  Each
-        node's closure runs at most once, in reverse topological order,
-        and is skipped when no gradient reached the node.
+        non-leaf node's closure runs once, in reverse topological order.
         """
         order = []
         seen = set()
@@ -195,12 +198,8 @@ class Tensor:
                 )
             self.grad = seed
         for node in reversed(order):
-            # a node whose consumers pushed nothing (the degenerate CCC loss) has nothing to pass on
-            if node._backward is not None and node.grad is not None:
+            if node._backward is not None:
                 node._backward()
-        for node in order:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.value)
 
     # -- operators -----------------------------------------------------------
 
@@ -406,7 +405,6 @@ class GradcheckReport:
 def gradcheck(
     f,
     params: dict,
-    epsilon: float = 1e-5,
     max_entries_per_param: int | None = None,
     rng=None,
     probe=None,
@@ -421,8 +419,6 @@ def gradcheck(
     params : dict
         Name -> leaf :class:`Tensor`.  Entries are perturbed in place and
         restored.
-    epsilon : float
-        Central-difference step, required to lie in [1e-7, 1e-3].
     max_entries_per_param : int, optional
         Cap on probed coordinates per parameter (sampled without
         replacement); all coordinates when omitted.
@@ -432,25 +428,24 @@ def gradcheck(
         ``probe(param, coords, step) -> (hi, lo, crossed)``: the losses
         with ``param`` moved by +step and by -step at each (row, col) in
         ``coords``, one coordinate at a time, and whether each pair's ReLU
-        sign patterns disagree.  ``param.value`` must be left as found.
-        The default calls ``f`` twice per coordinate.
+        sign patterns disagree; ``step`` is :data:`GRADCHECK_STEP`.
+        ``param.value`` must be left as found.  The default calls ``f``
+        twice per coordinate.
 
     Returns
     -------
     GradcheckReport
         Worst relative error per parameter; ``report.worst`` is the max.
         Relative error is |ga - gn| / max(1e-8, |ga| + |gn|), with gn the
-        central difference at ``epsilon``.  Each parameter's sampled
-        coordinates are probed in one ``probe`` call at that one step: a
+        central difference at :data:`GRADCHECK_STEP`.  Each parameter's
+        sampled coordinates are probed in one ``probe`` call at that step: a
         wrong gradient fails at any step, so no other step is tried.
         Probes whose +/- evaluations disagree on any ReLU sign pattern are
         skipped (kink crossings make the central difference meaningless),
         and probes whose disagreement falls below the roundoff noise floor
-        of the difference quotient (~ulp(loss)/2eps) count as agreeing;
+        of the difference quotient (~ulp(loss)/2step) count as agreeing;
         differences that small are not measurable by this method.
     """
-    if not (1e-7 <= epsilon <= 1e-3):
-        raise ParameterError(f"gradcheck: epsilon must be in [1e-7, 1e-3], got {epsilon}")
     if rng is None:
         rng = np.random.default_rng(0)
     if probe is None:
@@ -472,7 +467,7 @@ def gradcheck(
         else:
             idx = np.arange(n)
         coords = [np.unravel_index(i, p.value.shape) for i in idx]
-        hi, lo, crossed = probe(p, coords, epsilon)
+        hi, lo, crossed = probe(p, coords, GRADCHECK_STEP)
         errors = []
         for i, plus, minus, kink in zip(idx, hi, lo, crossed):
             if not (np.isfinite(plus) and np.isfinite(minus)):
@@ -481,11 +476,11 @@ def gradcheck(
                 report.skipped_kinks += 1
                 continue
             ga = analytic[name].flat[i]
-            numeric = (plus - minus) / (2.0 * epsilon)
+            numeric = (plus - minus) / (2.0 * GRADCHECK_STEP)
             # (plus - minus) carries roundoff of order ulp(loss), so the
             # quotient has an absolute noise floor; a disagreement
             # below it is not measurable by this method
-            noise = 16.0 * np.finfo(np.float64).eps * max(1.0, abs(plus), abs(minus)) / (2.0 * epsilon)
+            noise = 16.0 * np.finfo(np.float64).eps * max(1.0, abs(plus), abs(minus)) / (2.0 * GRADCHECK_STEP)
             miss = abs(ga - numeric)
             errors.append(0.0 if miss <= noise else miss / max(1e-8, abs(ga) + abs(numeric)))
         report.checked += len(errors)

@@ -375,6 +375,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        source = args.config if args.config is not None else "the default configuration"
+        print(f"configuration error: {source}: sizes too large for memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except FormatError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -148,7 +148,7 @@ class FusionState:
 # Each piece maps a modality -> tensor dict to another.
 
 
-def joint_representation(current: dict, params: FusionParams, round_index: int = 1) -> Tensor:
+def joint_representation(current: dict, params: FusionParams, round_index: int) -> Tensor:
     """Row-stack the modalities, then the optional d x d projection."""
     joint = ad.concat_rows(*(current[m] for m in MODALITIES))
     if params.config.joint_projection:
@@ -187,7 +187,7 @@ def correlation(x: Tensor, wj: Tensor, scale: float) -> Tensor:
     return Tensor._make(y, (x, wj), backward)
 
 
-def joint_correlation(current: dict, joint: Tensor, params: FusionParams, round_index: int = 1) -> dict:
+def joint_correlation(current: dict, joint: Tensor, params: FusionParams, round_index: int) -> dict:
     """tanh-bounded correlation of each modality against the joint features.
 
     Scaled by 1/sqrt(d) inside the tanh; outputs are L x L in [-1, 1],
@@ -202,12 +202,12 @@ def joint_correlation(current: dict, joint: Tensor, params: FusionParams, round_
     }
 
 
-def attention_maps(current: dict, corr: dict, params: FusionParams, round_index: int = 1) -> dict:
+def attention_maps(current: dict, corr: dict, params: FusionParams, round_index: int) -> dict:
     """Nonnegative attention maps (d_m x L) from the correlation matrices."""
     return {m: ad.relu(current[m] @ params.weights[f"round{round_index}.attn_{m}"] @ corr[m]) for m in MODALITIES}
 
 
-def attended_features(prev: dict, maps: dict, params: FusionParams, round_index: int = 1) -> dict:
+def attended_features(prev: dict, maps: dict, params: FusionParams, round_index: int) -> dict:
     """Project the attention maps and add the previous round's features."""
     return {m: maps[m] @ params.weights[f"round{round_index}.out_{m}"] + prev[m] for m in MODALITIES}
 

@@ -10,10 +10,10 @@ a single graph node, optionally restricted to valid frames by a 0/1 mask.
 Both take their moments from one helper, so a loss value equals 1 minus
 the evaluation score of the same frames bit for bit, and the loss's
 backward is the closed-form derivative of ccc.  Both inputs constant
-make the denominator zero: ccc is then 0.0, and the loss 1.0 with no
-gradient.  Validation, the fold reports and ``eval`` score with
-``training._pooled_ccc``: this ccc of the clips' predictions pooled over
-their valid frames.
+make the denominator zero: ccc is then 0.0, and the loss 1.0, whose
+backward pushes a zero gradient.  Validation, the fold reports and
+``eval`` score with ``training._pooled_ccc``: this ccc of the clips'
+predictions pooled over their valid frames.
 """
 
 from __future__ import annotations
@@ -87,13 +87,12 @@ def ccc_loss(pred: ad.Tensor, truth, valid=None) -> ad.Tensor:
     p = pred.value[0, keep]
     t = truth[keep]
     mean_t, denom, value = _moments(p, t)
-    if denom == 0.0:
-        return ad.Tensor._make(np.array([[1.0]]), (pred,), lambda g: None)
 
     def backward(g):
-        coef = -2.0 * g[0, 0] / (count * denom)
         grad = np.zeros_like(pred.value)
-        grad[0, keep] = coef * ((t - mean_t) - value * (p - mean_t))
+        if denom != 0.0:
+            coef = -2.0 * g[0, 0] / (count * denom)
+            grad[0, keep] = coef * ((t - mean_t) - value * (p - mean_t))
         ad.accumulate(pred, grad)
 
     return ad.Tensor._make(np.array([[1.0 - value]]), (pred,), backward)

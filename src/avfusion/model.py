@@ -106,9 +106,10 @@ class EmotionModel:
     predictions in [-1, 1].
 
     The same ``rng`` drives all weight draws, and gate weights consume no
-    randomness (zero init), so two models differing only in mode share
-    identical encoder, attention, and head weights.  That makes mode
-    comparisons at a fixed seed controlled experiments.
+    randomness (zero init), so models differing only in mode start from
+    identical weights at a fixed seed.  The gate is not their only
+    difference: RJCA keeps only its last round, while GRJCA and HGRJCA
+    pool the whole trajectory.
     """
 
     def __init__(self, config: ModelConfig, rng):

@@ -183,7 +183,6 @@ def run_gradcheck_suite(workers=1) -> SuiteResult:
         return gradcheck(
             loss,
             model.parameters(),
-            epsilon=1e-5,
             max_entries_per_param=SAMPLES_PER_PARAM,
             rng=np.random.default_rng(np.random.SeedSequence([SEED, case_index, 1])),
             probe=stacked_probe(model, win, drop_seed),

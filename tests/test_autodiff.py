@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avfusion import autodiff as ad
-from avfusion.exceptions import DimensionError, NumericError, ParameterError
-from avfusion.fusion import gate
+from avfusion.exceptions import DimensionError, NumericError
+from avfusion.fusion import correlation, gate
+from avfusion.metrics import ccc_loss
 from avfusion.model import EmotionModel, ModelConfig
 from avfusion.synthdata import GenConfig, generate, window
 from avfusion.training import AdamState, adam_step
@@ -410,9 +411,9 @@ class TestGradcheck:
     def test_kink_coordinates_are_skipped(self):
         w = ad.Tensor([[0.0, 1.0, -1.0]])
         ones = ad.Tensor(np.ones((3, 1)))
-        report = ad.gradcheck(lambda: ad.relu(w) @ ones, {"w": w}, epsilon=1e-4)
+        report = ad.gradcheck(lambda: ad.relu(w) @ ones, {"w": w})
         # Perturbing the zero entry flips the relu sign pattern between
-        # +eps and -eps, so only the two clean coordinates are probed.
+        # +step and -step, so only the two clean coordinates are probed.
         assert report.skipped_kinks == 1
         assert report.checked == 2
         assert report.worst < 1e-10
@@ -429,23 +430,18 @@ class TestGradcheck:
         ad.relu(x)
         assert len(outer) == 2
 
-    def test_epsilon_range_enforced(self):
-        w = ad.Tensor([[1.0]])
-        with pytest.raises(ParameterError):
-            ad.gradcheck(lambda: w, {"w": w}, epsilon=1e-2)
-
     def test_nonfinite_loss_names_parameter(self):
         w = ad.Tensor([[1.0]])
 
         def f():
-            # log of a negative number once w dips below zero
+            # log of a negative number at the -step probe, w = 1 - 1e-5
             with np.errstate(invalid="ignore"):
-                val = np.log(w.value[0, 0] - 1.0 + 1e-5)
+                val = np.log(w.value[0, 0] - 1.0 + 5e-6)
             out = ad.Tensor([[val]])
             return out @ w
 
         with pytest.raises(NumericError, match="w"):
-            ad.gradcheck(f, {"w": w}, epsilon=1e-4)
+            ad.gradcheck(f, {"w": w})
 
     def test_sampling_caps_probes(self):
         rng = np.random.default_rng(31)
@@ -479,9 +475,10 @@ class TestGradcheck:
             calls.append((names[id(p)], len(coords), step))
             return ad._serial_probe(f, p, coords, step)
 
-        report = ad.gradcheck(f, {"w": w, "v": v}, epsilon=1e-5, probe=probe)
+        report = ad.gradcheck(f, {"w": w, "v": v}, probe=probe)
+        assert ad.GRADCHECK_STEP == 1e-5
         assert calls == [("w", 6, 1e-5), ("v", 3, 1e-5)]
-        # the wrong rule is caught at epsilon; v's product rule is right
+        # the wrong rule is caught at the step; v's product rule is right
         assert report.per_param["w"] > 1e-5
         assert report.per_param["v"] < 1e-8
         assert report.checked == 9
@@ -622,7 +619,7 @@ class TestLazyGrads:
 
     def test_degenerate_loss_leaves_zero_grads(self):
         # zero output layer and zero targets: both sides constant and equal,
-        # so the CCC denominator is 0 and the loss pushes no gradient
+        # so the CCC denominator is 0 and the loss pushes a zero gradient
         clips = generate(GenConfig(num_videos=2, frames=16, dim_audio=4, dim_visual=4, seed=2))
         windows = [w for clip in clips for w in window(clip, 16, 16)]
         windows = [dataclasses.replace(w, valence=np.zeros_like(w.valence)) for w in windows]
@@ -642,6 +639,56 @@ class TestLazyGrads:
         adam_step(params, AdamState(), 1e-3)
         for name, p in params.items():
             np.testing.assert_array_equal(p.value, before[name])
+
+
+def leaf(rng, *shape):
+    return ad.Tensor(rng.standard_normal(shape))
+
+
+# every node kind the package makes, each built on fresh leaves; a key is
+# the function that makes the node, then a case name after a dash
+NODE_KINDS = {
+    "add": lambda r: ad.add(leaf(r, 2, 3), leaf(r, 2, 3)),
+    "mul_const": lambda r: ad.mul_const(leaf(r, 2, 3), r.standard_normal((2, 3))),
+    "tanh": lambda r: ad.tanh(leaf(r, 2, 3)),
+    "relu": lambda r: ad.relu(leaf(r, 2, 3)),
+    "matmul": lambda r: ad.matmul(leaf(r, 4, 2, 3), leaf(r, 3, 5)),
+    "transpose": lambda r: ad.transpose(leaf(r, 2, 3)),
+    "concat_rows": lambda r: ad.concat_rows(leaf(r, 1, 3), leaf(r, 2, 3)),
+    "reshape": lambda r: ad.reshape(leaf(r, 2, 3), (1, -1)),
+    "causal_conv": lambda r: ad.causal_conv(leaf(r, 2, 3, 6), [leaf(r, 4, 3) for _ in range(3)], 2),
+    "add_colvec": lambda r: ad.add_colvec(leaf(r, 2, 3), leaf(r, 2, 1)),
+    "correlation": lambda r: correlation(leaf(r, 2, 3, 5), leaf(r, 2, 3, 5), 0.5),
+    "gate": lambda r: gate(leaf(r, 5, 3), [leaf(r, 2, 5) for _ in range(3)], 0.7)[1],
+    "ccc_loss": lambda r: ccc_loss(leaf(r, 1, 8), r.standard_normal(8)),
+    "ccc_loss-zero-denominator": lambda r: ccc_loss(ad.Tensor(np.full((1, 8), 0.5)), np.full(8, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NODE_KINDS))
+def test_backward_pushes_to_every_parent(kind):
+    # backward runs every closure once and fills no grad itself, so a
+    # closure must give each parent a grad of its value's shape
+    rng = np.random.default_rng(41)
+    node = NODE_KINDS[kind](rng)
+    node.grad = rng.standard_normal(node.value.shape)
+    node._backward()
+    assert node._parents
+    for parent in node._parents:
+        assert parent.grad is not None
+        assert parent.grad.shape == parent.value.shape
+
+
+def test_node_kinds_cover_every_node_maker():
+    # each function of the package that calls Tensor._make has a case above
+    makers = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(inner, ast.Attribute) and inner.attr == "_make" for inner in ast.walk(node)
+            ):
+                makers.add(node.name)
+    assert makers == {kind.split("-")[0] for kind in NODE_KINDS}
 
 
 def test_every_op_has_a_model_caller():

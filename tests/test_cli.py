@@ -418,6 +418,21 @@ class TestThreads:
         expected = f"verification failure: non-finite values in attended audio features, round 1 ({dataset})\n"
         assert serial == (1, "", expected)
 
+    @pytest.mark.parametrize(
+        "command, section, key", [("gen", "generator", "frames"), ("train", "training", "window_len")]
+    )
+    def test_size_past_memory_is_config_error(self, tmp_path, command, section, key):
+        # 10**15 frames need petabytes, past the 128 TiB user address
+        # space, so numpy's allocation fails without touching memory
+        config, _ = write_experiment(tmp_path)
+        assert main(["gen", "--config", str(config)]) == 0
+        huge, _ = write_experiment(tmp_path, name="huge.json", **{section: {key: 10**15}})
+        for threads in "12":
+            code, out, err = self.run_in_shell(command, "--config", str(huge), "--threads", threads)
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1
+            assert err.startswith(f"configuration error: {huge}: sizes too large for memory: Unable to allocate ")
+
     def test_worker_failure_names_fold_and_epoch(self, tmp_path, capsys):
         # each fold trains on one batch here, so the first forward to
         # overflow is fold 0's first validation pass, serial or pooled

@@ -553,7 +553,6 @@ class TestGradients:
         report = gradcheck(
             loss,
             params.weights,
-            epsilon=1e-5,
             max_entries_per_param=6,
             rng=np.random.default_rng(123),
         )
@@ -577,7 +576,6 @@ class TestGradients:
         report = gradcheck(
             loss,
             params.weights,
-            epsilon=1e-5,
             max_entries_per_param=6,
             rng=np.random.default_rng(133),
         )

@@ -99,7 +99,6 @@ class TestTcnGradients:
         report = gradcheck(
             loss,
             params.weights,
-            epsilon=1e-5,
             max_entries_per_param=8,
             rng=np.random.default_rng(13),
         )
@@ -139,7 +138,6 @@ class TestHead:
         report = gradcheck(
             loss,
             params.weights,
-            epsilon=1e-5,
             rng=np.random.default_rng(20),
         )
         assert report.worst < 1e-5, report.per_param

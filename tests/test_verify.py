@@ -85,7 +85,7 @@ def test_one_kink_crossing_coordinate_is_skipped():
     model, win, drop_seed, loss = probe_case()
     tcn = model.tcn["audio"]
     bias = tcn.weights["level1.bias"]
-    # put one first-level pre-activation 5e-7 above its kink: the -epsilon
+    # put one first-level pre-activation 5e-7 above its kink: the -step
     # probe moves it across, and no other coordinate of this bias reaches it
     x = ad.Tensor(np.stack([win.audio]).astype(np.float64) * win.valid)
     taps = [tcn.weights[f"level1.tap{j}"] for j in range(tcn.kernel_size)]
