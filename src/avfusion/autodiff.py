@@ -8,9 +8,12 @@ backwards.  Operations build the graph eagerly; calling
 :meth:`Tensor.backward` on a scalar output visits each node exactly once
 in reverse topological order and accumulates gradients into every
 upstream tensor.  Every node's backward pushes a gradient to each of
-its parents, so every node in the graph ends the walk with one.  Grads
-start empty: a node's first contribution is assigned (copied only when
-it is another node's grad or a view of one) and later ones are added.
+its parents.  Grads start empty: a node's first contribution is
+assigned (copied only when it is another node's grad or a view of one)
+and later ones are added.  A node's closure is the only reader of its
+grad, so the walk frees that grad as soon as the closure has run: only
+leaves (parameters and inputs) end the walk with a grad, and no two live
+grads share memory.
 Each node reaches itself from its backward closure only through a weak
 reference, so graphs hold no reference cycles and a dropped graph is
 freed at once.
@@ -109,7 +112,9 @@ class Tensor:
     operand's ``value``.  ``grad`` is populated by :meth:`backward` and has
     the same shape and dtype as ``value``: every node pushes a gradient
     to each of its parents, the first contribution a node receives is
-    assigned and later ones are added.  No two nodes' grads share memory.
+    assigned and later ones are added.  An inner node's grad is freed
+    once its closure has pushed it on, so after the walk only leaves
+    hold a grad.  No two live grads share memory.
     ``rows`` and ``cols`` are the last two axes, the ones every op acts on.
     """
 
@@ -169,7 +174,8 @@ class Tensor:
         """Accumulate gradients of this (scalar) node into the whole graph.
 
         ``seed`` overrides the initial adjoint (defaults to ones).  Each
-        non-leaf node's closure runs once, in reverse topological order.
+        non-leaf node's closure runs once, in reverse topological order,
+        and its grad is set to None right after: only leaves keep a grad.
         """
         order = []
         seen = set()
@@ -200,6 +206,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
+                node.grad = None
 
     # -- operators -----------------------------------------------------------
 

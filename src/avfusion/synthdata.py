@@ -50,6 +50,19 @@ LABELS_HEADER = ["frame", "valence", "arousal"]
 MASKS_HEADER = ["frame", *(f"{m}_corrupt" for m in MODALITIES), "valid"]
 
 
+def check_fits(**sizes):
+    """ConfigError, naming the largest size's key, unless a float64 array
+    with these sizes (key -> count) fits numpy's limit of intp-max bytes,
+    past which numpy raises ValueError or TypeError, not MemoryError."""
+    limit = np.iinfo(np.intp).max
+    if math.prod(sizes.values()) * 8 > limit:
+        key = max(sizes, key=sizes.get)
+        raise ConfigError(
+            f"{key} {sizes[key]} is too large: an array of {' x '.join(sizes)} float64 values "
+            f"would exceed numpy's limit of {limit} bytes"
+        )
+
+
 @dataclass
 class GenConfig:
     num_videos: int = 8
@@ -81,6 +94,12 @@ class GenConfig:
             raise ConfigError(f"corruption_mean_len must be >= 1, got {self.corruption_mean_len}")
         if self.corruption_target not in MODALITIES:
             raise ConfigError(f"corruption_target must be one of {MODALITIES}, got {self.corruption_target!r}")
+        # the largest arrays gen makes: all clips' latents, and per modality
+        # a clip's features and the mixing matrix
+        check_fits(num_videos=self.num_videos, latent_dim=self.latent_dim, frames=self.frames)
+        for m in MODALITIES:
+            for other in ("frames", "latent_dim"):
+                check_fits(**{f"dim_{m}": getattr(self, f"dim_{m}"), other: getattr(self, other)})
 
 
 @dataclass(eq=False)

@@ -23,7 +23,7 @@ from .exceptions import ConfigError, DimensionError, NumericError, ParameterErro
 from .fusion import MODALITIES
 from .metrics import ccc
 from .model import EmotionModel, ModelConfig, ModelSettings
-from .synthdata import window
+from .synthdata import check_fits, window
 from .temporal import check_tcn_fits
 
 ADAM_BETA1 = 0.9
@@ -76,6 +76,11 @@ class TrainConfig(ModelSettings):
         super().__post_init__()
         if self.window_len < 1:
             raise ConfigError(f"seq_len (the window_len) must be >= 1, got {self.window_len}")
+        # a window holds a row of window_len frames per label, and a head
+        # layer a column of each hidden size
+        check_fits(window_len=self.window_len)
+        for size in self.head_hidden:
+            check_fits(head_hidden=size)
         # fusion-only model configs may be shorter than the encoders' reach,
         # so the window is checked against the encoders here
         check_tcn_fits(self.tcn_levels, self.tcn_kernel, self.window_len)

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,18 @@ class TestGraphMechanics:
         (a + b).backward()
         np.testing.assert_allclose(x.grad, [[7.0]])
 
+    def test_second_backward_repeats_the_first(self):
+        # the walk frees inner grads but keeps the closures and parents,
+        # and resets every grad before it starts
+        x = ad.Tensor([[0.5, -1.5], [2.0, 0.3]])
+        out = ad.reshape(ad.tanh(ad.add(x, x) @ x), (1, -1)) @ ad.Tensor(np.ones((4, 1)))
+        out.backward()
+        first = x.grad
+        out.backward(seed=np.full((1, 1), 2.0))
+        np.testing.assert_array_equal(x.grad, 2.0 * first)
+        out.backward()
+        np.testing.assert_array_equal(x.grad, first)
+
     def test_deep_chain_does_not_recurse(self):
         x = ad.Tensor([[1.0]])
         node = x
@@ -549,12 +562,40 @@ def zero_start_grads(out):
     return [node.grad.copy() for node in order]
 
 
-def assert_matches_zero_start(build):
-    """``build()`` makes the same graph each call; the lazy pass must leave
-    every node, inner ones too, with the reference's grad."""
-    out = build()
+def backward_recording_grads(out):
+    """Run ``out.backward()`` and return every node's grad, parents first.
+
+    An inner node's grad is the one its closure consumed, recorded just
+    before the closure runs (the walk frees it right after); a leaf's is
+    the one the walk leaves it.  Also asserts that rule: after the walk
+    every node with a closure holds no grad and every leaf holds one.
+    """
+    order = graph_nodes(out)
+    consumed = {}
+    for node in order:
+        if node._backward is not None:
+
+            def recording(node=node, run=node._backward):
+                consumed[id(node)] = node.grad
+                run()
+
+            node._backward = recording
     out.backward()
-    lazy = [node.grad.copy() for node in graph_nodes(out)]
+    grads = []
+    for node in order:
+        if node._backward is None:
+            assert node.grad is not None
+            grads.append(node.grad)
+        else:
+            assert node.grad is None
+            grads.append(consumed[id(node)])
+    return grads
+
+
+def assert_matches_zero_start(build):
+    """``build()`` makes the same graph each call; the lazy pass must give
+    every node, inner ones too, the reference's grad."""
+    lazy = backward_recording_grads(build())
     reference = zero_start_grads(build())
     assert len(lazy) == len(reference)
     for got, want in zip(lazy, reference):
@@ -607,12 +648,12 @@ class TestLazyGrads:
             return model.batch_loss(windows, "valence", dropout_rng=np.random.default_rng(1))
 
         loss = build()
-        loss.backward()
-        nodes = graph_nodes(loss)
-        for i, a in enumerate(nodes):
-            assert a.grad.shape == a.value.shape
-            for b in nodes[i + 1 :]:
-                assert not np.shares_memory(a.grad, b.grad)
+        grads = backward_recording_grads(loss)
+        for node, grad in zip(graph_nodes(loss), grads):
+            assert grad.shape == node.value.shape
+        for i, a in enumerate(grads):
+            for b in grads[i + 1 :]:
+                assert not np.shares_memory(a, b)
         for name, p in model.parameters().items():
             assert p.grad.shape == p.value.shape, name
         assert_matches_zero_start(build)
@@ -639,6 +680,30 @@ class TestLazyGrads:
         adam_step(params, AdamState(), 1e-3)
         for name, p in params.items():
             np.testing.assert_array_equal(p.value, before[name])
+
+
+def test_backward_frees_inner_grads_during_the_walk():
+    # RJCA at depth 3: each round's L x L correlations dominate what the
+    # forward holds, and each gets an L x L grad.  Kept to the end of the
+    # walk, the grads would add about as much again; freed once consumed,
+    # the backward's peak stays well under half of it
+    clips = generate(GenConfig(num_videos=4, frames=64, dim_audio=16, dim_visual=16, seed=4))
+    windows = [w for clip in clips for w in window(clip, 64, 64)]
+    model = EmotionModel(
+        ModelConfig(mode="RJCA", dim_audio=16, dim_visual=16, seq_len=64, depth=3),
+        rng=np.random.default_rng(0),
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = model.batch_loss(windows, "valence", dropout_rng=np.random.default_rng(1))
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        extra = tracemalloc.get_traced_memory()[1] - base - held
+    finally:
+        tracemalloc.stop()
+    assert extra < 0.5 * held, (extra, held)
 
 
 def leaf(rng, *shape):

@@ -433,6 +433,22 @@ class TestThreads:
             assert err.count("\n") == 1
             assert err.startswith(f"configuration error: {huge}: sizes too large for memory: Unable to allocate ")
 
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [("gen", "generator", "frames"), ("gen", "generator", "dim_audio"), ("train", "training", "window_len")],
+    )
+    def test_size_past_numpy_limit_is_config_error(self, tmp_path, capsys, command, section, key):
+        # numpy refuses an array of more than intp-max bytes with a
+        # ValueError or TypeError, so the config check refuses the size
+        # when the file is read, before anything is allocated
+        huge, out = write_experiment(tmp_path, **{section: {key: 10**20}})
+        assert main([command, "--config", str(huge)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"configuration error: {huge}: {key} {10**20} is too large: ")
+        assert not out.exists()
+
     def test_worker_failure_names_fold_and_epoch(self, tmp_path, capsys):
         # each fold trains on one batch here, so the first forward to
         # overflow is fold 0's first validation pass, serial or pooled

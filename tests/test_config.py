@@ -123,6 +123,13 @@ BAD_RANGES = [
     ("training", "folds", 1),
     ("training", "min_lr", -1),
     ("training", "weight_decay", -1),
+    # past numpy's byte limit for one array
+    ("generator", "frames", 10**20),
+    ("generator", "dim_audio", 10**20),
+    ("generator", "num_videos", 10**21),
+    ("generator", "latent_dim", 10**20),
+    ("training", "window_len", 10**20),
+    ("training", "head_hidden", [16, 10**20]),
 ]
 
 
