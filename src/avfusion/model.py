@@ -26,6 +26,7 @@ from .autodiff import Tensor
 from .exceptions import ConfigError, ParameterError
 from .fusion import MODALITIES, MODES, FusionParams, fusion_forward
 from .metrics import ccc_loss
+from .synthdata import check_fits, check_ranges
 from .temporal import HeadParams, TcnParams, apply_dropout, head_forward, tcn_forward
 
 
@@ -55,20 +56,12 @@ class ModelSettings:
         self.head_hidden = tuple(self.head_hidden)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        check_ranges(self, "[1, inf)", "depth", "tcn_levels", "head_hidden")
         if self.mode == "JCA" and self.depth != 1:
             raise ConfigError(f"JCA is single-round; depth must be 1, got {self.depth}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.tcn_levels < 1:
-            raise ConfigError(f"tcn_levels must be >= 1, got {self.tcn_levels}")
-        if self.tcn_kernel < 2:
-            raise ConfigError(f"tcn_kernel must be >= 2, got {self.tcn_kernel}")
-        if any(n < 1 for n in self.head_hidden):
-            raise ConfigError(f"head_hidden sizes must be >= 1, got {list(self.head_hidden)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_ranges(self, "(0, inf)", "temperature")
+        check_ranges(self, "[2, inf)", "tcn_kernel")
+        check_ranges(self, "[0, 1)", "dropout")
 
 
 @dataclass(kw_only=True)
@@ -83,11 +76,9 @@ class ModelConfig(ModelSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        for m, dim in self.dims.items():
-            if dim < 1:
-                raise ConfigError(f"dim_{m} must be >= 1, got {dim}")
-        if self.seq_len < 1:
-            raise ConfigError(f"seq_len (the window_len) must be >= 1, got {self.seq_len}")
+        check_ranges(self, "[1, inf)", "dim_audio", "dim_visual", "seq_len")
+        # the L x L attention weights; seq_len is the training config's window_len
+        check_fits(window_len=self.seq_len, seq_len=self.seq_len)
 
     @property
     def dims(self):

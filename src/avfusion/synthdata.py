@@ -63,6 +63,18 @@ def check_fits(**sizes):
         )
 
 
+def check_ranges(config, interval: str, *names):
+    """ConfigError, as ``<name> must be in <interval>, got <value>``, unless
+    each named field of ``config`` (each entry, for a tuple) lies in
+    ``interval``, written like ``[0, 1)`` or ``(0, inf)``."""
+    low, high = map(float, interval[1:-1].split(","))
+    for name in names:
+        value = getattr(config, name)
+        for v in value if isinstance(value, tuple) else [value]:
+            if not (low < v < high or (v == low and interval[0] == "[") or (v == high and interval[-1] == "]")):
+                raise ConfigError(f"{name} must be in {interval}, got {v}")
+
+
 @dataclass
 class GenConfig:
     num_videos: int = 8
@@ -79,19 +91,12 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_videos", "frames", "dim_audio", "dim_visual", "latent_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.smoothness <= 0:
-            raise ConfigError(f"smoothness must be > 0, got {self.smoothness}")
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not 0.0 <= self.complementarity <= 1.0:
-            raise ConfigError(f"complementarity must be in [0, 1], got {self.complementarity}")
-        if not 0.0 <= self.corruption_prob <= 1.0:
-            raise ConfigError(f"corruption_prob must be in [0, 1], got {self.corruption_prob}")
-        if self.corruption_mean_len < 1:
-            raise ConfigError(f"corruption_mean_len must be >= 1, got {self.corruption_mean_len}")
+        check_ranges(
+            self, "[1, inf)", "num_videos", "frames", "dim_audio", "dim_visual", "latent_dim", "corruption_mean_len"
+        )
+        check_ranges(self, "(0, inf)", "smoothness")
+        check_ranges(self, "[0, inf)", "noise_std", "seed")
+        check_ranges(self, "[0, 1]", "complementarity", "corruption_prob")
         if self.corruption_target not in MODALITIES:
             raise ConfigError(f"corruption_target must be one of {MODALITIES}, got {self.corruption_target!r}")
         # the largest arrays gen makes: all clips' latents, and per modality
@@ -260,6 +265,8 @@ def window(clip: LabeledClip, length: int, stride: int) -> list:
     """Overlapping windows; the tail is zero-padded with validity cleared."""
     if length < 1 or stride < 1:
         raise ConfigError(f"window length and stride must be >= 1, got {length}, {stride}")
+    # a window holds every feature row, padded to window_len frames
+    check_fits(feature_rows=max(getattr(clip, m).shape[0] for m in MODALITIES), window_len=length)
     return [
         LabeledClip(
             clip_id=clip.clip_id,

@@ -23,7 +23,7 @@ from .exceptions import ConfigError, DimensionError, NumericError, ParameterErro
 from .fusion import MODALITIES
 from .metrics import ccc
 from .model import EmotionModel, ModelConfig, ModelSettings
-from .synthdata import check_fits, window
+from .synthdata import check_fits, check_ranges, window
 from .temporal import check_tcn_fits
 
 ADAM_BETA1 = 0.9
@@ -54,28 +54,17 @@ class TrainConfig(ModelSettings):
     def __post_init__(self):
         if self.target not in ("valence", "arousal"):
             raise ConfigError(f"target must be 'valence' or 'arousal', got {self.target!r}")
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise ConfigError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
-        for name in ("min_lr", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_ranges(self, "(0, 1)", "plateau_factor")
+        check_ranges(self, "[0, inf)", "min_lr", "weight_decay", "seed", "warmup_epochs")
+        check_ranges(
+            self, "[1, inf)", "plateau_patience", "early_stop_patience", "batch_size", "max_epochs",
+            "window_len", "window_stride",
+        )
+        # one fold validates, the others train
+        check_ranges(self, "[2, inf)", "folds")
         if self.min_lr > self.init_lr:
             raise ConfigError(f"min_lr {self.min_lr} exceeds init_lr {self.init_lr}")
-        if self.plateau_patience < 1 or self.early_stop_patience < 1:
-            raise ConfigError("patience values must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("batch_size", "max_epochs", "window_stride"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.folds < 2:
-            # one fold validates, the others train
-            raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if self.warmup_epochs < 0:
-            raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         super().__post_init__()
-        if self.window_len < 1:
-            raise ConfigError(f"seq_len (the window_len) must be >= 1, got {self.window_len}")
         # a window holds a row of window_len frames per label, and a head
         # layer a column of each hidden size
         check_fits(window_len=self.window_len)

@@ -449,6 +449,21 @@ class TestThreads:
         assert captured.err.startswith(f"configuration error: {huge}: {key} {10**20} is too large: ")
         assert not out.exists()
 
+    def test_window_past_numpy_limit_with_feature_rows_is_config_error(self, tmp_path):
+        # 10**18 frames pass the parse-time check of one label row, but not
+        # 6 feature rows of them where train cuts its windows, nor the
+        # L x L attention weights eval builds first
+        config, _ = write_experiment(tmp_path)
+        assert main(["gen", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        huge, _ = write_experiment(tmp_path, name="huge.json", training={"window_len": 10**18})
+        for command in ("train", "eval"):
+            for threads in "12":
+                code, out, err = self.run_in_shell(command, "--config", str(huge), "--threads", threads)
+                assert (code, out) == (2, "")
+                assert err.count("\n") == 1
+                assert err.startswith(f"configuration error: window_len {10**18} is too large: ")
+
     def test_worker_failure_names_fold_and_epoch(self, tmp_path, capsys):
         # each fold trains on one batch here, so the first forward to
         # overflow is fold 0's first validation pass, serial or pooled
@@ -910,6 +925,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("configuration error: ") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, argv, message",
+        [
+            ({"generator": {"seed": -1}}, [], "seed must be in [0, inf), got -1"),
+            ({}, ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        ],
+        ids=["generator-seed", "seed-flag"],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, overrides, argv, message):
+        config, out = write_experiment(tmp_path, **overrides)
+        assert main(["gen", "--config", str(config), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: ") and err.endswith(f"{message}\n")
         assert not out.exists()
 
     def test_window_one_frame_past_tcn_shift_trains(self, tmp_path):

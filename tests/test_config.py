@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from jsonschema import Draft7Validator
@@ -113,6 +114,16 @@ BAD_TYPES = [
     ("training", "depth", True),
     ("training", "init_lr", float("nan")),
 ]
+# sizes past numpy's byte limit for one array: inside every bound the
+# schema states, so only parse_config refuses them
+PAST_NUMPY_LIMIT = [
+    ("generator", "frames", 10**20),
+    ("generator", "dim_audio", 10**20),
+    ("generator", "num_videos", 10**21),
+    ("generator", "latent_dim", 10**20),
+    ("training", "window_len", 10**20),
+    ("training", "head_hidden", [16, 10**20]),
+]
 BAD_RANGES = [
     ("training", "dropout", -0.5),
     ("training", "dropout", 1.0),
@@ -123,13 +134,12 @@ BAD_RANGES = [
     ("training", "folds", 1),
     ("training", "min_lr", -1),
     ("training", "weight_decay", -1),
-    # past numpy's byte limit for one array
-    ("generator", "frames", 10**20),
-    ("generator", "dim_audio", 10**20),
-    ("generator", "num_videos", 10**21),
-    ("generator", "latent_dim", 10**20),
-    ("training", "window_len", 10**20),
-    ("training", "head_hidden", [16, 10**20]),
+    *PAST_NUMPY_LIMIT,
+    ("generator", "seed", -1),
+    ("training", "plateau_patience", 0),
+    ("generator", "smoothness", 0),
+    ("training", "plateau_factor", 1),
+    ("training", "warmup_epochs", -1),
 ]
 
 
@@ -147,7 +157,9 @@ class TestFieldTypes:
 
     @pytest.mark.parametrize("section, key, value", BAD_RANGES)
     def test_out_of_range_model_setting_names_key(self, section, key, value):
-        with pytest.raises(ConfigError, match=key):
+        # a bound's message has one form; a size past numpy's limit names the size
+        expected = r"\d+ is too large: " if (section, key, value) in PAST_NUMPY_LIMIT else r"must be in [\[(]"
+        with pytest.raises(ConfigError, match=rf"^{key} {expected}"):
             parse_config(one_key(section, key, value))
 
     def test_line_is_searched_within_the_section(self):
@@ -214,14 +226,66 @@ def test_any_config_file_loads_or_is_config_error(tmp_path_factory, blob):
         assert str(exc).startswith(f"{path}: ")
 
 
-class TestSchemaFile:
-    def schema(self):
-        root = Path(__file__).resolve().parent.parent
-        with open(root / "config.schema.json", "r", encoding="utf-8") as fh:
-            return json.load(fh)
+def load_schema():
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "config.schema.json", "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
+
+# JSON Schema bound keyword -> (which way is past it, whether the bound is excluded)
+BOUND_KEYWORDS = {
+    "minimum": (-math.inf, False),
+    "exclusiveMinimum": (-math.inf, True),
+    "maximum": (math.inf, False),
+    "exclusiveMaximum": (math.inf, True),
+}
+
+
+def schema_bounds():
+    """(section, key, keyword, bound, integer) for every bound the schema
+    states, a list's being on its entries."""
+    out = []
+    for section in ("generator", "training"):
+        for key, prop in load_schema()["properties"][section]["properties"].items():
+            prop = prop.get("items", prop)
+            for keyword in BOUND_KEYWORDS.keys() & prop.keys():
+                out.append((section, key, keyword, prop[keyword], prop["type"] == "integer"))
+    return sorted(out)
+
+
+SCHEMA_BOUNDS = schema_bounds()
+
+
+def next_to(bound, integer, toward):
+    """The integer or float next to ``bound`` in direction ``toward``."""
+    return bound + (1 if toward > 0 else -1) if integer else float(np.nextafter(bound, toward))
+
+
+@pytest.mark.parametrize(
+    "section, key, keyword, bound, integer", SCHEMA_BOUNDS, ids=[f"{s}.{k}.{w}" for s, k, w, *_ in SCHEMA_BOUNDS]
+)
+def test_schema_bound_is_parse_bound(section, key, keyword, bound, integer):
+    # the value just past the bound is refused in both places, naming the
+    # key; the one at an inclusive bound, or just inside an exclusive one,
+    # passes both range checks
+    outward, excluded = BOUND_KEYWORDS[keyword]
+    past, inside = (bound, next_to(bound, integer, -outward)) if excluded else (next_to(bound, integer, outward), bound)
+    if key == "head_hidden":  # the bound is on each entry
+        past, inside = [past], [inside]
+    validator = Draft7Validator(load_schema())
+    with pytest.raises(ConfigError, match=rf"^{key} must be in "):
+        parse_config(one_key(section, key, past))
+    assert not validator.is_valid({section: {key: past}})
+    assert validator.is_valid({section: {key: inside}})
+    try:
+        parse_config(one_key(section, key, inside))
+    except ConfigError as exc:  # another check, such as the window against the TCN's reach
+        assert not str(exc).startswith(f"{key} must be in ")
+
+
+class TestSchemaFile:
     def test_schema_matches_dataclasses(self):
-        schema = self.schema()
+        schema = load_schema()
         top = schema["properties"]
         assert set(top) == {"out_dir", "generator", "training"}
         for section, cls in (("generator", GenConfig), ("training", TrainConfig)):
@@ -235,18 +299,18 @@ class TestSchemaFile:
                 assert stated == default, f"{section}.{name}"
 
     def test_schema_rejects_unknown_keys(self):
-        schema = self.schema()
+        schema = load_schema()
         assert schema["additionalProperties"] is False
         for section in ("generator", "training"):
             assert schema["properties"][section]["additionalProperties"] is False
 
     def test_schema_is_valid_draft7(self):
-        Draft7Validator.check_schema(self.schema())
+        Draft7Validator.check_schema(load_schema())
 
     def test_default_config_validates(self):
         config = dataclasses.asdict(ExperimentConfig())
         config["training"]["head_hidden"] = list(config["training"]["head_hidden"])
-        Draft7Validator(self.schema()).validate(config)
+        Draft7Validator(load_schema()).validate(config)
 
     # NaN is not JSON, so no schema can reject it; parse_config does
     @pytest.mark.parametrize(
@@ -257,4 +321,10 @@ class TestSchemaFile:
     def test_schema_rejects_every_wrong_type_parse_rejects(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
-        assert not Draft7Validator(self.schema()).is_valid(json.loads(text))
+        assert not Draft7Validator(load_schema()).is_valid(json.loads(text))
+
+    @pytest.mark.parametrize("section, key, value", [case for case in BAD_RANGES if case not in PAST_NUMPY_LIMIT])
+    def test_schema_rejects_every_bad_range_parse_rejects(self, section, key, value):
+        with pytest.raises(ConfigError):
+            parse_config(one_key(section, key, value))
+        assert not Draft7Validator(load_schema()).is_valid({section: {key: value}})
