@@ -22,10 +22,11 @@ The op set is what the model uses: matrix product, elementwise
 tanh/relu/add, product with a constant array, a bias column added to
 every column, transpose, row stacking, reshape and a dilated causal
 convolution.  Each fused op outside this module (the CCC loss in
-``metrics``; in ``fusion``, the rounds' tanh correlation
-``tanh(X^T W J * s)`` and the gate, a softmax-weighted sum of candidates
-under a relu) is one node built with :meth:`Tensor._make` that pushes
-its gradient with :func:`accumulate`.  Ops act on the last two axes.
+``metrics``; in ``fusion``, the rounds' attention
+``relu(X W_attn tanh(X^T W J * s))`` and the gate, a softmax-weighted
+sum of candidates under a relu) is one node built with
+:meth:`Tensor._make` that pushes its gradient with :func:`accumulate`,
+using :func:`matmul_grads` for its products.  Ops act on the last two axes.
 The only broadcasting is of a matrix across a batch, in a matrix product
 (a weight applied to every member) or as a bias column; its gradient is
 summed over the batch.  There is no rank above 3.
@@ -301,15 +302,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: shapes do not align, {sa} x {sb}")
 
     def backward(g):
-        accumulate(a, g @ np.swapaxes(b.value, -1, -2))
-        if b.value.ndim < g.ndim:
-            # a weight applied across a batch: one GEMM over the stacked
-            # rows instead of B products and a sum
-            accumulate(b, a.value.reshape(-1, sb[-2]).T @ g.reshape(-1, sb[-1]))
-        else:
-            accumulate(b, np.swapaxes(a.value, -1, -2) @ g)
+        ga, gb = matmul_grads(a.value, b.value, g)
+        accumulate(a, ga)
+        accumulate(b, gb)
 
     return Tensor._make(a.value @ b.value, (a, b), backward)
+
+
+def matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """The grads of the operands of ``a @ b`` for the product's grad ``g``:
+    ``g b^T`` and ``a^T g``, the latter summed over the batch when a
+    matrix ``b`` was applied to every member."""
+    ga = g @ np.swapaxes(b, -1, -2)
+    if b.ndim < g.ndim:
+        # one GEMM over the stacked rows instead of B products and a sum
+        return ga, a.reshape(-1, b.shape[-2]).T @ g.reshape(-1, b.shape[-1])
+    return ga, np.swapaxes(a, -1, -2) @ g
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -350,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     retain_freed_heap()
+    source = args.config if args.config is not None else "the default configuration"
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
@@ -363,20 +364,23 @@ def main(argv=None) -> int:
                 training=dataclasses.replace(config.training, seed=args.seed),
             )
         out = args.out if args.out is not None else Path(config.out_dir)
-        if args.command == "gen":
-            return cmd_gen(config, out)
-        if args.command == "train":
-            return cmd_train(config, out, args.threads)
-        if args.command == "eval":
-            return cmd_eval(config, out, args.threads)
-        if args.command == "ablate":
-            return cmd_ablate(config, out, args.threads)
-        return cmd_gradcheck(args.threads)
+        try:
+            if args.command == "gen":
+                return cmd_gen(config, out)
+            if args.command == "train":
+                return cmd_train(config, out, args.threads)
+            if args.command == "eval":
+                return cmd_eval(config, out, args.threads)
+            if args.command == "ablate":
+                return cmd_ablate(config, out, args.threads)
+            return cmd_gradcheck(args.threads)
+        except ConfigError as exc:
+            # the config checked against the dataset: name the file, as parsing does
+            raise ConfigError(f"{source}: {exc}") from None
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
-        source = args.config if args.config is not None else "the default configuration"
         print(f"configuration error: {source}: sizes too large for memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FormatError as exc:

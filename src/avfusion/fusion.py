@@ -22,16 +22,18 @@ modality m in :data:`MODALITIES`:
     amap_m = relu(X_m W_attn,m corr_m)             (d_m x L)
     att_m  = amap_m W_out,m + X_m                  (residual)
 
-Every step is written once and applied to each modality in turn.  The
-correlation is one graph node (:func:`correlation`) that keeps only its
-L x L tanh output, which its closed-form backward reads.  The
+Every step is written once and applied to each modality in turn.
+``corr_m`` and ``amap_m`` are one graph node (:func:`attention`) given
+``W_corr,m joint``.  It keeps no L x L array: its backward recomputes
+the correlation.  The
 modes differ only in the gate, and each gate is one :func:`gate` node
 on the logits ``source^T W_gate`` (L x K): a temperature softmax over
 the K candidates per time step (so every row sums to 1), then the relu
 of the gated sum of the candidates.
 
 Every feature matrix may carry a leading batch axis (B x d_m x L, and
-B x L x L correlations); the weights are shared across it.
+B x L x L correlations inside :func:`attention`); the weights are
+shared across it.
 
 :class:`FusionParams` is built from a :class:`~avfusion.model.ModelConfig`,
 which validates the mode, depth and temperature; it reads the mode, the
@@ -126,14 +128,14 @@ class FusionState:
     """Every intermediate of one fusion forward pass, per modality.
 
     ``attended[m][0]`` is modality m's unattended input; index t holds
-    round t's attended features.  ``iter_gates``/``iter_gated`` hold
+    round t's attended features and ``attn_map[m][t - 1]`` its attention
+    map; no L x L correlation is kept.  ``iter_gates``/``iter_gated`` hold
     HGRJCA's per-round gates and gated outputs.  ``gates[m]`` is the last
     gate of a gated mode (GRJCA's gate, HGRJCA's final gate) and stays
     empty otherwise; ``final[m]`` is the modality's fused-in features.
     """
 
     joint: list = field(default_factory=list)
-    corr: dict = _per_modality()
     attn_map: dict = _per_modality()
     attended: dict = _per_modality()
     iter_gates: dict = _per_modality()
@@ -156,55 +158,70 @@ def joint_representation(current: dict, params: FusionParams, round_index: int) 
     return joint
 
 
-def correlation(x: Tensor, wj: Tensor, scale: float) -> Tensor:
-    """``tanh(x^T wj * scale)`` as one node: ``x`` and ``wj`` are d_m x L
-    (or B x d_m x L), the output L x L.
-
-    The product is scaled and squashed in place, and the node keeps only
-    the tanh output y, which its backward needs: with
-    ``dz = g * (1 - y^2) * scale``, x receives ``(dz wj^T)^T`` and wj
-    receives ``x dz``.  The products are the ones a transpose, a matrix
-    product, a scaling and a tanh node would make, operand layouts
-    included, so value and gradients equal that composite bit for bit.
-    """
-    if x.value.shape != wj.value.shape:
-        raise DimensionError(f"correlation: shapes {x.value.shape} and {wj.value.shape} differ")
-    xt = np.ascontiguousarray(np.swapaxes(x.value, -1, -2))
-    y = xt @ wj.value
+def _correlation(x: np.ndarray, wj: np.ndarray, scale: float):
+    """``x^T`` as a contiguous copy, and ``tanh(x^T wj * scale)`` (L x L),
+    scaled and squashed in place."""
+    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    y = xt @ wj
     y *= scale
     np.tanh(y, out=y)
+    return xt, y
+
+
+def attention(x: Tensor, wj: Tensor, w_attn: Tensor, scale: float) -> Tensor:
+    """``relu(x W_attn tanh(x^T wj * scale))`` as one node: ``x`` and
+    ``wj`` are d_m x L (or B x d_m x L), ``w_attn`` and the correlation
+    L x L, the output d_m x L.
+
+    The correlation is a temporary.  The node keeps ``P = x W_attn`` and
+    the relu pattern, and its backward recomputes the correlation y.
+    With ``G`` the masked grad, P's grad is ``G y^T`` and y's is
+    ``dy = P^T G``; P pushes to x and ``W_attn`` as a product does, then,
+    with ``dz = dy * (1 - y^2) * scale``, x receives ``(dz wj^T)^T`` and
+    wj receives ``x dz``.  These are the products, operand layouts and push
+    order that a correlation node, two matrix-product nodes and a relu
+    node would make, so value and gradients equal theirs bit for bit.
+    """
+    if x.value.shape != wj.value.shape:
+        raise DimensionError(f"attention: shapes {x.value.shape} and {wj.value.shape} differ")
+    p = x.value @ w_attn.value
+    q = p @ _correlation(x.value, wj.value, scale)[1]
+    positive = ad.relu_pattern(q)
 
     def backward(g):
-        dz = y * y
-        np.subtract(1.0, dz, out=dz)
-        dz *= g
+        xt, y = _correlation(x.value, wj.value, scale)
+        gp, dz = ad.matmul_grads(p, y, g * positive)
+        gx, gw = ad.matmul_grads(x.value, w_attn.value, gp)
+        ad.accumulate(x, gx)
+        ad.accumulate(w_attn, gw)
+        y *= y
+        np.subtract(1.0, y, out=y)
+        dz *= y
         dz *= scale
         # a view of a fresh array: copied if it becomes x's grad, as a
         # transpose node's would be
         ad.accumulate(x, np.swapaxes(dz @ np.swapaxes(wj.value, -1, -2), -1, -2), shared=True)
         ad.accumulate(wj, np.swapaxes(xt, -1, -2) @ dz)
 
-    return Tensor._make(y, (x, wj), backward)
+    return Tensor._make(ad.relu_values(q), (x, wj, w_attn), backward)
 
 
-def joint_correlation(current: dict, joint: Tensor, params: FusionParams, round_index: int) -> dict:
-    """tanh-bounded correlation of each modality against the joint features.
+def joint_correlation(joint: Tensor, params: FusionParams, round_index: int) -> dict:
+    """Each modality's correlation weights applied to the joint features:
+    ``W_corr,m joint`` (d_m x L), which :func:`attention_maps` correlates
+    with the modality.  Grouped so, ``X^T (W_corr joint)`` is an L x L
+    product over the modality's dimension, not the joint one."""
+    return {m: params.weights[f"round{round_index}.corr_{m}"] @ joint for m in MODALITIES}
 
-    Scaled by 1/sqrt(d) inside the tanh; outputs are L x L in [-1, 1],
-    one :func:`correlation` node each.  ``X^T (W_corr joint)`` is grouped
-    so that the L x L product's inner dimension is the modality's, not
-    the joint one.
-    """
+
+def attention_maps(current: dict, wj: dict, params: FusionParams, round_index: int) -> dict:
+    """Nonnegative attention maps (d_m x L), one :func:`attention` node
+    each, the correlation scaled by 1/sqrt(d) inside its tanh."""
     inv_sqrt_d = 1.0 / math.sqrt(params.config.dim_joint)
     return {
-        m: correlation(current[m], params.weights[f"round{round_index}.corr_{m}"] @ joint, inv_sqrt_d)
+        m: attention(current[m], wj[m], params.weights[f"round{round_index}.attn_{m}"], inv_sqrt_d)
         for m in MODALITIES
     }
-
-
-def attention_maps(current: dict, corr: dict, params: FusionParams, round_index: int) -> dict:
-    """Nonnegative attention maps (d_m x L) from the correlation matrices."""
-    return {m: ad.relu(current[m] @ params.weights[f"round{round_index}.attn_{m}"] @ corr[m]) for m in MODALITIES}
 
 
 def attended_features(prev: dict, maps: dict, params: FusionParams, round_index: int) -> dict:
@@ -220,13 +237,12 @@ def rjca_forward(audio: Tensor, visual: Tensor, params: FusionParams) -> FusionS
         state.attended[m].append(current[m])
     for t in range(1, params.config.depth + 1):
         joint = joint_representation(current, params, t)
-        corr = joint_correlation(current, joint, params, t)
-        maps = attention_maps(current, corr, params, t)
+        wj = joint_correlation(joint, params, t)
+        maps = attention_maps(current, wj, params, t)
         current = attended_features(current, maps, params, t)
         state.joint.append(joint)
         for m in MODALITIES:
             ad.check_finite(current[m].value, f"attended {m} features, round {t}")
-            state.corr[m].append(corr[m])
             state.attn_map[m].append(maps[m])
             state.attended[m].append(current[m])
     return state

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from avfusion import autodiff as ad
 from avfusion.exceptions import DimensionError, NumericError
-from avfusion.fusion import correlation, gate
+from avfusion.fusion import attention, gate
 from avfusion.metrics import ccc_loss
 from avfusion.model import EmotionModel, ModelConfig
 from avfusion.synthdata import GenConfig, generate, window
@@ -682,28 +682,50 @@ class TestLazyGrads:
             np.testing.assert_array_equal(p.value, before[name])
 
 
-def test_backward_frees_inner_grads_during_the_walk():
-    # RJCA at depth 3: each round's L x L correlations dominate what the
-    # forward holds, and each gets an L x L grad.  Kept to the end of the
-    # walk, the grads would add about as much again; freed once consumed,
-    # the backward's peak stays well under half of it
-    clips = generate(GenConfig(num_videos=4, frames=64, dim_audio=16, dim_visual=16, seed=4))
-    windows = [w for clip in clips for w in window(clip, 64, 64)]
+def rjca_training_forward(seq_len):
+    """The loss graph of an RJCA depth-3 model on one training batch of 4
+    windows of ``seq_len`` frames, and the bytes it holds as counted by
+    tracemalloc, which must be running, from after the model is built."""
+    clips = generate(GenConfig(num_videos=4, frames=seq_len, dim_audio=16, dim_visual=16, seed=4))
+    windows = [w for clip in clips for w in window(clip, seq_len, seq_len)]
     model = EmotionModel(
-        ModelConfig(mode="RJCA", dim_audio=16, dim_visual=16, seq_len=64, depth=3),
+        ModelConfig(mode="RJCA", dim_audio=16, dim_visual=16, seq_len=seq_len, depth=3),
         rng=np.random.default_rng(0),
     )
+    base = tracemalloc.get_traced_memory()[0]
+    loss = model.batch_loss(windows, "valence", dropout_rng=np.random.default_rng(1))
+    return loss, tracemalloc.get_traced_memory()[0] - base
+
+
+def test_backward_frees_inner_grads_during_the_walk():
+    # each inner node gets a grad of its value's size, so grads kept to
+    # the end of the walk would add about as much again as the forward
+    # holds; freed once consumed, the backward's peak stays well under
+    # half of it
     tracemalloc.start()
     try:
+        loss, held = rjca_training_forward(64)
         base = tracemalloc.get_traced_memory()[0]
-        loss = model.batch_loss(windows, "valence", dropout_rng=np.random.default_rng(1))
-        held = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         loss.backward()
-        extra = tracemalloc.get_traced_memory()[1] - base - held
+        extra = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert extra < 0.5 * held, (extra, held)
+
+
+def test_training_forward_keeps_no_length_squared_arrays():
+    # the graph's arrays are B x d x L, so doubling L at most doubles what
+    # the forward holds; one B x L x L float64 array of slack allows for
+    # the correlation a round frees as it goes.  A graph that kept each
+    # round's correlations would hold six such arrays at depth 3
+    tracemalloc.start()
+    try:
+        _, short = rjca_training_forward(64)
+        _, long = rjca_training_forward(128)
+    finally:
+        tracemalloc.stop()
+    assert long <= 2 * short + 4 * 128 * 128 * 8, (short, long)
 
 
 def leaf(rng, *shape):
@@ -723,7 +745,7 @@ NODE_KINDS = {
     "reshape": lambda r: ad.reshape(leaf(r, 2, 3), (1, -1)),
     "causal_conv": lambda r: ad.causal_conv(leaf(r, 2, 3, 6), [leaf(r, 4, 3) for _ in range(3)], 2),
     "add_colvec": lambda r: ad.add_colvec(leaf(r, 2, 3), leaf(r, 2, 1)),
-    "correlation": lambda r: correlation(leaf(r, 2, 3, 5), leaf(r, 2, 3, 5), 0.5),
+    "attention": lambda r: attention(leaf(r, 2, 3, 5), leaf(r, 2, 3, 5), leaf(r, 5, 5), 0.5),
     "gate": lambda r: gate(leaf(r, 5, 3), [leaf(r, 2, 5) for _ in range(3)], 0.7)[1],
     "ccc_loss": lambda r: ccc_loss(leaf(r, 1, 8), r.standard_normal(8)),
     "ccc_loss-zero-denominator": lambda r: ccc_loss(ad.Tensor(np.full((1, 8), 0.5)), np.full(8, 0.5)),

@@ -462,7 +462,18 @@ class TestThreads:
                 code, out, err = self.run_in_shell(command, "--config", str(huge), "--threads", threads)
                 assert (code, out) == (2, "")
                 assert err.count("\n") == 1
-                assert err.startswith(f"configuration error: window_len {10**18} is too large: ")
+                assert err.startswith(f"configuration error: {huge}: window_len {10**18} is too large: ")
+
+    def test_more_folds_than_clips_names_the_config(self, tmp_path, capsys):
+        config, out = write_experiment(tmp_path, generator={"num_videos": 4}, training={"folds": 9})
+        assert main(["gen", "--config", str(config)]) == 0
+        capsys.readouterr()
+        for threads in "12":
+            assert main(["train", "--config", str(config), "--threads", threads]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"configuration error: {config}: cannot make 9 folds from 4 clips\n"
+        assert not (out / "params.bin").exists()
 
     def test_worker_failure_names_fold_and_epoch(self, tmp_path, capsys):
         # each fold trains on one batch here, so the first forward to

@@ -16,7 +16,7 @@ from avfusion import autodiff as ad
 from avfusion import fusion
 from avfusion.autodiff import Tensor, gradcheck
 from avfusion.exceptions import ConfigError, DimensionError, NumericError
-from avfusion.fusion import FusionParams, correlation, fusion_forward, gate, rjca_forward
+from avfusion.fusion import MODALITIES, FusionParams, attention, fusion_forward, gate, rjca_forward
 from avfusion.metrics import ccc_loss
 from avfusion.model import ModelConfig
 
@@ -182,7 +182,8 @@ class TestShapes:
         rng = np.random.default_rng(6)
         state = run_modular(rng.standard_normal((2, 4)), rng.standard_normal((3, 4)), params)
         assert state.joint[0].shape == (5, 4)
-        assert state.corr["audio"][0].shape == (4, 4)
+        wj = fusion.joint_correlation(state.joint[0], params, 1)
+        assert {m: wj[m].shape for m in MODALITIES} == {"audio": (2, 4), "visual": (3, 4)}
         assert state.attn_map["audio"][0].shape == (2, 4)
 
     def test_modality_length_mismatch(self):
@@ -194,23 +195,32 @@ class TestShapes:
 
 class TestRoundPieces:
     def test_correlation_bounded_and_scaled(self):
-        # single scalar case evaluates the whole formula by hand:
-        # tanh(x^T w j / sqrt(d)) with every value 1 and d = 2
+        # single scalar case evaluates the whole formula by hand: with
+        # every value 1 and d = 2, the map relu(x W_attn corr) is the
+        # correlation tanh(x^T w j / sqrt(d)) itself
         config = ModelConfig("JCA", dim_audio=1, dim_visual=1, seq_len=1, joint_projection=False)
         params = FusionParams(config, rng=np.random.default_rng(0))
         for p in params.weights.values():
             p.value[...] = 1.0
         state = run_modular(np.ones((1, 1)), np.ones((1, 1)), params)
         expected = math.tanh(2.0 / math.sqrt(2.0))
-        assert abs(state.corr["audio"][0].value[0, 0] - expected) < 1e-12
+        for m in MODALITIES:
+            assert abs(state.attn_map[m][0].value[0, 0] - expected) < 1e-12
 
     def test_correlation_range(self):
+        # a map is relu(P corr) with P = X W_attn, so |corr| <= 1 bounds
+        # each entry by the sum of |P| over its row; at 10x inputs an
+        # unsquashed correlation would be far past that bound
         rng = np.random.default_rng(11)
         config = ModelConfig("RJCA", dim_audio=4, dim_visual=4, seq_len=6, depth=2)
         params = FusionParams(config, rng=np.random.default_rng(12))
         state = run_modular(10 * rng.standard_normal((4, 6)), 10 * rng.standard_normal((4, 6)), params)
-        for corr in state.corr["audio"] + state.corr["visual"]:
-            assert np.all(np.abs(corr.value) <= 1.0)
+        for t in (1, 2):
+            for m in MODALITIES:
+                p = state.attended[m][t - 1].value @ params.weights[f"round{t}.attn_{m}"].value
+                amap = state.attn_map[m][t - 1].value
+                assert amap.any()
+                assert np.all(amap <= np.abs(p).sum(axis=-1, keepdims=True) * (1 + 1e-12))
 
     def test_attention_maps_nonnegative(self):
         rng = np.random.default_rng(13)
@@ -229,39 +239,63 @@ class TestRoundPieces:
         assert np.array_equal(state.joint[0].value[2:], visual)
 
 
-class TestCorrelationNode:
-    """``correlation`` is a round's transpose, product, scaling and tanh
-    as one node."""
+class TestAttentionNode:
+    """``attention`` is a round's correlation, its two products and the
+    relu as one node."""
 
-    def test_equals_the_four_node_composite_bit_for_bit(self):
+    @staticmethod
+    def composite(x, wj, w_attn, scale):
+        corr = ad.tanh(ad.mul_const(x.T @ wj, np.full(x.value.shape[:-2] + (x.cols, x.cols), scale)))
+        return ad.relu(x @ w_attn @ corr)
+
+    @pytest.mark.parametrize("batch", [(), (1,), (3,)], ids=["matrix", "B1", "B3"])
+    def test_equals_the_plain_node_composite_bit_for_bit(self, batch):
         rng = np.random.default_rng(41)
-        x_val = rng.standard_normal((3, 5, 7))
-        wj_val = rng.standard_normal((3, 5, 7))
-        seed = rng.standard_normal((3, 7, 7))
+        x_val = rng.standard_normal((*batch, 5, 7))
+        wj_val = rng.standard_normal((*batch, 5, 7))
+        w_val = rng.standard_normal((7, 7))
+        seed = rng.standard_normal((*batch, 5, 7))
         scale = 1.0 / math.sqrt(10)
-        x, wj = Tensor(x_val), Tensor(wj_val)
-        fused = correlation(x, wj, scale)
-        assert fused._parents == (x, wj)
-        x_ref, wj_ref = Tensor(x_val), Tensor(wj_val)
-        composite = ad.tanh(ad.mul_const(x_ref.T @ wj_ref, np.full((3, 7, 7), scale)))
+        x, wj, w_attn = Tensor(x_val), Tensor(wj_val), Tensor(w_val)
+        fused = attention(x, wj, w_attn, scale)
+        assert fused._parents == (x, wj, w_attn)
+        x_ref, wj_ref, w_ref = Tensor(x_val), Tensor(wj_val), Tensor(w_val)
+        composite = self.composite(x_ref, wj_ref, w_ref, scale)
         assert np.array_equal(fused.value, composite.value)
-        fused.backward(seed)
-        composite.backward(seed)
+        assert 0 < np.count_nonzero(fused.value) < fused.value.size
+        # the round's residual gives x a grad before the node pushes its
+        # two terms, so the order of those pushes shows in the bits
+        (fused + x).backward(seed)
+        (composite + x_ref).backward(seed)
         assert np.array_equal(x.grad, x_ref.grad)
         assert np.array_equal(wj.grad, wj_ref.grad)
+        assert np.array_equal(w_attn.grad, w_ref.grad)
+
+    def test_records_the_relu_pattern(self):
+        rng = np.random.default_rng(43)
+        args = [Tensor(rng.standard_normal(shape)) for shape in ((2, 4, 6), (2, 4, 6), (6, 6))]
+        with ad.record_kinks([]) as fused:
+            attention(*args, 0.3)
+        with ad.record_kinks([]) as plain:
+            self.composite(*args, 0.3)
+        assert len(fused) == len(plain) == 1
+        assert np.array_equal(fused[0][0], plain[0][0])
+        assert np.array_equal(fused[0][1], plain[0][1])
 
     def test_gradcheck(self):
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((4, 6)))
         wj = Tensor(rng.standard_normal((4, 6)))
-        mix = Tensor(rng.standard_normal((6, 6)).reshape(-1, 1))
-        report = gradcheck(lambda: ad.reshape(correlation(x, wj, 0.4), (1, -1)) @ mix, {"x": x, "wj": wj})
-        assert report.checked == 48
+        w_attn = Tensor(rng.standard_normal((6, 6)))
+        mix = Tensor(rng.standard_normal((24, 1)))
+        params = {"x": x, "wj": wj, "w_attn": w_attn}
+        report = gradcheck(lambda: ad.reshape(attention(x, wj, w_attn, 0.4), (1, -1)) @ mix, params)
+        assert (report.checked, report.skipped_kinks) == (84, 0)
         assert report.worst < 1e-7, report.per_param
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(DimensionError, match="correlation: shapes"):
-            correlation(Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 6))), 1.0)
+        with pytest.raises(DimensionError, match="attention: shapes"):
+            attention(Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 6))), Tensor(np.zeros((6, 6))), 1.0)
 
 
 class TestGateNode:

@@ -121,7 +121,7 @@ class TestGraphMemory:
 
 class TestGraphSize:
     @pytest.mark.parametrize(
-        "mode, depth, nodes", [("JCA", 1, 41), ("RJCA", 3, 73), ("GRJCA", 3, 79), ("HGRJCA", 3, 101)]
+        "mode, depth, nodes", [("JCA", 1, 35), ("RJCA", 3, 55), ("GRJCA", 3, 61), ("HGRJCA", 3, 83)]
     )
     def test_nodes_per_batch_loss(self, monkeypatch, mode, depth, nodes):
         # the graph a training step builds at dropout 0.0: the forward and

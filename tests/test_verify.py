@@ -155,12 +155,12 @@ def test_suite_catches_a_typo_sized_backward_bug(monkeypatch):
     assert result.failures()
 
 
-def test_suite_catches_a_correlation_backward_bug(monkeypatch):
-    original = fusion.correlation
+def test_suite_catches_an_attention_backward_bug(monkeypatch):
+    original = fusion.attention
 
-    def broken_correlation(x, wj, scale):
+    def broken_attention(x, wj, w_attn, scale):
         # the right forward, with the node's gradient to x scaled by 1%
-        out = original(x, wj, scale)
+        out = original(x, wj, w_attn, scale)
         real_backward = out._backward
 
         def backward():
@@ -171,11 +171,12 @@ def test_suite_catches_a_correlation_backward_bug(monkeypatch):
         out._backward = backward
         return out
 
-    monkeypatch.setattr(fusion, "correlation", broken_correlation)
+    monkeypatch.setattr(fusion, "attention", broken_attention)
     result = verify.run_gradcheck_suite()
     assert not result.passed
     names = [name for name, _ in result.failures()]
-    assert any(re.fullmatch(r"\w+/M\d/fusion\.round\d\.corr_(audio|visual)", name) for name in names), names
+    pattern = r"\w+/M\d/fusion\.round\d\.(corr|attn)_(audio|visual)"
+    assert any(re.fullmatch(pattern, name) for name in names), names
 
 
 def test_suite_catches_a_gate_backward_bug(monkeypatch):
