@@ -20,11 +20,11 @@ freed at once.
 
 The op set is what the model uses: matrix product, elementwise
 tanh/relu/add, product with a constant array, a bias column added to
-every column, transpose, row stacking, reshape and a dilated causal
-convolution.  Each fused op outside this module (the CCC loss in
-``metrics``; in ``fusion``, the rounds' attention
-``relu(X W_attn tanh(X^T W J * s))`` and the gate, a softmax-weighted
-sum of candidates under a relu) is one node built with
+every column, transpose, row stacking and reshape.  Each fused op
+outside this module (the CCC loss in ``metrics``; in ``temporal``, a
+TCN level ``relu(causal_conv(X) + b) + X``; in ``fusion``, the rounds'
+attention ``relu(X W_attn tanh(X^T W J * s))`` and the gate, a
+softmax-weighted sum of candidates under a relu) is one node built with
 :meth:`Tensor._make` that pushes its gradient with :func:`accumulate`,
 using :func:`matmul_grads` for its products.  Ops act on the last two axes.
 The only broadcasting is of a matrix across a batch, in a matrix product
@@ -348,40 +348,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         accumulate(a, g.reshape(a.value.shape), shared=True)
 
     return Tensor._make(a.value.reshape(shape), (a,), backward)
-
-
-def causal_conv(x: Tensor, taps, dilation: int) -> Tensor:
-    """Dilated causal convolution of ``x`` (d_in x L): the sum over taps j
-    of ``taps[j] @ x`` shifted right by (k-1-j)*dilation columns.
-
-    ``x`` is padded once on the left by (k-1)*dilation zero columns and
-    tap j reads the L-column view starting at j*dilation, so output
-    column i sees only input columns <= i, and the last tap reads the
-    current column.  A shift spanning the whole width reads only padding.
-    """
-    k = len(taps)
-    L = x.cols
-    pad = (k - 1) * dilation
-    padded = np.zeros((*x.value.shape[:-1], pad + L))
-    padded[..., pad:] = x.value
-    inputs = [padded[..., j * dilation : j * dilation + L] for j in range(k)]
-    acc = None
-    for tap, inp in zip(taps, inputs):
-        term = tap.value @ inp
-        acc = term if acc is None else acc + term
-
-    def backward(g):
-        for tap, inp in zip(taps, inputs):
-            accumulate(tap, g @ np.swapaxes(inp, -1, -2))
-        # the last tap reads the current column, so its term covers every
-        # column of x; the others add into their views, in tap order
-        grad = np.zeros_like(padded)
-        grad[..., pad:] = taps[-1].value.T @ g
-        for j, tap in enumerate(taps[:-1]):
-            grad[..., j * dilation : j * dilation + L] += tap.value.T @ g
-        accumulate(x, grad[..., pad:])
-
-    return Tensor._make(acc, (x, *taps), backward)
 
 
 # -- bias column -------------------------------------------------------------

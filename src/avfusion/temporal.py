@@ -4,10 +4,11 @@ The encoder is a small stack of dilated causal convolutions with
 identity residual connections, operating on feature matrices laid out
 as channels x frames; every level keeps the input's channel count.
 Level i (0-based) has dilation 2**i, so the receptive field is
-1 + (kernel - 1) * (2**levels - 1).  Each convolution is one
-:func:`~avfusion.autodiff.causal_conv` node (a sum of column-shifted
-tap products) plus a bias.  Features may carry a leading batch axis
-(B x channels x frames); the weights are shared across it.
+1 + (kernel - 1) * (2**levels - 1).  Each level, the residual block
+``relu(causal_conv(x) + bias) + x`` (a causal convolution is a sum of
+column-shifted tap products), is one :func:`tcn_level` node.  Features
+may carry a leading batch axis (B x channels x frames); the weights are
+shared across it.
 
 The head is an MLP applied frame-wise: relu hidden layers, then a tanh
 output bounded to [-1, 1] to match the label range.
@@ -84,9 +85,66 @@ def tcn_forward(x: Tensor, params: TcnParams) -> Tensor:
     h = x
     for level in range(1, params.levels + 1):
         taps = [params.weights[f"level{level}.tap{j}"] for j in range(params.kernel_size)]
-        conv = ad.causal_conv(h, taps, 2 ** (level - 1))
-        h = ad.relu(ad.add_colvec(conv, params.weights[f"level{level}.bias"])) + h
+        h = tcn_level(h, taps, params.weights[f"level{level}.bias"], 2 ** (level - 1))
     return h
+
+
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` with ``pad`` zero columns on the left."""
+    out = np.zeros((*x.shape[:-1], pad + x.shape[-1]))
+    out[..., pad:] = x
+    return out
+
+
+def tcn_level(x: Tensor, taps, bias: Tensor, dilation: int) -> Tensor:
+    """One residual level ``relu(causal_conv(x) + bias) + x`` as one node.
+
+    The causal convolution is the sum over taps j of ``taps[j] @ x``
+    shifted right by (k-1-j)*dilation columns: ``x`` padded on the left
+    by (k-1)*dilation zero columns, tap j reading the L-column view that
+    starts at j*dilation.  Output column i sees only input columns <= i,
+    the last tap reads the current column, and a shift spanning the whole
+    width reads only padding.  The padded input is a temporary: the node
+    keeps its parent ``x`` and the relu pattern, and its backward pads
+    ``x.value`` again.  It pushes ``g`` to ``x`` (the residual), then,
+    with ``G`` the masked grad, ``G`` summed over columns to the bias,
+    ``G view_j^T`` to each tap, and the taps' transposed products, added
+    into their views in tap order, to ``x``.  These are the products and
+    push order of a convolution, bias-column, relu and add node chain, so
+    value and grads equal theirs bit for bit.
+    """
+    k, L = len(taps), x.cols
+    pad = (k - 1) * dilation
+
+    def views(padded):
+        return [padded[..., j * dilation : j * dilation + L] for j in range(k)]
+
+    inputs = views(_padded(x.value, pad))
+    pre = taps[0].value @ inputs[0]
+    for j in range(1, k):
+        pre += taps[j].value @ inputs[j]
+    del inputs
+    pre += bias.value
+    positive = ad.relu_pattern(pre)
+    out = ad.relu_values(pre)
+    out += x.value
+
+    def backward(g):
+        ad.accumulate(x, g, shared=True)
+        g = g * positive
+        ad.accumulate(bias, g.sum(axis=-1, keepdims=True))
+        inputs = views(_padded(x.value, pad))
+        for j, tap in enumerate(taps):
+            ad.accumulate(tap, g @ np.swapaxes(inputs[j], -1, -2))
+        del inputs
+        # the last tap reads the current column, so its term covers every
+        # column of x; the others add into their views, in tap order
+        grad = _padded(taps[-1].value.T @ g, pad)
+        for tap, view in zip(taps[:-1], views(grad)):
+            view += tap.value.T @ g
+        ad.accumulate(x, grad[..., pad:])
+
+    return Tensor._make(out, (x, bias, *taps), backward)
 
 
 class HeadParams:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .autodiff import check_finite
 from .exceptions import ConfigError, DimensionError, NumericError, ParameterError
 from .fusion import MODALITIES
 from .metrics import ccc
@@ -105,7 +106,7 @@ def retain_freed_heap(one_arena: bool = False):
     keep it.  With ``one_arena``, threads started later share the one
     arena too, so the forward threads of :func:`_clip_predictions` reuse the
     heap the process already holds; with an arena per thread, eval's peak
-    RSS at window 192 went from 151 to 241 MB.  Only a process that starts
+    RSS at window 192 went from about 82 to about 110 MB.  Only a process that starts
     such threads asks for it: with one arena from the start, a 6-fold
     ``train`` plus ``gradcheck`` ran 1-5% slower.  Runs once per process
     and argument; elsewhere this does nothing.
@@ -181,7 +182,12 @@ def adam_step(params: dict, state: AdamState, lr: float, weight_decay: float = 0
     (classic L2 form).  It runs once on the concatenated grads, with the
     per-parameter arithmetic, so values match a loop over the parameters
     bit for bit; the first parameter in dict order whose grad is missing
-    or not finite is named."""
+    or not finite is named.
+
+    The step consumes the grads: once they are concatenated and checked,
+    every parameter's ``grad`` is None, so a step without a new backward
+    fails.  Beyond the moments it holds two flat vectors: the
+    concatenated grad, which becomes the update, and one scratch vector."""
     names = list(params)
     have = next((i for i, name in enumerate(names) if params[name].grad is None), len(names))
     grad = np.concatenate([params[name].grad.reshape(-1) for name in names[:have]] + [np.empty(0)])
@@ -190,19 +196,29 @@ def adam_step(params: dict, state: AdamState, lr: float, weight_decay: float = 0
         raise NumericError(f"adam_step: non-finite gradient for {bad!r}")
     if have < len(names):
         raise ParameterError(f"adam_step: no gradient for {names[have]!r}; run backward first")
+    for p in params.values():
+        p.grad = None
+    scratch = np.empty_like(grad)
     if weight_decay:
-        grad += weight_decay * np.concatenate([p.value.reshape(-1) for p in params.values()])
+        np.concatenate([p.value.reshape(-1) for p in params.values()], out=scratch)
+        scratch *= weight_decay
+        grad += scratch
     if state.m is None:
         state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
     state.step += 1
     m, v = state.m, state.v
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=scratch)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**state.step)
-    v_hat = v / (1.0 - ADAM_BETA2**state.step)
-    update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.multiply(1.0 - ADAM_BETA2, grad, out=scratch)
+    v += np.multiply(scratch, grad, out=scratch)
+    # the update lr * m_hat / (sqrt(v_hat) + eps), written over the grad
+    np.divide(v, 1.0 - ADAM_BETA2**state.step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    update = np.divide(m, 1.0 - ADAM_BETA1**state.step, out=grad)
+    update *= lr
+    update /= scratch
     start = 0
     for p in params.values():
         p.value -= update[start : start + p.value.size].reshape(p.value.shape)
@@ -307,16 +323,23 @@ def _clip_predictions(model: EmotionModel, clips, config: TrainConfig, workers: 
 def _pooled_ccc(model: EmotionModel, clips, config: TrainConfig, workers: int = 1):
     """Validation pass: the per-clip predictions, and their pooled
     concordance with the target over the clips' valid frames.  The one
-    scorer of validation, the fold reports and :func:`evaluate`."""
+    scorer of validation, the fold reports and :func:`evaluate`.  The
+    score is finite: non-finite predictions raise :class:`NumericError`."""
     clip_preds = _clip_predictions(model, clips, config, workers)
     valid = np.concatenate([clip.valid for clip in clips])
     truth = np.concatenate([getattr(clip, config.target) for clip in clips])
-    return clip_preds, ccc(np.concatenate(clip_preds)[valid], truth[valid])
+    preds = np.concatenate(clip_preds)[valid]
+    check_finite(preds, "predictions")
+    return clip_preds, ccc(preds, truth[valid])
 
 
 def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult:
     """Full training run; deterministic given clips and config.
 
+    Each epoch steps Adam over the shuffled training windows, then
+    validates.  A validation score above the best so far snapshots the
+    parameters; the first always does, so no snapshot is taken before
+    training starts.  The best snapshot is loaded back at the end.
     A :class:`NumericError` or :class:`DimensionError` raised by a step or
     a validation pass is raised again with where it happened appended:
     ``(fold F, epoch E, batch B)`` or ``(fold F, epoch E, validation)``,
@@ -332,7 +355,9 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
     model = config.new_model(train_clips[0])
     adam = AdamState()
     sched = SchedulerState(lr=config.init_lr)
-    best_snapshot = model.snapshot()
+    # set by the first validation: _pooled_ccc's score is finite, so it
+    # beats the scheduler's starting best of -inf
+    best_snapshot = None
     best_epoch = 0
     best_preds = None
     history = []
@@ -352,7 +377,7 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
                 loss = model.batch_loss(batch, config.target, dropout_rng=dropout_rng)
                 loss.backward()
                 batch_losses.append(loss.item())
-                # free this batch's graph before Adam makes its flat copies
+                # free this batch's graph before Adam makes its flat vectors
                 del loss
                 adam_step(model.parameters(), adam, lr, config.weight_decay)
             place = "validation"

@@ -17,6 +17,7 @@ from avfusion.fusion import attention, gate
 from avfusion.metrics import ccc_loss
 from avfusion.model import EmotionModel, ModelConfig
 from avfusion.synthdata import GenConfig, generate, window
+from avfusion.temporal import tcn_level
 from avfusion.training import AdamState, adam_step
 
 
@@ -174,46 +175,73 @@ class TestConcat:
 
 
 class TestCausalConv:
+    """The causal convolution inside :func:`tcn_level`, read through the
+    level's residual ``relu(conv + bias) + x``."""
+
     @staticmethod
     def delay(x, dilation):
-        # two 1x1 taps: the first reads the frame `dilation` back, the
-        # second (the current frame) is switched off
-        return ad.causal_conv(x, [ad.Tensor([[1.0]]), ad.Tensor([[0.0]])], dilation)
+        # two 1x1 taps and a zero bias: the first tap reads the frame
+        # `dilation` back, the second (the current frame) is switched off
+        return tcn_level(x, [ad.Tensor([[1.0]]), ad.Tensor([[0.0]])], ad.Tensor([[0.0]]), dilation)
 
     def test_shift_is_causal(self):
         x = ad.Tensor([[1.0, 2.0, 3.0, 4.0]])
-        np.testing.assert_array_equal(self.delay(x, 2).value, [[0.0, 0.0, 1.0, 2.0]])
+        np.testing.assert_array_equal(self.delay(x, 2).value, [[1.0, 2.0, 3.0 + 1.0, 4.0 + 2.0]])
 
     def test_shift_beyond_width_is_zero(self):
         x = ad.Tensor([[1.0, 2.0]])
-        np.testing.assert_array_equal(self.delay(x, 5).value, [[0.0, 0.0]])
+        np.testing.assert_array_equal(self.delay(x, 5).value, x.value)
         self.delay(x, 5).backward(seed=np.ones((1, 2)))
-        np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
+        # only the residual reaches x
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0]])
 
     def test_shift_gradient(self):
         x = ad.Tensor([[1.0, 2.0, 3.0]])
         taps = [ad.Tensor([[1.0]]), ad.Tensor([[0.0]])]
-        y = ad.causal_conv(x, taps, 1)
+        bias = ad.Tensor([[0.0]])
+        y = tcn_level(x, taps, bias, 1)
         y.backward(seed=np.array([[10.0, 20.0, 30.0]]))
-        np.testing.assert_array_equal(x.grad, [[20.0, 30.0, 0.0]])
-        # each tap's gradient pairs the seed with the columns it read
-        np.testing.assert_array_equal(taps[0].grad, [[10.0 * 0 + 20.0 * 1 + 30.0 * 2]])
-        np.testing.assert_array_equal(taps[1].grad, [[10.0 * 1 + 20.0 * 2 + 30.0 * 3]])
+        # the conv is [0, 1, 2]; its relu passes the last two columns' grads
+        masked = np.array([[0.0, 20.0, 30.0]])
+        np.testing.assert_array_equal(x.grad, [[10.0 + 20.0, 20.0 + 30.0, 30.0 + 0.0]])
+        # each tap's gradient pairs the masked seed with the columns it read
+        np.testing.assert_array_equal(taps[0].grad, [[20.0 * 1 + 30.0 * 2]])
+        np.testing.assert_array_equal(taps[1].grad, [[20.0 * 2 + 30.0 * 3]])
+        np.testing.assert_array_equal(bias.grad, masked.sum(axis=-1, keepdims=True))
 
     def test_batch_matches_each_member(self):
         rng = np.random.default_rng(5)
         taps = [ad.Tensor(rng.standard_normal((3, 3))) for _ in range(3)]
+        bias = ad.Tensor(rng.standard_normal((3, 1)))
         x = rng.standard_normal((4, 3, 9))
-        batched = ad.causal_conv(ad.Tensor(x), taps, 2).value
+        batched = tcn_level(ad.Tensor(x), taps, bias, 2).value
         for b in range(4):
-            single = ad.causal_conv(ad.Tensor(x[b]), taps, 2).value
+            single = tcn_level(ad.Tensor(x[b]), taps, bias, 2).value
             np.testing.assert_allclose(batched[b], single, rtol=0, atol=1e-14)
+
+    def test_gradcheck(self):
+        # a batch of two, so the weights' grads are summed over it
+        rng = np.random.default_rng(17)
+        x = ad.Tensor(rng.standard_normal((2 * 3, 7)))
+        taps = [ad.Tensor(rng.standard_normal((3, 3))) for _ in range(3)]
+        bias = ad.Tensor(rng.standard_normal((3, 1)))
+        weights = rng.standard_normal((1, 2 * 3 * 7))
+
+        def f():
+            out = tcn_level(ad.reshape(x, (2, 3, 7)), taps, bias, 2)
+            row = ad.reshape(out, (1, -1))
+            return ad.mul_const(row, weights) @ row.T
+
+        params = {"x": x, "bias": bias} | {f"tap{j}": tap for j, tap in enumerate(taps)}
+        report = ad.gradcheck(f, params)
+        assert report.checked > 0
+        assert report.worst < 1e-7
 
 
 def shifted_copy_conv(x, taps, dilation, g):
     """Causal convolution as a zero-filled copy of ``x`` per shifted tap:
     the value, then x's grad and each tap's grad under the seed ``g``,
-    added in the order ``causal_conv`` adds them."""
+    added in the order ``tcn_level`` adds them."""
     k, L = len(taps), x.shape[-1]
     offsets = [(k - 1 - j) * dilation for j in range(k)]
     inputs = []
@@ -246,25 +274,86 @@ def same_bits(a, b):
     dilation=st.integers(1, 4),
     length=st.integers(1, 9),
     batch=st.sampled_from([None, 1, 3]),
-    d_in=st.integers(1, 3),
-    d_out=st.integers(1, 3),
+    dim=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_causal_conv_matches_shifted_copies_bit_for_bit(k, dilation, length, batch, d_in, d_out, seed):
+def test_causal_conv_matches_shifted_copies_bit_for_bit(k, dilation, length, batch, dim, seed):
+    # the level relu(conv + bias) + x, its conv from shifted copies
     rng = np.random.default_rng(seed)
     lead = () if batch is None else (batch,)
-    x_val = rng.standard_normal((*lead, d_in, length))
-    tap_vals = [rng.standard_normal((d_out, d_in)) for _ in range(k)]
-    g = rng.standard_normal((*lead, d_out, length))
+    x_val = rng.standard_normal((*lead, dim, length))
+    tap_vals = [rng.standard_normal((dim, dim)) for _ in range(k)]
+    bias_val = rng.standard_normal((dim, 1))
+    g = rng.standard_normal((*lead, dim, length))
     x = ad.Tensor(x_val)
     taps = [ad.Tensor(t) for t in tap_vals]
-    y = ad.causal_conv(x, taps, dilation)
+    bias = ad.Tensor(bias_val)
+    y = tcn_level(x, taps, bias, dilation)
     y.backward(seed=g)
-    value, grad_x, tap_grads = shifted_copy_conv(x_val, tap_vals, dilation, g)
-    same_bits(y.value, value)
-    same_bits(x.grad, grad_x)
+    conv, _, _ = shifted_copy_conv(x_val, tap_vals, dilation, g)
+    pre = conv + bias_val
+    masked = g * (pre > 0.0)
+    _, grad_x, tap_grads = shifted_copy_conv(x_val, tap_vals, dilation, masked)
+    bias_grad = masked.sum(axis=-1, keepdims=True)
+    if batch is not None:
+        bias_grad = bias_grad.sum(axis=0)
+    same_bits(y.value, np.where(pre > 0.0, pre, 0.0) + x_val)
+    same_bits(x.grad, g + grad_x)
+    same_bits(bias.grad, bias_grad)
     for tap, grad in zip(taps, tap_grads):
         same_bits(tap.grad, grad)
+
+
+def node_chain_conv(x, taps, dilation):
+    """The causal convolution node that TCN levels were built from before
+    :func:`tcn_level`: padded once, tap j reading the view at j*dilation,
+    the taps pushed in order and then x."""
+    k, L = len(taps), x.cols
+    pad = (k - 1) * dilation
+    padded = np.zeros((*x.value.shape[:-1], pad + L))
+    padded[..., pad:] = x.value
+    inputs = [padded[..., j * dilation : j * dilation + L] for j in range(k)]
+    acc = None
+    for tap, inp in zip(taps, inputs):
+        term = tap.value @ inp
+        acc = term if acc is None else acc + term
+
+    def backward(g):
+        for tap, inp in zip(taps, inputs):
+            ad.accumulate(tap, g @ np.swapaxes(inp, -1, -2))
+        grad = np.zeros_like(padded)
+        grad[..., pad:] = taps[-1].value.T @ g
+        for j, tap in enumerate(taps[:-1]):
+            grad[..., j * dilation : j * dilation + L] += tap.value.T @ g
+        ad.accumulate(x, grad[..., pad:])
+
+    return ad.Tensor._make(acc, (x, *taps), backward)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 4])
+@pytest.mark.parametrize("dilation", [1, 2])
+def test_tcn_level_equals_the_four_node_chain(batch, dilation):
+    # relu(conv(x) + bias) + x as a conv, a bias-column, a relu and an add
+    # node: the level's value and grads equal the chain's bit for bit
+    rng = np.random.default_rng(31 + dilation)
+    lead = () if batch is None else (batch,)
+    x_val = rng.standard_normal((*lead, 4, 9))
+    tap_vals = [rng.standard_normal((4, 4)) for _ in range(3)]
+    bias_val = rng.standard_normal((4, 1))
+    g = rng.standard_normal(x_val.shape)
+    runs = []
+    for fused in (True, False):
+        x = ad.Tensor(x_val)
+        taps = [ad.Tensor(t.copy()) for t in tap_vals]
+        bias = ad.Tensor(bias_val.copy())
+        if fused:
+            y = tcn_level(x, taps, bias, dilation)
+        else:
+            y = ad.relu(ad.add_colvec(node_chain_conv(x, taps, dilation), bias)) + x
+        y.backward(seed=g)
+        runs.append([y.value, x.grad, bias.grad, *(tap.grad for tap in taps)])
+    for got, want in zip(*runs):
+        same_bits(got, want)
 
 
 class TestGatedSum:
@@ -373,6 +462,7 @@ def quadratic_cases(rng):
     w = ad.Tensor(rng.standard_normal((d, d)))
     taps = [ad.Tensor(rng.standard_normal((d, d))) for _ in range(2)]
     b = ad.Tensor(rng.standard_normal((d, 1)))
+    c = ad.Tensor(rng.standard_normal((d, 1)))
     g = ad.Tensor(rng.standard_normal((d, 2)))
     x = rng.standard_normal((2, d, L))
     weights = rng.standard_normal((1, 2 * 2 * d * L))
@@ -382,14 +472,14 @@ def quadratic_cases(rng):
         h = w @ xt
         h = ad.add_colvec(h, b)
         h = ad.tanh(h)
-        conv = ad.causal_conv(h, taps, 2)
+        conv = tcn_level(h, taps, c, 2)
         _, mixed = gate(h.T @ g, [h, conv], 0.5)
         row = ad.reshape(ad.concat_rows(mixed, h), (1, -1))
         spread = ad.mul_const(row, weights) + ad.mul_const(row, np.full(row.shape, 0.5))
         total = spread @ spread.T
         return total @ total
 
-    return {"w": w, "tap0": taps[0], "tap1": taps[1], "b": b, "g": g}, full_program
+    return {"w": w, "tap0": taps[0], "tap1": taps[1], "b": b, "c": c, "g": g}, full_program
 
 
 class TestGradcheck:
@@ -699,19 +789,20 @@ def rjca_training_forward(seq_len):
 
 def test_backward_frees_inner_grads_during_the_walk():
     # each inner node gets a grad of its value's size, so grads kept to
-    # the end of the walk would add about as much again as the forward
-    # holds; freed once consumed, the backward's peak stays well under
-    # half of it
+    # the end of the walk would add about as much again as the inner
+    # nodes' values hold; freed once consumed, the backward's peak stays
+    # below that
     tracemalloc.start()
     try:
-        loss, held = rjca_training_forward(64)
+        loss, _ = rjca_training_forward(64)
+        inner = sum(node.value.nbytes for node in graph_nodes(loss) if node._backward is not None)
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         loss.backward()
         extra = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert extra < 0.5 * held, (extra, held)
+    assert extra < inner, (extra, inner)
 
 
 def test_training_forward_keeps_no_length_squared_arrays():
@@ -743,7 +834,7 @@ NODE_KINDS = {
     "transpose": lambda r: ad.transpose(leaf(r, 2, 3)),
     "concat_rows": lambda r: ad.concat_rows(leaf(r, 1, 3), leaf(r, 2, 3)),
     "reshape": lambda r: ad.reshape(leaf(r, 2, 3), (1, -1)),
-    "causal_conv": lambda r: ad.causal_conv(leaf(r, 2, 3, 6), [leaf(r, 4, 3) for _ in range(3)], 2),
+    "tcn_level": lambda r: tcn_level(leaf(r, 2, 3, 6), [leaf(r, 3, 3) for _ in range(3)], leaf(r, 3, 1), 2),
     "add_colvec": lambda r: ad.add_colvec(leaf(r, 2, 3), leaf(r, 2, 1)),
     "attention": lambda r: attention(leaf(r, 2, 3, 5), leaf(r, 2, 3, 5), leaf(r, 5, 5), 0.5),
     "gate": lambda r: gate(leaf(r, 5, 3), [leaf(r, 2, 5) for _ in range(3)], 0.7)[1],

@@ -121,7 +121,7 @@ class TestGraphMemory:
 
 class TestGraphSize:
     @pytest.mark.parametrize(
-        "mode, depth, nodes", [("JCA", 1, 35), ("RJCA", 3, 55), ("GRJCA", 3, 61), ("HGRJCA", 3, 83)]
+        "mode, depth, nodes", [("JCA", 1, 23), ("RJCA", 3, 43), ("GRJCA", 3, 49), ("HGRJCA", 3, 71)]
     )
     def test_nodes_per_batch_loss(self, monkeypatch, mode, depth, nodes):
         # the graph a training step builds at dropout 0.0: the forward and

@@ -4,6 +4,7 @@ import gc
 import math
 import os
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -178,6 +179,40 @@ class TestFlatAdam:
             adam_step(params, AdamState(), 0.1)
         assert str(got.value) == str(want.value)
 
+    def test_consumes_the_grads(self):
+        # a step without a new backward is refused, naming the first parameter
+        rng = np.random.default_rng(13)
+        params = self.params(rng)
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape)
+        state = AdamState()
+        adam_step(params, state, 1e-3, 5e-4)
+        assert all(p.grad is None for p in params.values())
+        with pytest.raises(ParameterError, match="no gradient for 'w'; run backward first"):
+            adam_step(params, state, 1e-3, 5e-4)
+        assert state.step == 1
+
+    def test_holds_at_most_two_flat_vectors_beyond_the_moments(self):
+        # about 10**6 parameters; the moments exist from a first step, so
+        # the second step's peak is what it allocates itself: the
+        # concatenated grad and the scratch vector, plus 64 KiB for views
+        # and lists
+        rng = np.random.default_rng(14)
+        params = {"a": Tensor(rng.standard_normal((500, 1000))), "b": Tensor(rng.standard_normal((1000, 499)))}
+        flat_bytes = sum(p.value.nbytes for p in params.values())
+        state = AdamState()
+        for _ in range(2):
+            for p in params.values():
+                p.grad = rng.standard_normal(p.shape)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                adam_step(params, state, 1e-3, 5e-4)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * flat_bytes + 64 * 1024, (peak, flat_bytes)
+
 
 class TestScheduler:
     def config(self, **overrides):
@@ -248,6 +283,16 @@ class TestTrainLoop:
         assert math.isfinite(loss) and loss >= 0.0
         assert -1.0 <= val <= 1.0
 
+    def test_one_epoch_takes_one_snapshot(self, monkeypatch):
+        # the first validation sets the best, so nothing is snapshotted
+        # before training starts
+        calls = []
+        real_snapshot = EmotionModel.snapshot
+        monkeypatch.setattr(EmotionModel, "snapshot", lambda model: calls.append(1) or real_snapshot(model))
+        clips = make_clips(3, seed=1)
+        train(clips[:2], clips[2:], small_config(max_epochs=1))
+        assert len(calls) == 1
+
     def test_deterministic(self):
         clips = make_clips(3, seed=2)
         config = small_config(max_epochs=2, dropout=0.5)
@@ -293,6 +338,16 @@ class TestTrainLoop:
         config = small_config(init_lr=1e300, warmup_epochs=0, batch_size=2)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match=r" \(epoch 0, batch 1\)$"):
             train(clips[:4], clips[4:], config)
+
+    def test_non_finite_validation_names_epoch(self):
+        # at this rate one step leaves attended features finite but the
+        # head's output NaN; a NaN score would never set the best
+        clips = make_clips(4, dim_audio=4, dim_visual=4, seed=1)
+        config = small_config(depth=2, init_lr=1e100, warmup_epochs=0, batch_size=64, max_epochs=1)
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=r"^non-finite values in predictions \(epoch 0, validation\)$"
+        ):
+            train(clips[:3], clips[3:], config)
 
     def test_wrong_shape_snapshot_rejected(self):
         # a 1x1 bias would broadcast into the 8x1 hidden bias without the check

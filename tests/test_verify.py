@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from avfusion import autodiff as ad
-from avfusion import fusion, verify
+from avfusion import fusion, temporal, verify
 from avfusion.exceptions import NumericError
 from avfusion.metrics import ccc
 from avfusion.model import EmotionModel, ModelConfig
@@ -87,10 +87,10 @@ def test_one_kink_crossing_coordinate_is_skipped():
     bias = tcn.weights["level1.bias"]
     # put one first-level pre-activation 5e-7 above its kink: the -step
     # probe moves it across, and no other coordinate of this bias reaches it
-    x = ad.Tensor(np.stack([win.audio]).astype(np.float64) * win.valid)
-    taps = [tcn.weights[f"level1.tap{j}"] for j in range(tcn.kernel_size)]
-    conv = ad.causal_conv(x, taps, 1).value
-    bias.value[3, 0] = 5e-7 - conv[0, 3, 2]
+    # frame 2's conv at dilation 1 reads frames 0, 1, 2 with taps 0, 1, 2
+    x = win.audio.astype(np.float64) * win.valid
+    conv = sum(tcn.weights[f"level1.tap{j}"].value @ x[:, j] for j in range(tcn.kernel_size))
+    bias.value[3, 0] = 5e-7 - conv[3]
     params = {"bias": bias}
 
     stacked = ad.gradcheck(loss, params, probe=verify.stacked_probe(model, win, drop_seed))
@@ -200,4 +200,29 @@ def test_suite_catches_a_gate_backward_bug(monkeypatch):
     assert not result.passed
     names = [name for name, _ in result.failures()]
     pattern = r"\w+/M\d/fusion\.(gate|final_gate|round\d\.iter_gate)_(audio|visual)"
+    assert any(re.fullmatch(pattern, name) for name in names), names
+
+
+def test_suite_catches_a_tcn_tap_backward_bug(monkeypatch):
+    original = temporal.tcn_level
+
+    def broken_level(x, taps, bias, dilation):
+        # the right forward, with the node's gradient to the taps scaled by 1%
+        out = original(x, taps, bias, dilation)
+        real_backward = out._backward
+
+        def backward():
+            before = [0.0 if tap.grad is None else tap.grad.copy() for tap in taps]
+            real_backward()
+            for tap, old in zip(taps, before):
+                tap.grad = old + 1.01 * (tap.grad - old)
+
+        out._backward = backward
+        return out
+
+    monkeypatch.setattr(temporal, "tcn_level", broken_level)
+    result = verify.run_gradcheck_suite()
+    assert not result.passed
+    names = [name for name, _ in result.failures()]
+    pattern = r"\w+/M\d/tcn_(audio|visual)\.level\d\.tap\d"
     assert any(re.fullmatch(pattern, name) for name in names), names
