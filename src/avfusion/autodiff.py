@@ -13,10 +13,15 @@ assigned (copied only when it is another node's grad or a view of one)
 and later ones are added.  A node's closure is the only reader of its
 grad, so the walk frees that grad as soon as the closure has run: only
 leaves (parameters and inputs) end the walk with a grad, and no two live
-grads share memory.
+grads share memory.  The walk consumes the graph: once a node's closure
+has run, the node drops the closure and its parent links, so the arrays
+the closure held and every value nothing else references are freed
+during the walk.  A graph is walked once; a walk that reaches a consumed
+node raises :class:`ParameterError`.
 Each node reaches itself from its backward closure only through a weak
 reference, so graphs hold no reference cycles and a dropped graph is
-freed at once.
+freed at once.  Inside :func:`no_graph` the ops build no graph at all:
+each node keeps its value only, as inference needs.
 
 The op set is what the model uses: matrix product, elementwise
 tanh/relu/add, product with a constant array, a bias column added to
@@ -39,13 +44,14 @@ perturbation crosses a ReLU kink.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericError
+from .exceptions import DimensionError, NumericError, ParameterError
 
 # Distance from a ReLU kink below which a pre-activation is treated as
 # sitting on the kink (its subgradient is taken as 0 and gradcheck skips it).
@@ -56,6 +62,22 @@ GRADCHECK_STEP = 1e-5
 
 # Active kink recorders; relu_pattern() appends to each.
 _kink_recorders: list[list] = []
+
+# False inside no_graph(): new nodes keep no parents and no closure.
+_build_graph = contextvars.ContextVar("build_graph", default=True)
+
+
+@contextlib.contextmanager
+def no_graph():
+    """Build no graph in this scope: each op's node keeps its value but
+    no parents and no backward closure, so a forward pass holds only the
+    values still referenced.  The scope is held in a context variable, so
+    it covers the thread that enters it and copies of its context."""
+    token = _build_graph.set(False)
+    try:
+        yield
+    finally:
+        _build_graph.reset(token)
 
 
 @contextlib.contextmanager
@@ -113,9 +135,10 @@ class Tensor:
     operand's ``value``.  ``grad`` is populated by :meth:`backward` and has
     the same shape and dtype as ``value``: every node pushes a gradient
     to each of its parents, the first contribution a node receives is
-    assigned and later ones are added.  An inner node's grad is freed
-    once its closure has pushed it on, so after the walk only leaves
-    hold a grad.  No two live grads share memory.
+    assigned and later ones are added.  An inner node's grad, closure
+    and parent links are dropped once its closure has pushed the grad on,
+    so after the walk only leaves hold a grad and the graph cannot be
+    walked again.  No two live grads share memory.
     ``rows`` and ``cols`` are the last two axes, the ones every op acts on.
     """
 
@@ -161,14 +184,19 @@ class Tensor:
 
         The stored zero-argument closure reaches the node through a weak
         reference, so a graph holds no reference cycle and is freed as soon
-        as it is dropped.
+        as it is dropped.  Inside :func:`no_graph` the node keeps neither
+        ``parents`` nor ``backward``.
         """
         out = Tensor.__new__(Tensor)
         out.value = value
         out.grad = None
-        out._parents = parents
-        ref = weakref.ref(out)
-        out._backward = lambda: backward(ref().grad)
+        if _build_graph.get():
+            out._parents = parents
+            ref = weakref.ref(out)
+            out._backward = lambda: backward(ref().grad)
+        else:
+            out._parents = ()
+            out._backward = None
         return out
 
     def backward(self, seed=None):
@@ -176,7 +204,11 @@ class Tensor:
 
         ``seed`` overrides the initial adjoint (defaults to ones).  Each
         non-leaf node's closure runs once, in reverse topological order,
-        and its grad is set to None right after: only leaves keep a grad.
+        and the walk pops the node and then drops its grad, its closure and
+        its parent links: only leaves keep a grad, and each inner value is
+        freed once no consumer needs it.  The graph is consumed, so a
+        second walk of it, or of a graph sharing one of its inner nodes,
+        raises :class:`ParameterError` before any closure runs.
         """
         order = []
         seen = set()
@@ -188,6 +220,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise ParameterError("backward: the graph was already walked; build it again")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -204,10 +238,11 @@ class Tensor:
                     f"backward: seed shape {seed.shape} does not match {self.value.shape}"
                 )
             self.grad = seed
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward()
-                node.grad = None
+                node.grad = node._backward = node._parents = None
 
     # -- operators -----------------------------------------------------------
 

@@ -25,15 +25,16 @@ modality m in :data:`MODALITIES`:
 Every step is written once and applied to each modality in turn.
 ``corr_m`` and ``amap_m`` are one graph node (:func:`attention`) given
 ``W_corr,m joint``.  It keeps no L x L array: its backward recomputes
-the correlation.  The
+the correlation, and both passes make the correlations a block of batch
+members at a time.  The
 modes differ only in the gate, and each gate is one :func:`gate` node
 on the logits ``source^T W_gate`` (L x K): a temperature softmax over
 the K candidates per time step (so every row sums to 1), then the relu
 of the gated sum of the candidates.
 
 Every feature matrix may carry a leading batch axis (B x d_m x L, and
-B x L x L correlations inside :func:`attention`); the weights are
-shared across it.
+b x L x L correlations for a block of b members inside
+:func:`attention`); the weights are shared across it.
 
 :class:`FusionParams` is built from a :class:`~avfusion.model.ModelConfig`,
 which validates the mode, depth and temperature; it reads the mode, the
@@ -58,6 +59,10 @@ if TYPE_CHECKING:
 
 MODES = ("JCA", "RJCA", "GRJCA", "HGRJCA")
 MODALITIES = ("audio", "visual")
+
+# :func:`attention` makes its L x L arrays for a block of whole batch
+# members at a time, as many as fit in this many bytes (at least one)
+ATTENTION_BLOCK_BYTES = 1 << 20
 
 
 def xavier_uniform(rng, rows, cols, fan=None):
@@ -168,40 +173,59 @@ def _correlation(x: np.ndarray, wj: np.ndarray, scale: float):
     return xt, y
 
 
+def _blocks(x: np.ndarray) -> list:
+    """Indices of the blocks of whole batch members whose L x L float64
+    arrays fit in :data:`ATTENTION_BLOCK_BYTES`; a matrix is one block."""
+    if x.ndim < 3:
+        return [...]
+    size = max(1, ATTENTION_BLOCK_BYTES // (x.shape[-1] ** 2 * x.itemsize))
+    return [slice(start, start + size) for start in range(0, x.shape[0], size)]
+
+
 def attention(x: Tensor, wj: Tensor, w_attn: Tensor, scale: float) -> Tensor:
     """``relu(x W_attn tanh(x^T wj * scale))`` as one node: ``x`` and
     ``wj`` are d_m x L (or B x d_m x L), ``w_attn`` and the correlation
     L x L, the output d_m x L.
 
-    The correlation is a temporary.  The node keeps ``P = x W_attn`` and
-    the relu pattern, and its backward recomputes the correlation y.
-    With ``G`` the masked grad, P's grad is ``G y^T`` and y's is
-    ``dy = P^T G``; P pushes to x and ``W_attn`` as a product does, then,
-    with ``dz = dy * (1 - y^2) * scale``, x receives ``(dz wj^T)^T`` and
-    wj receives ``x dz``.  These are the products, operand layouts and push
-    order that a correlation node, two matrix-product nodes and a relu
-    node would make, so value and gradients equal theirs bit for bit.
+    The correlation is a temporary, made for one block of batch members
+    at a time (:func:`_blocks`).  The node keeps ``P = x W_attn`` and the
+    relu pattern, and its backward recomputes the correlation y block by
+    block.  With ``G`` the masked grad, each block writes P's grad
+    ``G y^T`` and, with ``dz = P^T G * (1 - y^2) * scale``, the
+    correlation's grads ``(dz wj^T)^T`` to x and ``x dz`` to wj into
+    whole-batch arrays.  P's grad then pushes to x and ``W_attn`` as a
+    product does, with one GEMM over the batch for ``W_attn``, and the
+    correlation's grads follow.  numpy's stacked products make one GEMM
+    per member, so these are the products, operand layouts and push
+    order of a correlation node, two matrix-product nodes and a relu
+    node, and value and gradients equal theirs bit for bit.
     """
     if x.value.shape != wj.value.shape:
         raise DimensionError(f"attention: shapes {x.value.shape} and {wj.value.shape} differ")
     p = x.value @ w_attn.value
-    q = p @ _correlation(x.value, wj.value, scale)[1]
+    blocks = _blocks(p)
+    q = np.empty_like(p)
+    for blk in blocks:
+        q[blk] = p[blk] @ _correlation(x.value[blk], wj.value[blk], scale)[1]
     positive = ad.relu_pattern(q)
 
     def backward(g):
-        xt, y = _correlation(x.value, wj.value, scale)
-        gp, dz = ad.matmul_grads(p, y, g * positive)
-        gx, gw = ad.matmul_grads(x.value, w_attn.value, gp)
-        ad.accumulate(x, gx)
+        g = g * positive
+        gp, gx, gwj = np.empty_like(p), np.empty_like(p), np.empty_like(p)
+        for blk in blocks:
+            xt, y = _correlation(x.value[blk], wj.value[blk], scale)
+            gp[blk], dz = ad.matmul_grads(p[blk], y, g[blk])
+            y *= y
+            np.subtract(1.0, y, out=y)
+            dz *= y
+            dz *= scale
+            gx[blk] = np.swapaxes(dz @ np.swapaxes(wj.value[blk], -1, -2), -1, -2)
+            gwj[blk] = np.swapaxes(xt, -1, -2) @ dz
+        ga, gw = ad.matmul_grads(x.value, w_attn.value, gp)
+        ad.accumulate(x, ga)
         ad.accumulate(w_attn, gw)
-        y *= y
-        np.subtract(1.0, y, out=y)
-        dz *= y
-        dz *= scale
-        # a view of a fresh array: copied if it becomes x's grad, as a
-        # transpose node's would be
-        ad.accumulate(x, np.swapaxes(dz @ np.swapaxes(wj.value, -1, -2), -1, -2), shared=True)
-        ad.accumulate(wj, np.swapaxes(xt, -1, -2) @ dz)
+        ad.accumulate(x, gx)
+        ad.accumulate(wj, gwj)
 
     return Tensor._make(ad.relu_values(q), (x, wj, w_attn), backward)
 

@@ -282,12 +282,19 @@ def window(clip: LabeledClip, length: int, stride: int) -> list:
 
 def write_file(path, data: bytes):
     """Make ``data`` the whole file at ``path``: every artifact's writer.  An
-    existing file is written over in place, then cut, as truncating it to zero
-    costs a journalled block free and writeback at close on ext4.  Nothing is
-    fsynced, so a crash can mix old and new bytes, as with ``open(path, "wb")``."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        fh.truncate()
+    existing file is written over in place on the raw descriptor, then cut
+    only if it was longer, as truncating it to zero costs a journalled block
+    free and writeback at close on ext4.  Nothing is fsynced, so a crash can
+    mix old and new bytes, as with ``open(path, "wb")``."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest) :]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def write_avfs(path, matrix: np.ndarray):

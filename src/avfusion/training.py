@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import check_finite
+from .autodiff import check_finite, no_graph
 from .exceptions import ConfigError, DimensionError, NumericError, ParameterError
 from .fusion import MODALITIES
 from .metrics import ccc
@@ -106,7 +106,7 @@ def retain_freed_heap(one_arena: bool = False):
     keep it.  With ``one_arena``, threads started later share the one
     arena too, so the forward threads of :func:`_clip_predictions` reuse the
     heap the process already holds; with an arena per thread, eval's peak
-    RSS at window 192 went from about 82 to about 110 MB.  Only a process that starts
+    RSS at window 192 went from about 71 to about 85 MB.  Only a process that starts
     such threads asks for it: with one arena from the start, a 6-fold
     ``train`` plus ``gradcheck`` ran 1-5% slower.  Runs once per process
     and argument; elsewhere this does nothing.
@@ -287,6 +287,7 @@ def _clip_predictions(model: EmotionModel, clips, config: TrainConfig, workers: 
     min(workers, batches, CPUs)`` threads; the count is rounded up to a
     multiple of the threads, never past ``n``, and batch ``b`` starts at
     window ``n * b // batches``, so no batch is larger than ``batch_size``.
+    Each batch builds no graph (:func:`~avfusion.autodiff.no_graph`).
     Pool threads share one heap arena (:func:`retain_freed_heap`) and run
     each batch in a copy of the caller's context, keeping its
     ``np.errstate``.  Each batch writes its own rows, so the outputs are
@@ -303,7 +304,8 @@ def _clip_predictions(model: EmotionModel, clips, config: TrainConfig, workers: 
 
     def forward(b):
         batch = windows[cuts[b] : cuts[b + 1]]
-        outs[cuts[b] : cuts[b + 1]] = model.forward(batch).value.reshape(len(batch), -1)
+        with no_graph():
+            outs[cuts[b] : cuts[b + 1]] = model.forward(batch).value.reshape(len(batch), -1)
 
     if threads == 1:
         for b in range(batches):
@@ -377,8 +379,6 @@ def train(train_clips, val_clips, config: TrainConfig, fold=None) -> TrainResult
                 loss = model.batch_loss(batch, config.target, dropout_rng=dropout_rng)
                 loss.backward()
                 batch_losses.append(loss.item())
-                # free this batch's graph before Adam makes its flat vectors
-                del loss
                 adam_step(model.parameters(), adam, lr, config.weight_decay)
             place = "validation"
             val_preds, val_ccc = _pooled_ccc(model, val_clips, config)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avfusion import autodiff as ad
-from avfusion.exceptions import DimensionError, NumericError
+from avfusion.exceptions import DimensionError, NumericError, ParameterError
 from avfusion.fusion import attention, gate
 from avfusion.metrics import ccc_loss
 from avfusion.model import EmotionModel, ModelConfig
@@ -600,17 +600,26 @@ class TestGraphMechanics:
         (a + b).backward()
         np.testing.assert_allclose(x.grad, [[7.0]])
 
-    def test_second_backward_repeats_the_first(self):
-        # the walk frees inner grads but keeps the closures and parents,
-        # and resets every grad before it starts
+    def test_second_backward_raises(self):
+        # the walk consumes the graph: a second one would find no closures,
+        # so it raises and leaves the first walk's leaf grads as they were
         x = ad.Tensor([[0.5, -1.5], [2.0, 0.3]])
         out = ad.reshape(ad.tanh(ad.add(x, x) @ x), (1, -1)) @ ad.Tensor(np.ones((4, 1)))
         out.backward()
-        first = x.grad
-        out.backward(seed=np.full((1, 1), 2.0))
-        np.testing.assert_array_equal(x.grad, 2.0 * first)
-        out.backward()
+        first = x.grad.copy()
+        with pytest.raises(ParameterError, match="already walked"):
+            out.backward(seed=np.full((1, 1), 2.0))
         np.testing.assert_array_equal(x.grad, first)
+
+    def test_graph_sharing_a_walked_node_raises(self):
+        # y's closure ran in the first walk; a new graph built on y cannot
+        # push a gradient through it
+        x = ad.Tensor([[0.5, -1.5], [2.0, 0.3]])
+        y = ad.tanh(x @ x)
+        ad.reshape(ad.add(y, y), (1, -1)).backward(seed=np.ones((1, 4)))
+        second = ad.reshape(ad.mul_const(y, np.full((2, 2), 3.0)), (1, -1))
+        with pytest.raises(ParameterError, match="already walked"):
+            second.backward(seed=np.ones((1, 4)))
 
     def test_deep_chain_does_not_recurse(self):
         x = ad.Tensor([[1.0]])
@@ -657,13 +666,16 @@ def backward_recording_grads(out):
 
     An inner node's grad is the one its closure consumed, recorded just
     before the closure runs (the walk frees it right after); a leaf's is
-    the one the walk leaves it.  Also asserts that rule: after the walk
-    every node with a closure holds no grad and every leaf holds one.
+    the one the walk leaves it.  Leaves and inner nodes are told apart
+    before the walk, which consumes the graph.  Also asserts the rule:
+    after the walk every inner node holds no grad, closure or parent
+    links, and every leaf holds a grad.
     """
     order = graph_nodes(out)
+    inner = {id(node) for node in order if node._backward is not None}
     consumed = {}
     for node in order:
-        if node._backward is not None:
+        if id(node) in inner:
 
             def recording(node=node, run=node._backward):
                 consumed[id(node)] = node.grad
@@ -673,12 +685,12 @@ def backward_recording_grads(out):
     out.backward()
     grads = []
     for node in order:
-        if node._backward is None:
-            assert node.grad is not None
-            grads.append(node.grad)
-        else:
-            assert node.grad is None
+        if id(node) in inner:
+            assert node.grad is None and node._backward is None and node._parents is None
             grads.append(consumed[id(node)])
+        else:
+            assert node.grad is not None and node._parents == ()
+            grads.append(node.grad)
     return grads
 
 
@@ -738,8 +750,9 @@ class TestLazyGrads:
             return model.batch_loss(windows, "valence", dropout_rng=np.random.default_rng(1))
 
         loss = build()
+        nodes = graph_nodes(loss)
         grads = backward_recording_grads(loss)
-        for node, grad in zip(graph_nodes(loss), grads):
+        for node, grad in zip(nodes, grads, strict=True):
             assert grad.shape == node.value.shape
         for i, a in enumerate(grads):
             for b in grads[i + 1 :]:
@@ -772,11 +785,12 @@ class TestLazyGrads:
             np.testing.assert_array_equal(p.value, before[name])
 
 
-def rjca_training_forward(seq_len):
-    """The loss graph of an RJCA depth-3 model on one training batch of 4
-    windows of ``seq_len`` frames, and the bytes it holds as counted by
-    tracemalloc, which must be running, from after the model is built."""
-    clips = generate(GenConfig(num_videos=4, frames=seq_len, dim_audio=16, dim_visual=16, seed=4))
+def rjca_training_forward(seq_len, batch=4):
+    """The loss graph of an RJCA depth-3 model on one training batch of
+    ``batch`` windows of ``seq_len`` frames, and the bytes it holds as
+    counted by tracemalloc, which must be running, from after the model
+    is built."""
+    clips = generate(GenConfig(num_videos=batch, frames=seq_len, dim_audio=16, dim_visual=16, seed=4))
     windows = [w for clip in clips for w in window(clip, seq_len, seq_len)]
     model = EmotionModel(
         ModelConfig(mode="RJCA", dim_audio=16, dim_visual=16, seq_len=seq_len, depth=3),
@@ -803,6 +817,24 @@ def test_backward_frees_inner_grads_during_the_walk():
     finally:
         tracemalloc.stop()
     assert extra < inner, (extra, inner)
+
+
+def test_backward_peak_is_under_half_the_forward_graph():
+    # at L = 192, B = 12 the walk frees each value and closure array once
+    # no consumer needs it, and attention recomputes its correlations a
+    # block of members at a time, so the backward's peak above its start
+    # stays under half of what the forward holds.  A walk that keeps the
+    # graph to its end with whole-batch L x L arrays reaches about 80%
+    tracemalloc.start()
+    try:
+        loss, held = rjca_training_forward(192, batch=12)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert extra < held / 2, (extra, held)
 
 
 def test_training_forward_keeps_no_length_squared_arrays():

@@ -293,6 +293,42 @@ class TestAttentionNode:
         assert (report.checked, report.skipped_kinks) == (84, 0)
         assert report.worst < 1e-7, report.per_param
 
+    @pytest.mark.parametrize("members", [1, 5])
+    @pytest.mark.parametrize("batch", [(), (12,)], ids=["matrix", "B12"])
+    def test_blocks_equal_one_block_bit_for_bit(self, monkeypatch, batch, members):
+        # blocks of 1 and of 5 members (the last one short) at L = 192
+        # give the value and grads of the whole batch as one block; a
+        # matrix is one block whatever the size
+        rng = np.random.default_rng(44)
+        length = 192
+        values = [rng.standard_normal((*batch, 16, length)) for _ in range(2)]
+        values.append(rng.standard_normal((length, length)) / length)
+        seed = rng.standard_normal((*batch, 16, length))
+
+        def run(block_members):
+            monkeypatch.setattr(fusion, "ATTENTION_BLOCK_BYTES", block_members * length * length * 8)
+            x, wj, w_attn = (Tensor(v) for v in values)
+            out = attention(x, wj, w_attn, 1.0 / math.sqrt(32))
+            # the residual gives x a grad before the node's two pushes to it
+            (out + x).backward(seed)
+            blocks = len(fusion._blocks(x.value))
+            return blocks, [out.value, x.grad, wj.grad, w_attn.grad]
+
+        whole_blocks, whole = run(12)
+        blocks, blocked = run(members)
+        assert (whole_blocks, blocks) == ((1, -(-12 // members)) if batch else (1, 1))
+        assert 0 < np.count_nonzero(whole[0]) < whole[0].size
+        for got, want in zip(blocked, whole, strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "shape, blocks", [((32, 16, 64), 1), ((12, 8, 6), 1), ((12, 16, 192), 4), ((16, 192), 1)]
+    )
+    def test_default_blocks(self, shape, blocks):
+        # one block up to L = 64 at B = 32 and at the gradient audit's 6
+        # frames; three members a block at L = 192
+        assert len(fusion._blocks(np.empty(shape))) == blocks
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError, match="attention: shapes"):
             attention(Tensor(np.zeros((4, 6))), Tensor(np.zeros((3, 6))), Tensor(np.zeros((6, 6))), 1.0)

@@ -80,7 +80,8 @@ class TestBatchLossGradients:
 
 class TestGraphMemory:
     """Graphs hold no reference cycles, so dropping the loss frees them
-    without the cyclic garbage collector."""
+    without the cyclic garbage collector, and the backward walk frees
+    every inner node while the loss is still held."""
 
     @staticmethod
     def graph_nodes(root):
@@ -100,10 +101,11 @@ class TestGraphMemory:
         gc.disable()
         try:
             loss = model.batch_loss(wins, "valence", dropout_rng=np.random.default_rng(0))
-            if backward:
-                loss.backward()
             nodes = self.graph_nodes(loss)
             assert len(nodes) > 50
+            if backward:
+                loss.backward()
+                assert all(ref() is None for ref in nodes if ref() is not loss)
             root = weakref.ref(loss)
             del loss
             assert root() is None

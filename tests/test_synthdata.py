@@ -4,6 +4,7 @@ import ast
 import csv
 import io
 import math
+import os
 import re
 from pathlib import Path
 
@@ -303,9 +304,19 @@ class TestFeatureFiles:
         # a new path is created; over an existing file the bytes are
         # written in place, so a shorter write must cut the old tail off
         path = tmp_path / "artifact"
-        for data in (b"long " * 40, b"short", b"", b"longer again " * 30):
+        for data in (b"long " * 40, b"short", b"same!", b"", b"longer again " * 30):
             write_file(path, data)
             assert path.read_bytes() == data
+
+    def test_write_file_cuts_only_a_longer_file(self, tmp_path, monkeypatch):
+        cuts = []
+        ftruncate = os.ftruncate
+        monkeypatch.setattr(os, "ftruncate", lambda fd, size: cuts.append(size) or ftruncate(fd, size))
+        path = tmp_path / "artifact"
+        for data in (b"x" * 10, b"y" * 10, b"z" * 4, b"w" * 12):
+            write_file(path, data)
+            assert path.read_bytes() == data
+        assert cuts == [4]
 
     def test_write_file_creates_with_the_mode_of_open(self, tmp_path):
         write_file(tmp_path / "new", b"x")
@@ -364,8 +375,8 @@ class TestFeatureFiles:
 
 
 def _opens_for_writing(node) -> bool:
-    """A call of ``open`` with a writing mode, of ``write_bytes`` or
-    ``write_text``, or a use of ``O_TRUNC``."""
+    """A call of ``open`` with a writing mode or ``os.open`` with a writing
+    flag, of ``write_bytes`` or ``write_text``, or a use of ``O_TRUNC``."""
     if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC":
         return True
     if not isinstance(node, ast.Call):
@@ -373,7 +384,9 @@ def _opens_for_writing(node) -> bool:
     name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
     args = [*node.args, *(keyword.value for keyword in node.keywords)]
     modes = [set(arg.value) for arg in args if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    flags = {n.attr for arg in args for n in ast.walk(arg) if isinstance(n, ast.Attribute)}
     writing = any(mode <= set("rwxabt+") and mode & set("wxa+") for mode in modes)
+    writing = writing or bool(flags & {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT"})
     return name in ("write_bytes", "write_text") or (name == "open" and writing)
 
 

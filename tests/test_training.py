@@ -1,5 +1,6 @@
 """Optimizer, scheduler, and training-loop tests."""
 
+import contextlib
 import gc
 import math
 import os
@@ -31,6 +32,8 @@ from avfusion.training import (
     train,
     usable_cpus,
 )
+
+from test_autodiff import graph_nodes
 
 
 def make_clips(n, frames=64, seed=0, **kwargs):
@@ -393,24 +396,26 @@ class TestTrainLoop:
             assert np.array_equal(grads[k], p.grad)
 
     def test_one_graph_alive_at_a_time(self, monkeypatch):
-        # each batch's loss (and the graph behind it) is dead before Adam
-        # makes its flat copies, before the next batch's forward and before
+        # each batch's graph behind its loss is dead before Adam makes its
+        # flat copies, before the next batch's forward and before
         # validation; with the cyclic collector off, only dropped
-        # references can free it
+        # references can free it.  The loss node may live on: the walk
+        # has consumed it, so it holds its 1 x 1 value only
         clips = make_clips(3, seed=8)
-        losses = []
+        graphs = []
         checks = []
         real_batch_loss = EmotionModel.batch_loss
         real_pooled = training._pooled_ccc
 
         def check_dead(where):
             checks.append(where)
-            assert all(ref() is None for ref in losses), where
+            assert all(ref() is None for graph in graphs for ref in graph), where
 
         def batch_loss(self, *args, **kwargs):
             check_dead("batch_loss")
             loss = real_batch_loss(self, *args, **kwargs)
-            losses.append(weakref.ref(loss))
+            inner = [node for node in graph_nodes(loss) if node is not loss and node._backward is not None]
+            graphs.append([weakref.ref(node) for node in inner])
             return loss
 
         def pooled(*args):
@@ -431,7 +436,7 @@ class TestTrainLoop:
         finally:
             if was_enabled:
                 gc.enable()
-        assert len(losses) == 4
+        assert len(graphs) == 4 and all(graphs)
         assert checks == ["batch_loss", "adam_step", "batch_loss", "adam_step", "validation"] * 2
 
     def test_overfit_single_clip(self):
@@ -489,6 +494,33 @@ class TestEvaluate:
         valid = clips[2].valid
         assert result.best_val_ccc == training.ccc(forward[valid], clips[2].valence[valid])
         assert value == result.best_val_ccc
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_predictions_build_no_graph(self, monkeypatch, workers):
+        # every node the validation and evaluate forward makes, on the pool
+        # threads too, keeps no parents and no closure, and the predictions
+        # are the bytes of a forward that builds the graph
+        if workers > 1 and usable_cpus() < 2:
+            pytest.skip("2 workers run serially on one CPU")
+        clips = make_clips(3, frames=100, seed=15)
+        config = small_config(mode="GRJCA", depth=2, batch_size=2)
+        model = config.new_model(clips[0])
+        made = []
+        make = Tensor._make
+
+        def recording(*args):
+            node = make(*args)
+            made.append(node)
+            return node
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(recording))
+        preds = training._clip_predictions(model, clips, config, workers)
+        assert made and all(node._parents == () and node._backward is None for node in made)
+        made.clear()
+        monkeypatch.setattr(training, "no_graph", contextlib.nullcontext)
+        with_graph = training._clip_predictions(model, clips, config, workers)
+        assert all(node._parents for node in made)
+        assert [p.tobytes() for p in preds] == [p.tobytes() for p in with_graph]
 
     def test_no_clips_rejected(self):
         clips = make_clips(2, seed=10)
