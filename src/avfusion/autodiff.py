@@ -60,8 +60,8 @@ KINK_TOL = 1e-6
 # gradcheck's central-difference step: a probe moves one coordinate by +/- this.
 GRADCHECK_STEP = 1e-5
 
-# Active kink recorders; relu_pattern() appends to each.
-_kink_recorders: list[list] = []
+# The innermost open record_kinks() scope's list; relu_pattern() appends to it.
+_kink_record = contextvars.ContextVar("kink_record", default=None)
 
 # False inside no_graph(): new nodes keep no parents and no closure.
 _build_graph = contextvars.ContextVar("build_graph", default=True)
@@ -81,18 +81,18 @@ def no_graph():
 
 
 @contextlib.contextmanager
-def record_kinks(out: list):
-    """Collect the (x > 0) pattern of every relu evaluated in this scope.
-
-    Also records whether any pre-activation sat within ``KINK_TOL`` of 0.
-    Used by gradcheck to discard finite-difference probes that cross a kink.
-    """
-    _kink_recorders.append(out)
+def record_kinks():
+    """Collect, in the list this yields, each relu's (x > 0) pattern and
+    its entries within ``KINK_TOL`` of 0, as ``(sign, band)`` pairs.  Only
+    the innermost open scope records, and the scope builds no graph
+    (:func:`no_graph`): gradcheck reads these forwards, never walks them."""
+    patterns = []
+    token = _kink_record.set(patterns)
     try:
-        yield out
+        with no_graph():
+            yield patterns
     finally:
-        # by identity: a nested recorder with equal contents is another list
-        del _kink_recorders[next(i for i, rec in enumerate(_kink_recorders) if rec is out)]
+        _kink_record.reset(token)
 
 
 def _as_matrix(value):
@@ -297,13 +297,12 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def relu_pattern(x: np.ndarray) -> np.ndarray:
-    """The (x > 0) pattern of a relu's input, recorded in every open
-    :func:`record_kinks` scope together with the entries in the kink band."""
+    """The (x > 0) pattern of a relu's input, recorded in the innermost
+    open :func:`record_kinks` scope together with the entries in the kink band."""
     positive = x > 0.0
-    if _kink_recorders:
-        in_band = np.abs(x) < KINK_TOL
-        for rec in _kink_recorders:
-            rec.append((positive, in_band))
+    patterns = _kink_record.get()
+    if patterns is not None:
+        patterns.append((positive, np.abs(x) < KINK_TOL))
     return positive
 
 
@@ -441,24 +440,25 @@ def gradcheck(
     rng : numpy Generator, optional
         Source for coordinate sampling; fixed seed when omitted.
     probe : callable, optional
-        ``probe(param, coords, step) -> (hi, lo, crossed)``: the losses
-        with ``param`` moved by +step and by -step at each (row, col) in
-        ``coords``, one coordinate at a time, and whether each pair's ReLU
-        sign patterns disagree; ``step`` is :data:`GRADCHECK_STEP`.
-        ``param.value`` must be left as found.  The default calls ``f``
-        twice per coordinate.
+        ``probe(param, stack) -> (losses, patterns)``: the loss with
+        ``param.value`` at each value stacked on the first axis of
+        ``stack``, as an array along that axis, and the ``(sign, band)``
+        relu patterns :func:`record_kinks` collected, each with the same
+        leading axis.  ``param.value`` must be left as found.  The default
+        calls ``f`` once per stacked value.
 
     Returns
     -------
     GradcheckReport
         Worst relative error per parameter; ``report.worst`` is the max.
         Relative error is |ga - gn| / max(1e-8, |ga| + |gn|), with gn the
-        central difference at :data:`GRADCHECK_STEP`.  Each parameter's
-        sampled coordinates are probed in one ``probe`` call at that step: a
-        wrong gradient fails at any step, so no other step is tried.
-        Probes whose +/- evaluations disagree on any ReLU sign pattern are
-        skipped (kink crossings make the central difference meaningless),
-        and probes whose disagreement falls below the roundoff noise floor
+        central difference at :data:`GRADCHECK_STEP`: one ``probe`` call per
+        parameter gets 2n stacked values, where members k and n+k move the
+        k-th sampled coordinate by +step and -step (a wrong gradient fails
+        at any step, so no other step is tried).  Pairs whose members
+        disagree on any ReLU's sign or kink-band pattern are skipped (kink
+        crossings make the central difference meaningless), and pairs
+        whose disagreement falls below the roundoff noise floor
         of the difference quotient (~ulp(loss)/2step) count as agreeing;
         differences that small are not measurable by this method.
     """
@@ -477,15 +477,23 @@ def gradcheck(
 
     report = GradcheckReport()
     for name, p in params.items():
-        n = p.value.size
-        if max_entries_per_param is not None and n > max_entries_per_param:
-            idx = rng.choice(n, size=max_entries_per_param, replace=False)
-        else:
-            idx = np.arange(n)
-        coords = [np.unravel_index(i, p.value.shape) for i in idx]
-        hi, lo, crossed = probe(p, coords, GRADCHECK_STEP)
+        idx = np.arange(p.value.size)
+        if max_entries_per_param is not None and idx.size > max_entries_per_param:
+            idx = rng.choice(idx.size, size=max_entries_per_param, replace=False)
+        n = len(idx)
+        stack = np.repeat(p.value[None], 2 * n, axis=0)
+        members = stack.reshape(2 * n, -1)
+        members[np.arange(n), idx] += GRADCHECK_STEP
+        members[np.arange(n, 2 * n), idx] -= GRADCHECK_STEP
+        losses, patterns = probe(p, stack)
+        # a pair lands on different relu branches somewhere, or an affected
+        # pre-activation enters or leaves the kink band (|x| < KINK_TOL)
+        crossed = np.zeros(n, dtype=bool)
+        for sign, band in patterns:
+            differ = (sign[:n] != sign[n:]) | (band[:n] != band[n:])
+            crossed |= differ.reshape(n, -1).any(axis=1)
         errors = []
-        for i, plus, minus, kink in zip(idx, hi, lo, crossed):
+        for i, plus, minus, kink in zip(idx, losses[:n], losses[n:], crossed):
             if not (np.isfinite(plus) and np.isfinite(minus)):
                 raise NumericError(f"gradcheck: non-finite loss while perturbing {name!r}")
             if kink:
@@ -504,37 +512,22 @@ def gradcheck(
     return report
 
 
-def _serial_probe(f, p, coords, step):
-    """The default gradcheck probe: two evaluations of ``f`` per coordinate."""
-    hi, lo, crossed = [], [], []
-    for r, c in coords:
-        original = p.value[r, c]
-        try:
-            p.value[r, c] = original + step
-            with record_kinks([]) as pattern_hi:
-                hi.append(f().item())
-            p.value[r, c] = original - step
-            with record_kinks([]) as pattern_lo:
-                lo.append(f().item())
-        finally:
-            p.value[r, c] = original
-        crossed.append(_patterns_disagree(pattern_hi, pattern_lo))
-    return hi, lo, crossed
-
-
-def _patterns_disagree(hi, lo):
-    # A probe is invalid when the two evaluations land on different relu
-    # branches anywhere, or when an affected pre-activation enters/leaves
-    # the kink band (|x| < KINK_TOL).  Entries with identical state on both
-    # sides, including exact zeros untouched by the perturbation, are fine.
-    if len(hi) != len(lo):
-        return True
-    for (sign_hi, band_hi), (sign_lo, band_lo) in zip(hi, lo):
-        if sign_hi.shape != sign_lo.shape:
-            return True
-        if not np.array_equal(sign_hi, sign_lo) or not np.array_equal(band_hi, band_lo):
-            return True
-    return False
+def _serial_probe(f, p, stack):
+    """The default gradcheck probe: one evaluation of ``f`` per stacked
+    value, each relu's per-value patterns stacked in turn."""
+    base = p.value
+    losses, runs = [], []
+    try:
+        for value in stack:
+            p.value = value
+            with record_kinks() as patterns:
+                losses.append(f().item())
+            runs.append(patterns)
+    finally:
+        p.value = base
+    if len({tuple(sign.shape for sign, _ in run) for run in runs}) > 1:
+        raise DimensionError("gradcheck: f evaluates other relus at another parameter value")
+    return np.array(losses), [tuple(map(np.stack, zip(*pairs))) for pairs in zip(*runs)]
 
 
 def check_finite(arr: np.ndarray, context: str):

@@ -8,12 +8,13 @@ A run is described by one JSON object with three optional sections::
       "training":  { ... training.TrainConfig fields ... }
     }
 
-Every field has a default, and unknown keys and values of the wrong JSON
-type are rejected with the offending line number.  Float fields take
-integers too and keep them as given; the model settings among the
-training fields are checked by ``model.ModelSettings`` when the training
-section is built.  The machine-readable field list lives in
-``config.schema.json`` at the repository root.
+Every field has a default, and unknown keys, keys given twice and values
+of the wrong JSON type are rejected with the offending line number.
+Float fields take integers too and keep them as given; the model
+settings among the training fields are checked by
+``model.ModelSettings`` when the training section is built.  The
+machine-readable field list lives in ``config.schema.json`` at the
+repository root.
 """
 
 from __future__ import annotations
@@ -52,7 +53,21 @@ def _where(text: str, section_name: str, key: str) -> str:
     return f" (line {line})" if line is not None else ""
 
 
+class _JsonObject(dict):
+    """A JSON object that keeps the first key it was given twice, if any."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        seen = set()
+        self.repeated = next((key for key, _ in pairs if key in seen or seen.add(key)), None)
+
+
 def _check_keys(section_name: str, data: dict, allowed, text: str):
+    repeated = getattr(data, "repeated", None)
+    if repeated is not None:
+        raise ConfigError(
+            f"key {repeated!r} given twice in {section_name}{_where(text, section_name, repeated)}"
+        )
     for key in data:
         if key not in allowed:
             raise ConfigError(
@@ -96,7 +111,7 @@ def _build_section(section_name: str, cls, data, text: str):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a JSON experiment description; all sections optional."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError:  # the only other one: an integer past Python's digit limit

@@ -7,14 +7,14 @@ concordance loss) and reports the worst relative error per parameter
 matrix.  This is the release gate: everything must come in under the
 tolerance with kink coordinates excluded.
 
-Gradcheck probes the n sampled coordinates of one weight matrix at its
-one step in one forward: the weight holds 2n stacked copies, +step at
-the n coordinates in members 0..n-1 and -step in members n..2n-1,
-against the probe window repeated 2n times.  Every member's loss,
-``1 - ccc`` of its valid frames and the one-window loss bit for bit,
-comes from one set of row-wise moments, and members k and n+k compare
-ReLU patterns.  Dropout draws one mask and shares it across the stack
-(:class:`SharedMask`).
+Gradcheck moves the n sampled coordinates of one weight matrix in a
+stack of 2n values (+step in members 0..n-1, -step in members n..2n-1)
+and itself compares the ReLU patterns of members k and n+k.  The
+suite's probe evaluates the stack in one forward: the weight holds the
+stack, against the probe window repeated 2n times.
+Every member's loss, ``1 - ccc`` of its valid frames and the one-window
+loss bit for bit, comes from one set of row-wise moments.  Dropout
+draws one mask and shares it across the stack (:class:`SharedMask`).
 """
 
 from __future__ import annotations
@@ -110,39 +110,27 @@ class SharedMask:
 
 
 def stacked_probe(model: EmotionModel, win: LabeledClip, drop_seed: int):
-    """A gradcheck probe that evaluates all ± perturbations of one
+    """A gradcheck probe that evaluates every stacked value of one
     parameter in one forward of ``win`` repeated along the batch axis.
 
-    All 2n members are scored at once.  One set of row-wise moments over
-    the valid frames (:func:`metrics._moments`, the helper ``ccc`` and
-    ``ccc_loss`` use) gives every member's loss ``1 - ccc``, bit for bit
-    the one-window loss; a member with a zero denominator scores 1.0, as
-    ``ccc_loss`` does.  One comparison per recorded ReLU pattern flags
-    the members k whose sign or kink-band state differs from member
-    n+k's.
+    One set of row-wise moments over the valid frames
+    (:func:`metrics._moments`, the helper ``ccc`` and ``ccc_loss`` use)
+    gives every member's loss ``1 - ccc``, bit for bit the one-window
+    loss; a member with a zero denominator scores 1.0, as ``ccc_loss``
+    does.
     """
     truth = win.valence[win.valid]
 
-    def probe(p, coords, step):
-        n = len(coords)
-        rows, cols = np.array(coords).T
+    def probe(p, stack):
         base = p.value
-        stack = np.repeat(base[None], 2 * n, axis=0)
-        stack[np.arange(n), rows, cols] += step
-        stack[np.arange(n, 2 * n), rows, cols] -= step
         p.value = stack
         try:
-            with record_kinks([]) as patterns:
-                pred = model.forward([win] * (2 * n), dropout_rng=SharedMask(drop_seed))
+            with record_kinks() as patterns:
+                pred = model.forward([win] * len(stack), dropout_rng=SharedMask(drop_seed))
         finally:
             p.value = base
-        *_, ccc = _moments(pred.value.reshape(2 * n, -1)[:, win.valid], truth)
-        losses = (1.0 - ccc).tolist()
-        crossed = np.zeros(n, dtype=bool)
-        for sign, band in patterns:
-            differ = (sign[:n] != sign[n:]) | (band[:n] != band[n:])
-            crossed |= differ.reshape(n, -1).any(axis=1)
-        return losses[:n], losses[n:], crossed.tolist()
+        *_, ccc = _moments(pred.value.reshape(len(stack), -1)[:, win.valid], truth)
+        return 1.0 - ccc, patterns
 
     return probe
 

@@ -511,15 +511,32 @@ class TestGradcheck:
 
     def test_nested_kink_scopes_keep_their_own_lists(self):
         x = ad.Tensor([[1.0, -1.0]])
-        with ad.record_kinks([]) as outer:
-            with ad.record_kinks([]) as inner:
-                ad.relu(x)
-            # the scopes' lists are equal here, but only the inner one closed
+        with ad.record_kinks() as outer:
             ad.relu(x)
-        assert len(inner) == 1
-        assert len(outer) == 2
+            with ad.record_kinks() as inner:
+                ad.relu(x)
+                ad.relu(x)
+            # only the innermost open scope records
+            ad.relu(x)
         ad.relu(x)
-        assert len(outer) == 2
+        assert (len(outer), len(inner)) == (2, 2)
+
+    def test_kink_scope_builds_no_graph(self):
+        x = ad.Tensor([[1.0, -1.0]])
+        with ad.record_kinks():
+            y = ad.relu(x)
+        assert y._parents == () and y._backward is None
+        assert ad.relu(x)._parents == (x,)
+
+    def test_relus_that_differ_between_values_are_an_error(self):
+        # f applies its relu only on one side of the probe: no pattern pairs up
+        w = ad.Tensor([[0.0]])
+
+        def f():
+            return ad.relu(w) if w.value[0, 0] > 0 else ad.tanh(w)
+
+        with pytest.raises(DimensionError, match="other relus"):
+            ad.gradcheck(f, {"w": w})
 
     def test_nonfinite_loss_names_parameter(self):
         w = ad.Tensor([[1.0]])
@@ -562,17 +579,48 @@ class TestGradcheck:
         names = {id(w): "w", id(v): "v"}
         calls = []
 
-        def probe(p, coords, step):
-            calls.append((names[id(p)], len(coords), step))
-            return ad._serial_probe(f, p, coords, step)
+        def probe(p, stack):
+            calls.append((names[id(p)], stack.shape))
+            return ad._serial_probe(f, p, stack)
 
         report = ad.gradcheck(f, {"w": w, "v": v}, probe=probe)
         assert ad.GRADCHECK_STEP == 1e-5
-        assert calls == [("w", 6, 1e-5), ("v", 3, 1e-5)]
+        assert calls == [("w", (12, 2, 3)), ("v", (6, 3, 1))]
         # the wrong rule is caught at the step; v's product rule is right
         assert report.per_param["w"] > 1e-5
         assert report.per_param["v"] < 1e-8
         assert report.checked == 9
+
+    def test_probe_gets_each_value_moved_at_one_coordinate(self):
+        rng = np.random.default_rng(41)
+        w = ad.Tensor(rng.standard_normal((4, 5)))
+        value = w.value.copy()
+        ones = ad.Tensor(np.ones((20, 1)))
+
+        def f():
+            return ad.reshape(ad.tanh(w), (1, -1)) @ ones
+
+        stacks = []
+
+        def probe(p, stack):
+            stacks.append(stack.copy())
+            return ad._serial_probe(f, p, stack)
+
+        report = ad.gradcheck(f, {"w": w}, max_entries_per_param=6, probe=probe)
+        [stack] = stacks
+        assert stack.shape == (12, 4, 5) and report.checked == 6
+        # members k and k+6 each move one sampled coordinate, the same one,
+        # by exactly +step and -step; no two pairs move the same coordinate
+        moved = []
+        for k in range(6):
+            [j] = np.flatnonzero(stack[k] != value)
+            for member, sign in ((k, 1.0), (k + 6, -1.0)):
+                expected = value.copy()
+                expected.flat[j] += sign * ad.GRADCHECK_STEP
+                assert np.array_equal(stack[member], expected), member
+            moved.append(j)
+        assert len(set(moved)) == 6
+        assert np.array_equal(w.value, value)
 
 
 class TestDtypes:

@@ -968,8 +968,9 @@ class TestExitCodes:
             (b'{"out_dir": "r\xff"}', "not UTF-8 text (byte offset 14)"),
             (b'{"training": {"seed": ' + b"9" * 5000 + b"}}", "more than 4300 digits"),
             (b"[" * 100000, "nest too deeply"),
+            (b'{"training": {"depth": 2, "depth": 3}}', "key 'depth' given twice in training (line 1)"),
         ],
-        ids=["non-utf8", "long-integer", "deep-nesting"],
+        ids=["non-utf8", "long-integer", "deep-nesting", "repeated-key"],
     )
     def test_unreadable_config_is_one_line_naming_file(self, tmp_path, capsys, blob, detail):
         path = tmp_path / "bad.json"

@@ -77,6 +77,19 @@ class TestErrors:
         with pytest.raises(ConfigError, match="n_clips"):
             parse_config('{"generator": {"n_clips": 4}}')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{\n  "training": {\n    "depth": 2,\n    "depth": 3\n  }\n}', "'depth' given twice in training (line 3)"),
+            ('{"generator": {"seed": 1}, "out_dir": "a", "out_dir": "a"}', "'out_dir' given twice in top level (line 1)"),
+        ],
+        ids=["section", "top-level"],
+    )
+    def test_key_given_twice_names_key_and_line(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == f"key {message}"
+
     def test_invalid_json_reports_position(self):
         with pytest.raises(ConfigError, match=r"line 2"):
             parse_config('{\n  "out_dir": ,\n}')

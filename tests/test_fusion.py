@@ -274,9 +274,9 @@ class TestAttentionNode:
     def test_records_the_relu_pattern(self):
         rng = np.random.default_rng(43)
         args = [Tensor(rng.standard_normal(shape)) for shape in ((2, 4, 6), (2, 4, 6), (6, 6))]
-        with ad.record_kinks([]) as fused:
+        with ad.record_kinks() as fused:
             attention(*args, 0.3)
-        with ad.record_kinks([]) as plain:
+        with ad.record_kinks() as plain:
             self.composite(*args, 0.3)
         assert len(fused) == len(plain) == 1
         assert np.array_equal(fused[0][0], plain[0][0])
@@ -362,7 +362,7 @@ class TestGateNode:
     def test_records_one_kink_pattern_per_gate(self):
         rng = np.random.default_rng(57)
         cands = [Tensor(rng.standard_normal((3, 5))) for _ in range(3)]
-        with ad.record_kinks([]) as patterns:
+        with ad.record_kinks() as patterns:
             _, out = gate(Tensor(rng.standard_normal((5, 3))), cands, 0.5)
         assert len(patterns) == 1
         assert np.array_equal(patterns[0][0], out.value > 0.0)
@@ -371,7 +371,7 @@ class TestGateNode:
         for mode, relus in (("RJCA", 4), ("GRJCA", 6), ("HGRJCA", 10)):
             config = ModelConfig(mode, dim_audio=3, dim_visual=3, seq_len=5, depth=2)
             params = FusionParams(config, rng=np.random.default_rng(58))
-            with ad.record_kinks([]) as patterns:
+            with ad.record_kinks() as patterns:
                 run_modular(rng.standard_normal((3, 5)), rng.standard_normal((3, 5)), params)
             assert len(patterns) == relus, mode
 

@@ -1,4 +1,4 @@
-"""The gradcheck suite's stacked probe against the one-coordinate-at-a-time
+"""The gradcheck suite's stacked probe against the one-value-at-a-time
 reference, and the suite against a deliberately broken backward rule."""
 
 import dataclasses
@@ -16,8 +16,8 @@ from avfusion.model import EmotionModel, ModelConfig
 
 
 def serial_gradcheck(f, params, probe, **kwargs):
-    """The suite's gradcheck with its probe dropped: two calls of the
-    one-window loss per coordinate."""
+    """The suite's gradcheck with its probe dropped: one call of the
+    one-window loss per stacked parameter value."""
     return ad.gradcheck(f, params, **kwargs)
 
 
@@ -112,22 +112,28 @@ def test_constant_prediction_member_scores_one_without_warning():
     assert not pred[0, win.valid].any()
     assert ccc(pred[0, win.valid], win.valence[win.valid]) == 0.0
     probe = verify.stacked_probe(model, win, drop_seed)
-    coords = [(0, 0), (1, 2), (3, 1)]
+    weight = model.head.weights["layer1.weight"]
+    stack = np.repeat(weight.value[None], 6, axis=0)
+    for k, (r, c) in enumerate([(0, 0), (1, 2), (3, 1)]):
+        stack[k, r, c] += 1e-5
+        stack[k + 3, r, c] -= 1e-5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        hi, lo, crossed = probe(model.head.weights["layer1.weight"], coords, 1e-5)
-    assert hi == lo == [1.0, 1.0, 1.0]
-    assert crossed == [False, False, False]
+        losses, patterns = probe(weight, stack)
+    assert losses.tolist() == [1.0] * 6
+    # members k and k+3 land on the same relu branches
+    for sign, band in patterns:
+        assert np.array_equal(sign[:3], sign[3:]) and np.array_equal(band[:3], band[3:])
 
 
 def test_nonfinite_member_loss_names_the_parameter():
     model, win, drop_seed, loss = probe_case()
     probe = verify.stacked_probe(model, win, drop_seed)
 
-    def poisoned(p, coords, step):
-        hi, lo, crossed = probe(p, coords, step)
-        lo[-1] = np.nan
-        return hi, lo, crossed
+    def poisoned(p, stack):
+        losses, patterns = probe(p, stack)
+        losses[-1] = np.nan
+        return losses, patterns
 
     params = {"head.layer1.weight": model.head.weights["layer1.weight"]}
     with pytest.raises(NumericError, match="head.layer1.weight"):
